@@ -6,6 +6,16 @@ independently of thread scheduling or draw order. stream_id is the
 replication index in the Monte Carlo harness; ids at and above 2**48 are
 reserved for internal calibration runs (see montecarlo).
 
+A stream is its key and nothing else: every stream starts at counter 0,
+and a Philox key names an independent stream by design (Salmon et al.,
+"Parallel Random Numbers: As Easy as 1, 2, 3", SC'11). So a generator
+built once can be moved to the start of any other stream of the same seed
+by setting its key to (seed, stream_id) and its counter to 0
+(stream_rekeyer). It then draws exactly the variates of a freshly built
+SeededStream(seed, stream_id).generator(), without the cost of building
+one; the Monte Carlo harness uses this to draw a whole chunk of
+replications with one generator.
+
 Sampling methods are numpy Generator implementations (ziggurat normals,
 Marsaglia-Tsang gamma, inversion Weibull, exp-of-normal lognormal,
 gamma-ratio beta); population moments below are exact closed forms.
@@ -119,6 +129,14 @@ POWER_STUDY_ALTERNATIVES = (
 )
 
 
+def check_u64(name: str, v) -> int:
+    """v as an int, or InvalidParamsError naming it if it does not fit in
+    64 bits (a Philox key word)."""
+    if not 0 <= int(v) < 2**64:
+        raise InvalidParamsError(f"{name} must fit in 64 bits, got {v}")
+    return int(v)
+
+
 @dataclass(frozen=True)
 class SeededStream:
     """An independent random stream identified by (seed, stream_id)."""
@@ -128,14 +146,40 @@ class SeededStream:
 
     def __post_init__(self):
         for name in ("seed", "stream_id"):
-            v = getattr(self, name)
-            if not 0 <= int(v) < 2**64:
-                raise InvalidParamsError(f"{name} must fit in 64 bits, got {v}")
-            object.__setattr__(self, name, int(v))
+            object.__setattr__(self, name, check_u64(name, getattr(self, name)))
 
     def generator(self) -> np.random.Generator:
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
+
+
+def stream_rekeyer(rng: np.random.Generator):
+    """Return set_stream(stream_id), which moves rng, a generator from
+    SeededStream(seed, ...).generator(), to the start of stream
+    (seed, stream_id).
+
+    set_stream gives the Philox bit generator key (seed, stream_id),
+    counter 0 and an empty buffer, the state Philox(key=...) starts in; a
+    Generator keeps no state of its own, so rng then draws exactly the
+    variates of SeededStream(seed, stream_id).generator().
+    """
+    bit_generator = rng.bit_generator
+    key = [int(bit_generator.state["state"]["key"][0]), 0]
+    # plain ints: the state setter reads them faster than uint64 arrays
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": key},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+    def set_stream(stream_id: int) -> None:
+        key[1] = stream_id
+        bit_generator.state = state
+
+    return set_stream
 
 
 def draw_values(spec: AlternativeSpec, n: int, rng: np.random.Generator) -> np.ndarray:

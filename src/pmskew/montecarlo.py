@@ -7,6 +7,13 @@ thread count) distributed over a thread pool, and per-chunk aggregates are
 reduced in chunk order, so every result is bit-identical for a given seed
 whether run on 1 or k threads.
 
+Each chunk builds one Philox generator and, before each replication r,
+re-keys it to (seed, r) with counter 0 (distributions.stream_rekeyer).
+That is the state a generator built for stream (seed, r) starts in, so the
+variates, and every output byte, are those of one generator per
+replication, without the cost of building one per replication. A chunk's
+generator is never shared with another thread.
+
 Power experiments default to simulated critical values: each test's
 rejection threshold is the appropriate empirical quantile of the test
 statistic over a large null run at the same n (streams (seed, 2**48 + j),
@@ -27,7 +34,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .distributions import AlternativeSpec, Family, SeededStream, draw_values
+from .distributions import (
+    AlternativeSpec,
+    Family,
+    SeededStream,
+    check_u64,
+    draw_values,
+    stream_rekeyer,
+)
 from .errors import (
     InvalidLevelError,
     InvalidParamsError,
@@ -41,6 +55,7 @@ from .skewtests import (
     _batch_spms,
     _batch_sqrt_b1_z,
     _batch_sw,
+    _sw_z_from_w,
 )
 from .su_transform import su_params
 
@@ -138,13 +153,13 @@ class MomentValidation:
     undefined_count: int
 
 
-def _check_common(n: int, reps: int) -> tuple[int, int]:
+def _check_common(n: int, reps: int, seed) -> tuple[int, int, int]:
     n, reps = int(n), int(reps)
     if n < 8:
         raise SampleTooSmallError(f"experiments require n >= 8, got {n}")
     if reps < 1:
         raise InvalidParamsError(f"reps must be positive, got {reps}")
-    return n, reps
+    return n, reps, check_u64("seed", seed)
 
 
 def _check_level(level: float) -> float:
@@ -159,10 +174,14 @@ def _spans(reps: int):
 
 
 def _draw_chunk(spec, n, seed, span, base=0):
+    """Row j holds the n variates of stream (seed, base + span[0] + j)."""
     start, stop = span
+    rng = SeededStream(seed, base + start).generator()
+    set_stream = stream_rekeyer(rng)
     x = np.empty((stop - start, n))
-    for j, r in enumerate(range(start, stop)):
-        x[j] = draw_values(spec, n, SeededStream(seed, base + r).generator())
+    for j, r in enumerate(range(base + start, base + stop)):
+        set_stream(r)
+        x[j] = draw_values(spec, n, rng)
     return x
 
 
@@ -188,7 +207,7 @@ def calibrate(
     for each level. Undefined replications are counted separately, never
     as rejections.
     """
-    n, reps = _check_common(n, reps)
+    n, reps, seed = _check_common(n, reps, seed)
     levels = tuple(_check_level(l) for l in levels)
     thresholds = ndtri(1.0 - np.array(levels) / 2.0)
     su = su_params(n)
@@ -299,7 +318,7 @@ def power_study(
     beyond empirical null quantiles at the same n; "asymptotic" uses each
     test's nominal normal approximation directly.
     """
-    n, reps = _check_common(n, reps)
+    n, reps, seed = _check_common(n, reps, seed)
     level = _check_level(level)
     tests = _normalize_tests(tests)
     if TestName.SHAPIRO_WILK in tests and n > SW_MAX_N:
@@ -342,8 +361,7 @@ def power_study(
                 if critical_values == "simulated":
                     hit = stat < crit[test]
                 else:
-                    _, z = _batch_sw(x)
-                    hit = z > crit[test]
+                    hit = _sw_z_from_w(stat, n) > crit[test]
             else:
                 hit = stat > crit[test]
             rejects[test] = int(np.count_nonzero(hit & defined))
@@ -380,7 +398,7 @@ def null_histogram(
     Bin edges span the empirical mean +- 5 standard deviations unless
     value_range overrides them.
     """
-    n, reps = _check_common(n, reps)
+    n, reps, seed = _check_common(n, reps, seed)
     try:
         statistic = Statistic(statistic)
     except ValueError:
@@ -431,7 +449,7 @@ def moment_validation(
     sqrt(lambda2/reps), se(var) = lambda2*sqrt(2/reps), se(m3) =
     sqrt(6*lambda2^3/reps), se(b2) = sqrt(24/reps).
     """
-    n, reps = _check_common(n, reps)
+    n, reps, seed = _check_common(n, reps, seed)
     from .su_transform import beta2_spms, lambda2
 
     def work(span):

@@ -7,7 +7,9 @@ its p-value is reported accordingly.
 
 Each test has a scalar entry point taking a Sample plus a private batch
 path over an array of samples (one per row) used by the Monte Carlo
-harness; both compute identical values.
+harness; both compute identical values. A scalar test whose statistic
+comes out non-finite (the moments of data near the float64 limits can
+overflow) reports defined=False, never a NaN result marked defined.
 """
 
 from __future__ import annotations
@@ -205,6 +207,10 @@ def _two_sided_p(z):
     return 2.0 * ndtr(-np.abs(z))
 
 
+def _undefined(name: TestName) -> TestResult:
+    return TestResult(name, math.nan, math.nan, math.nan, False)
+
+
 # ---------------------------------------------------------------------------
 # spms test
 
@@ -231,15 +237,18 @@ def _batch_spms_z(x: np.ndarray, su: su_transform.SuTransform):
 def spms_test(sample: Sample, series: str = "calibrated") -> TestResult:
     """Two-sided spms normality test via the S_U normalizing transform.
 
-    A degenerate denominator yields defined=False rather than an error so
-    that replication harnesses can count such samples separately.
+    A degenerate denominator or a non-finite statistic yields
+    defined=False rather than an error so that replication harnesses can
+    count such samples separately.
     """
     _require_n(sample, MIN_TEST_N)
     su = su_transform.su_params(sample.n, series=series)
     try:
         value = spms_statistic(central_moments(sample))
     except DegenerateDenominatorError:
-        return TestResult(TestName.SPMS, math.nan, math.nan, math.nan, False)
+        value = math.nan
+    if not math.isfinite(value):
+        return _undefined(TestName.SPMS)
     z = su.z(value)
     return TestResult(TestName.SPMS, value, z, float(_two_sided_p(z)))
 
@@ -279,8 +288,11 @@ def sqrt_b1_test(sample: Sample) -> TestResult:
     moments through the same asinh-form transform as the spms test."""
     _require_n(sample, MIN_TEST_N)
     raw, z = _batch_sqrt_b1_z(sample.values[None, :])
+    raw = float(raw[0])
+    if not math.isfinite(raw):
+        return _undefined(TestName.SQRT_B1)
     z = float(z[0])
-    return TestResult(TestName.SQRT_B1, float(raw[0]), z, float(_two_sided_p(z)))
+    return TestResult(TestName.SQRT_B1, raw, z, float(_two_sided_p(z)))
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +370,8 @@ def shapiro_wilk_test(sample: Sample) -> TestResult:
     """Shapiro-Wilk W test with the AS R94 normal approximation.
 
     One-tailed: small W rejects, and p_value = 1 - Phi(z). Valid for
-    8 <= n <= 5000, the approximation's published range.
+    8 <= n <= 5000, the approximation's published range. A non-finite W
+    yields defined=False.
     """
     if sample.n > SW_MAX_N:
         raise SampleTooLargeError(
@@ -366,8 +379,11 @@ def shapiro_wilk_test(sample: Sample) -> TestResult:
         )
     _require_n(sample, SW_MIN_N)
     w, z = _batch_sw(sample.values[None, :])
+    w = float(w[0])
+    if not math.isfinite(w):
+        return _undefined(TestName.SHAPIRO_WILK)
     z = float(z[0])
-    return TestResult(TestName.SHAPIRO_WILK, float(w[0]), z, float(ndtr(-z)))
+    return TestResult(TestName.SHAPIRO_WILK, w, z, float(ndtr(-z)))
 
 
 # ---------------------------------------------------------------------------

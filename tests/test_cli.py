@@ -119,6 +119,21 @@ class TestTestCommand:
         assert code == 0
         assert "# n=200" in out
 
+    def test_overflowing_statistics_are_undefined(self, capsys, tmp_path):
+        rng = np.random.default_rng(3)
+        path = tmp_path / "huge.txt"
+        values = 1e200 * (1.0 + 1e-3 * rng.standard_normal(10))
+        path.write_text("".join(f"{float(v)!r}\n" for v in values))
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out, _ = run(capsys, "test", str(path))
+        assert code == 1
+        _, header, rows = parse_csv(out)
+        assert len(rows) == 4
+        for r in rows:
+            assert r["defined"] == "false", r["test"]
+            assert r["raw_statistic"] == r["z_value"] == r["p_value"] == ""
+            assert all(r[h] == "false" for h in header if h.startswith("reject_"))
+
     def test_missing_file_is_io_error(self, capsys):
         code, _, err = run(capsys, "test", "/no/such/file.txt")
         assert code == 3

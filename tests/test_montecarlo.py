@@ -1,10 +1,14 @@
 """Replication engine: brute-force oracles, determinism, conservation."""
 
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from scipy.special import ndtri
 
 from pmskew import (
+    POWER_STUDY_ALTERNATIVES,
     AlternativeSpec,
     Family,
     InvalidLevelError,
@@ -27,7 +31,7 @@ from pmskew import (
     su_params,
 )
 from pmskew import TestName as TN
-from pmskew.montecarlo import CALIBRATION_STREAM_BASE, CHUNK_SIZE
+from pmskew.montecarlo import CALIBRATION_STREAM_BASE, CHUNK_SIZE, _draw_chunk
 
 NORMAL = AlternativeSpec(Family.NORMAL)
 
@@ -333,3 +337,86 @@ class TestResultScalarTypes:
         hist = null_histogram("z", 20, 300, 8, seed=4)
         assert type(hist.out_of_range) is int
         assert type(moment_validation(20, 300, seed=4).undefined_count) is int
+
+
+class TestSeedValidation:
+    """Every experiment rejects a seed outside 64 bits before drawing."""
+
+    EXPERIMENTS = {
+        "calibrate": lambda seed, threads: calibrate(
+            20, 100, [0.05], seed, threads=threads
+        ),
+        "power_study": lambda seed, threads: power_study(
+            AlternativeSpec.parse("gamma:2"),
+            20,
+            100,
+            0.05,
+            seed=seed,
+            threads=threads,
+            null_reps=200,
+        ),
+        "null_histogram": lambda seed, threads: null_histogram(
+            "z", 20, 100, 8, seed, threads=threads
+        ),
+        "moment_validation": lambda seed, threads: moment_validation(
+            20, 100, seed, threads=threads
+        ),
+    }
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+    def test_out_of_range_seed(self, name, seed, threads, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a chunk was drawn before the seed check")
+
+        monkeypatch.setattr("pmskew.montecarlo._draw_chunk", no_draw)
+        with pytest.raises(InvalidParamsError, match="seed"):
+            self.EXPERIMENTS[name](seed, threads)
+
+    @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+    def test_largest_seed_accepted(self, name):
+        self.EXPERIMENTS[name](2**64 - 1, 1)
+
+
+class TestStreamContract:
+    """Chunk row j draws exactly the variates of a generator built for
+    stream (seed, base + start + j), byte for byte."""
+
+    SEED = 2**64 - 1
+
+    @staticmethod
+    def _per_row(spec, n, seed, span, base):
+        return np.vstack(
+            [
+                draw_values(spec, n, SeededStream(seed, base + r).generator())
+                for r in range(*span)
+            ]
+        )
+
+    @pytest.mark.parametrize("base", [0, CALIBRATION_STREAM_BASE])
+    @pytest.mark.parametrize("span", [(CHUNK_SIZE, 2 * CHUNK_SIZE), (8192, 8197)])
+    @pytest.mark.parametrize("n", [8, 1000])
+    @pytest.mark.parametrize(
+        "spec", (NORMAL,) + POWER_STUDY_ALTERNATIVES, ids=lambda s: s.label
+    )
+    def test_chunk_rows_equal_per_row_streams(self, spec, n, span, base):
+        got = _draw_chunk(spec, n, self.SEED, span, base=base)
+        want = self._per_row(spec, n, self.SEED, span, base)
+        assert got.shape == (span[1] - span[0], n)
+        assert got.tobytes() == want.tobytes()
+
+    def test_concurrent_chunks_match_sequential(self):
+        spec = AlternativeSpec.parse("beta:2,1")
+        spans = [(0, CHUNK_SIZE), (CHUNK_SIZE, 2 * CHUNK_SIZE)]
+        sequential = [_draw_chunk(spec, 40, self.SEED, s) for s in spans]
+        barrier = threading.Barrier(2)
+
+        def draw(span):
+            barrier.wait()
+            return _draw_chunk(spec, 40, self.SEED, span)
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            concurrent = list(pool.map(draw, spans))
+        for a, b in zip(sequential, concurrent):
+            assert a.tobytes() == b.tobytes()

@@ -312,6 +312,22 @@ class TestLinMudholkar:
             assert z_arr[i] == r.z_value
 
 
+class TestNonFiniteStatistic:
+    """A statistic that overflows to NaN is reported undefined, never as a
+    defined NaN result (the moments of values near 1e200 overflow)."""
+
+    @staticmethod
+    def _huge_sample() -> Sample:
+        return Sample(1e200 * (1.0 + 1e-3 * _seeded(10, seed=3)))
+
+    @pytest.mark.parametrize("test", [spms_test, sqrt_b1_test, shapiro_wilk_test])
+    def test_reports_undefined(self, test):
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = test(self._huge_sample())
+        assert not r.defined
+        assert not any(r.reject_at(level) for level in (0.01, 0.05, 0.1, 0.2))
+
+
 class TestCrossTestSanity:
     def test_all_tests_agree_on_blatant_skewness(self):
         x = np.random.default_rng(10).exponential(size=500)
