@@ -57,7 +57,7 @@ from .skewtests import (
     _batch_sw,
     _sw_z_from_w,
 )
-from .su_transform import su_params
+from .su_transform import beta2_spms, lambda2, su_params
 
 __all__ = [
     "Statistic",
@@ -276,7 +276,14 @@ _null_cache_lock = threading.Lock()
 
 
 def _null_reference(n, seed, null_reps, tests, threads):
-    """Null statistic pools used for simulated critical values."""
+    """Null statistic pools used for simulated critical values.
+
+    Pools are cached under (n, seed, null_reps, tests) and are read-only.
+    The cache holds one table: the pools of every n for the latest
+    (seed, null_reps, tests). Building a pool for another configuration
+    drops the previous table, so a power table's cells share their pools
+    across alternatives and memory stays at one table's worth.
+    """
     key = (n, seed, null_reps, tests)
     with _null_cache_lock:
         hit = _null_cache.get(key)
@@ -294,8 +301,10 @@ def _null_reference(n, seed, null_reps, tests, threads):
         stat = np.concatenate([p[test][0] for p in parts])
         defined = np.concatenate([p[test][1] for p in parts])
         pools[test] = stat[defined]
+        pools[test].flags.writeable = False  # shared by every later lookup
     with _null_cache_lock:
-        _null_cache.clear()  # tables are large; keep only the latest config
+        if any(k[1:] != key[1:] for k in _null_cache):
+            _null_cache.clear()
         _null_cache[key] = pools
     return pools
 
@@ -315,12 +324,20 @@ def power_study(
 
     Every requested test is applied to the same sample in each replication
     (common random numbers). critical_values="simulated" (default) rejects
-    beyond empirical null quantiles at the same n; "asymptotic" uses each
-    test's nominal normal approximation directly.
+    beyond empirical null quantiles at the same n, taken over null_reps
+    (>= 1) null replications that later calls with the same seed, null_reps
+    and tests reuse; "asymptotic" uses each test's nominal normal
+    approximation directly and ignores null_reps.
     """
     n, reps, seed = _check_common(n, reps, seed)
     level = _check_level(level)
     tests = _normalize_tests(tests)
+    if critical_values == "simulated":
+        null_reps = int(null_reps)
+        if null_reps < 1:
+            raise InvalidParamsError(
+                f"null_reps must be positive, got {null_reps}"
+            )
     if TestName.SHAPIRO_WILK in tests and n > SW_MAX_N:
         raise SampleTooLargeError(
             f"Shapiro-Wilk requires n <= {SW_MAX_N}, got {n}"
@@ -328,7 +345,7 @@ def power_study(
     su = su_params(n)
 
     if critical_values == "simulated":
-        pools = _null_reference(n, seed, int(null_reps), tests, threads)
+        pools = _null_reference(n, seed, null_reps, tests, threads)
         crit = {}
         for test in tests:
             if test is TestName.SHAPIRO_WILK:
@@ -450,7 +467,6 @@ def moment_validation(
     sqrt(6*lambda2^3/reps), se(b2) = sqrt(24/reps).
     """
     n, reps, seed = _check_common(n, reps, seed)
-    from .su_transform import beta2_spms, lambda2
 
     def work(span):
         x = _draw_chunk(_NORMAL, n, seed, span)

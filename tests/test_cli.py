@@ -265,6 +265,32 @@ class TestPowerCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("null_reps", ["0", "-3"])
+    def test_nonpositive_null_reps_is_config_error(self, capsys, null_reps):
+        code, out, err = run(
+            capsys, "power", "--alt", "gamma:2", "--n", "20", "--reps", "10",
+            f"--null-reps={null_reps}",
+        )
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "null_reps" in err
+
+    def test_warm_cache_output_matches_cold(self, capsys):
+        from pmskew import montecarlo
+
+        argv = ["power", "--n", "20,30", "--reps", "300", "--null-reps",
+                "900", "--seed", "8"]
+        montecarlo._null_cache.clear()
+        code, cold, _ = run(capsys, *argv, "--alt", "gamma:2")
+        assert code == 0
+        code, _, _ = run(capsys, *argv, "--alt", "beta:3,2", "--threads", "2")
+        assert code == 0
+        assert sorted(k[0] for k in montecarlo._null_cache) == [20, 30]
+        code, warm, _ = run(capsys, *argv, "--alt", "gamma:2")
+        assert code == 0
+        assert warm == cold
+
 
 class TestHistCommand:
     def test_conservation_and_schema(self, capsys):

@@ -31,6 +31,7 @@ from pmskew import (
     su_params,
 )
 from pmskew import TestName as TN
+from pmskew import montecarlo
 from pmskew.montecarlo import CALIBRATION_STREAM_BASE, CHUNK_SIZE, _draw_chunk
 
 NORMAL = AlternativeSpec(Family.NORMAL)
@@ -308,6 +309,73 @@ class TestNullReferenceCache:
         cell = power_study(alt, 25, 100, 0.01, **kw)
         assert montecarlo._null_cache[key] is pools
         assert cell.level == 0.01
+
+    def test_table_builds_each_pool_once(self, monkeypatch):
+        log = []  # (n, pools) of every lookup
+        orig = montecarlo._null_reference
+
+        def recording(n, *args):
+            log.append((n, orig(n, *args)))
+            return log[-1][1]
+
+        monkeypatch.setattr(montecarlo, "_null_reference", recording)
+        montecarlo._null_cache.clear()
+        kw = dict(seed=22, null_reps=600)
+        for alt in ("gamma:2", "beta:2,1"):
+            for n in (20, 50):
+                power_study(AlternativeSpec.parse(alt), n, 50, 0.05, **kw)
+        assert [n for n, _ in log] == [20, 50, 20, 50]
+        assert log[2][1] is log[0][1]
+        assert log[3][1] is log[1][1]
+        assert sorted(k[0] for k in montecarlo._null_cache) == [20, 50]
+
+    @pytest.mark.parametrize(
+        "change",
+        [dict(seed=24), dict(null_reps=700), dict(tests=("spms", "sqrt_b1"))],
+        ids=["seed", "null_reps", "tests"],
+    )
+    def test_new_configuration_drops_previous_table(self, change):
+        montecarlo._null_cache.clear()
+        alt = AlternativeSpec.parse("weibull:2")
+        kw = dict(seed=23, null_reps=600, tests=("spms",))
+        for n in (20, 50):
+            power_study(alt, n, 50, 0.05, **kw)
+        assert len(montecarlo._null_cache) == 2
+        power_study(alt, 20, 50, 0.05, **{**kw, **change})
+        assert len(montecarlo._null_cache) == 1
+        (key,) = montecarlo._null_cache
+        assert key[0] == 20
+        assert key[1:] != (23, 600, (TN.SPMS,))
+
+    def test_cached_pools_are_read_only(self):
+        montecarlo._null_cache.clear()
+        power_study(AlternativeSpec.parse("gamma:3"), 20, 50, 0.05, seed=25,
+                    null_reps=600)
+        (pools,) = montecarlo._null_cache.values()
+        assert set(pools) == set(TN)
+        for pool in pools.values():
+            assert not pool.flags.writeable
+            with pytest.raises(ValueError):
+                pool[0] = 0.0
+
+    def test_warm_results_equal_cold(self):
+        alt = AlternativeSpec.parse("lognormal:0,0.5")
+        kw = dict(seed=26, null_reps=600, threads=2)
+        montecarlo._null_cache.clear()
+        cold = power_study(alt, 20, 300, 0.05, **kw)
+        power_study(AlternativeSpec.parse("beta:3,2"), 50, 300, 0.05, **kw)
+        warm = power_study(alt, 20, 300, 0.05, **kw)
+        assert len(montecarlo._null_cache) == 2
+        assert warm == cold
+
+    @pytest.mark.parametrize("null_reps", [0, -5])
+    def test_nonpositive_null_reps_rejected(self, null_reps):
+        alt = AlternativeSpec.parse("gamma:2")
+        with pytest.raises(InvalidParamsError, match="null_reps"):
+            power_study(alt, 20, 10, 0.05, null_reps=null_reps)
+        cell = power_study(alt, 20, 10, 0.05, null_reps=null_reps,
+                           critical_values="asymptotic")
+        assert cell.reps == 10
 
 
 class TestResultScalarTypes:
