@@ -28,7 +28,6 @@ from .errors import (
     InvalidParamsError,
     NonFiniteError,
     ParseError,
-    PmskewError,
     SampleTooLargeError,
     SampleTooSmallError,
     ZeroVarianceError,
@@ -112,6 +111,15 @@ def _write_output(text: str, out: str) -> None:
     else:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+
+
+def _emit(args, header, rows, meta: dict, comments: list[str]) -> None:
+    """Write rows as CSV or, with --format json, as a JSON document."""
+    if args.format == "json":
+        text = _json_doc(meta, [dict(zip(header, row)) for row in rows])
+    else:
+        text = _csv(header, rows, comments)
+    _write_output(text, args.out)
 
 
 def _summary(message: str) -> None:
@@ -208,14 +216,8 @@ def cmd_test(args) -> int:
     header = ["test", "defined", "raw_statistic", "z_value", "p_value"] + [
         f"reject_{level:g}" for level in REPORT_LEVELS
     ]
-    if args.format == "json":
-        text = _json_doc(
-            {"command": "test", "n": sample.n},
-            [dict(zip(header, row)) for row in rows],
-        )
-    else:
-        text = _csv(header, rows, [f"n={sample.n}"])
-    _write_output(text, args.out)
+    meta = {"command": "test", "n": sample.n}
+    _emit(args, header, rows, meta, [f"n={sample.n}"])
     for message in failures:
         _summary(f"warning: {message}")
     _summary(f"test: n={sample.n}, {len(rows)} tests")
@@ -232,14 +234,8 @@ def cmd_calibrate(args) -> int:
         for level, rate in zip(result.levels, result.rejection_rates):
             rows.append([n, result.reps, level, rate, result.undefined_count])
     header = ["n", "reps", "level", "rejection_rate", "undefined"]
-    if args.format == "json":
-        text = _json_doc(
-            {"command": "calibrate", "seed": args.seed},
-            [dict(zip(header, row)) for row in rows],
-        )
-    else:
-        text = _csv(header, rows, [f"seed={args.seed}"])
-    _write_output(text, args.out)
+    meta = {"command": "calibrate", "seed": args.seed}
+    _emit(args, header, rows, meta, [f"seed={args.seed}"])
     _summary(
         f"calibrate: {len(rows)} rows ({len(ns)} n x {len(levels)} levels), "
         f"reps={args.reps}, seed={args.seed}"
@@ -278,14 +274,8 @@ def cmd_power(args) -> int:
                 ]
             )
     header = ["alt", "n", "reps", "level", "test", "power", "undefined"]
-    if args.format == "json":
-        text = _json_doc(
-            {"command": "power", "seed": args.seed},
-            [dict(zip(header, row)) for row in rows],
-        )
-    else:
-        text = _csv(header, rows, [f"seed={args.seed}"])
-    _write_output(text, args.out)
+    meta = {"command": "power", "seed": args.seed}
+    _emit(args, header, rows, meta, [f"seed={args.seed}"])
     _summary(
         f"power: alt={alt.label}, {len(rows)} rows, reps={args.reps}, "
         f"level={args.level:g}, criticals={args.critical_values}, "
@@ -314,25 +304,16 @@ def cmd_hist(args) -> int:
     edges = result.bin_edges.tolist()
     rows = [list(row) for row in zip(edges, edges[1:], result.counts.tolist())]
     header = ["bin_left", "bin_right", "count"]
-    if args.format == "json":
-        text = _json_doc(
-            {
-                "command": "hist",
-                "seed": args.seed,
-                "stat": str(result.statistic_name),
-                "n": result.n,
-                "reps": result.reps,
-                "out_of_range": result.out_of_range,
-            },
-            [dict(zip(header, row)) for row in rows],
-        )
-    else:
-        text = _csv(
-            header,
-            rows,
-            [f"seed={args.seed}", f"out_of_range={result.out_of_range}"],
-        )
-    _write_output(text, args.out)
+    meta = {
+        "command": "hist",
+        "seed": args.seed,
+        "stat": str(result.statistic_name),
+        "n": result.n,
+        "reps": result.reps,
+        "out_of_range": result.out_of_range,
+    }
+    comments = [f"seed={args.seed}", f"out_of_range={result.out_of_range}"]
+    _emit(args, header, rows, meta, comments)
     _summary(
         f"hist: stat={result.statistic_name}, n={result.n}, "
         f"reps={result.reps}, bins={len(rows)}, "
@@ -351,14 +332,8 @@ def cmd_moments(args) -> int:
         for row in result.rows
     ]
     header = ["n", "reps", "quantity", "empirical", "series", "se"]
-    if args.format == "json":
-        text = _json_doc(
-            {"command": "moments", "seed": args.seed},
-            [dict(zip(header, row)) for row in rows],
-        )
-    else:
-        text = _csv(header, rows, [f"seed={args.seed}"])
-    _write_output(text, args.out)
+    meta = {"command": "moments", "seed": args.seed}
+    _emit(args, header, rows, meta, [f"seed={args.seed}"])
     _summary(
         f"moments: n={result.n}, reps={result.reps}, "
         f"undefined={result.undefined_count}, seed={args.seed}"

@@ -48,6 +48,7 @@ from .errors import (
     SampleTooLargeError,
     SampleTooSmallError,
 )
+from .moments import central_moment_arrays
 from .skewtests import (
     SW_MAX_N,
     TestName,
@@ -193,6 +194,17 @@ def _map_chunks(work, reps: int, threads: int) -> list:
         return list(pool.map(work, spans))
 
 
+def _null_spms(n, reps, seed, threads):
+    """Defined null spms values of replications 0..reps-1, in order."""
+
+    def work(span):
+        x = _draw_chunk(_NORMAL, n, seed, span)
+        values, defined = _batch_spms(central_moment_arrays(x))
+        return values[defined]
+
+    return np.concatenate(_map_chunks(work, reps, threads))
+
+
 def calibrate(
     n: int,
     reps: int,
@@ -209,30 +221,18 @@ def calibrate(
     """
     n, reps, seed = _check_common(n, reps, seed)
     levels = tuple(_check_level(l) for l in levels)
-    thresholds = ndtri(1.0 - np.array(levels) / 2.0)
-    su = su_params(n)
-
-    def work(span):
-        x = _draw_chunk(_NORMAL, n, seed, span)
-        values, defined = _batch_spms(x)
-        with np.errstate(invalid="ignore"):
-            az = np.abs(su.z(values))
-        counts = np.array(
-            [np.count_nonzero((az > t) & defined) for t in thresholds]
-        )
-        return counts, int(np.count_nonzero(~defined))
-
-    total = np.zeros(len(levels), dtype=np.int64)
-    undefined = 0
-    for counts, bad in _map_chunks(work, reps, threads):
-        total += counts
-        undefined += bad
+    if not levels:
+        raise InvalidParamsError("levels must be nonempty")
+    az = np.abs(su_params(n).z(_null_spms(n, reps, seed, threads)))
+    counts = [
+        np.count_nonzero(az > t) for t in ndtri(1.0 - np.array(levels) / 2.0)
+    ]
     return CalibrationRow(
         n=n,
         reps=reps,
         levels=levels,
-        rejection_rates=tuple(float(c) / reps for c in total),
-        undefined_count=undefined,
+        rejection_rates=tuple(float(c) / reps for c in counts),
+        undefined_count=int(reps - az.size),
     )
 
 
@@ -250,16 +250,19 @@ def _chunk_statistics(x, tests, su):
     """Per-test (statistic array, defined mask) for one chunk of samples.
 
     z-based tests report |z|; Shapiro-Wilk reports W (small rejects).
+    The central moments behind spms and sqrt(b1) are computed once.
     """
+    if TestName.SPMS in tests or TestName.SQRT_B1 in tests:
+        moments = central_moment_arrays(x)
     out = {}
     for test in tests:
         if test is TestName.SPMS:
-            values, defined = _batch_spms(x)
+            values, defined = _batch_spms(moments)
             with np.errstate(invalid="ignore"):
                 stat = np.abs(su.z(values))
             out[test] = (stat, defined)
         elif test is TestName.SQRT_B1:
-            _, z = _batch_sqrt_b1_z(x)
+            _, z = _batch_sqrt_b1_z(moments, x.shape[1])
             out[test] = (np.abs(z), np.ones(len(z), dtype=bool))
         elif test is TestName.SHAPIRO_WILK:
             w, _ = _batch_sw(x)
@@ -423,25 +426,19 @@ def null_histogram(
     bins = int(bins)
     if bins < 2:
         raise InvalidParamsError(f"bins must be at least 2, got {bins}")
-    su = su_params(n)
-
-    def work(span):
-        x = _draw_chunk(_NORMAL, n, seed, span)
-        values, defined = _batch_spms(x)
-        values = values[defined]
-        if statistic is Statistic.SPMS_Z:
-            values = su.z(values)
-        return values
-
-    values = np.concatenate(_map_chunks(work, reps, threads))
+    if value_range is not None:
+        lo, hi = map(float, value_range)
+        if not -np.inf < lo < hi < np.inf:
+            raise InvalidParamsError(
+                f"value_range must be finite and increasing, got ({lo}, {hi})"
+            )
+    values = _null_spms(n, reps, seed, threads)
+    if statistic is Statistic.SPMS_Z:
+        values = su_params(n).z(values)
     if value_range is None:
         mean = float(values.mean())
         sd = float(values.std())
         lo, hi = mean - 5.0 * sd, mean + 5.0 * sd
-    else:
-        lo, hi = map(float, value_range)
-        if not lo < hi:
-            raise InvalidParamsError("value_range must be increasing")
     counts, edges = np.histogram(values, bins=bins, range=(lo, hi))
     return HistogramData(
         statistic_name=statistic,
@@ -467,13 +464,9 @@ def moment_validation(
     sqrt(6*lambda2^3/reps), se(b2) = sqrt(24/reps).
     """
     n, reps, seed = _check_common(n, reps, seed)
-
-    def work(span):
-        x = _draw_chunk(_NORMAL, n, seed, span)
-        values, defined = _batch_spms(x)
-        return values[defined]
-
-    values = np.concatenate(_map_chunks(work, reps, threads))
+    if reps < 2:
+        raise InvalidParamsError(f"moment validation needs reps >= 2, got {reps}")
+    values = _null_spms(n, reps, seed, threads)
     lam2 = lambda2(n)
     bet2 = beta2_spms(n)
     mean = float(values.mean())

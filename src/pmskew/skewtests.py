@@ -5,11 +5,14 @@ equivalent deviate z, and a p-value. The spms, sqrt(b1), and Lin-Mudholkar
 tests are two-sided in z; Shapiro-Wilk is one-tailed (small W rejects) and
 its p-value is reported accordingly.
 
-Each test has a scalar entry point taking a Sample plus a private batch
-path over an array of samples (one per row) used by the Monte Carlo
-harness; both compute identical values. A scalar test whose statistic
-comes out non-finite (the moments of data near the float64 limits can
-overflow) reports defined=False, never a NaN result marked defined.
+Each test has a private batch kernel over an array of samples (one per
+row), used by the Monte Carlo harness, and a scalar entry point taking a
+Sample that is a one-row view of that kernel, so both compute identical
+values. The spms and sqrt(b1) kernels take the arrays returned by
+central_moment_arrays, so a chunk that needs both computes its moments
+once. A scalar test whose statistic comes out non-finite (the moments of
+data near the float64 limits can overflow) reports defined=False, never a
+NaN result marked defined.
 """
 
 from __future__ import annotations
@@ -215,9 +218,9 @@ def _undefined(name: TestName) -> TestResult:
 # spms test
 
 
-def _batch_spms(x: np.ndarray):
-    """Row-wise spms values and defined mask for a (reps, n) array."""
-    _, _, _, sqrt_b1, b2 = central_moment_arrays(x)
+def _batch_spms(moments):
+    """Row-wise spms values and defined mask from central_moment_arrays."""
+    _, _, _, sqrt_b1, b2 = moments
     b1 = sqrt_b1 * sqrt_b1
     den = 5.0 * b2 - 6.0 * b1 - 9.0
     defined = np.abs(den) > _den_eps(b1, b2)
@@ -225,13 +228,6 @@ def _batch_spms(x: np.ndarray):
         values = sqrt_b1 * (b2 + 3.0) / (2.0 * den)
     values = np.where(defined, values, np.nan)
     return values, defined
-
-
-def _batch_spms_z(x: np.ndarray, su: su_transform.SuTransform):
-    values, defined = _batch_spms(x)
-    with np.errstate(invalid="ignore"):
-        z = su.z(values)
-    return values, z, defined
 
 
 def spms_test(sample: Sample, series: str = "calibrated") -> TestResult:
@@ -243,10 +239,8 @@ def spms_test(sample: Sample, series: str = "calibrated") -> TestResult:
     """
     _require_n(sample, MIN_TEST_N)
     su = su_transform.su_params(sample.n, series=series)
-    try:
-        value = spms_statistic(central_moments(sample))
-    except DegenerateDenominatorError:
-        value = math.nan
+    values, _ = _batch_spms(central_moment_arrays(sample.values[None, :]))
+    value = float(values[0])
     if not math.isfinite(value):
         return _undefined(TestName.SPMS)
     z = su.z(value)
@@ -274,10 +268,10 @@ def _sqrt_b1_constants(n: int):
     return var, delta, alpha
 
 
-def _batch_sqrt_b1_z(x: np.ndarray):
-    n = x.shape[1]
+def _batch_sqrt_b1_z(moments, n: int):
+    """Row-wise sqrt(b1) and z from central_moment_arrays at sample size n."""
     var, delta, alpha = _sqrt_b1_constants(n)
-    _, _, _, sqrt_b1, _ = central_moment_arrays(x)
+    _, _, _, sqrt_b1, _ = moments
     y = sqrt_b1 / math.sqrt(var)
     z = delta * np.arcsinh(y / alpha)
     return sqrt_b1, z
@@ -287,7 +281,9 @@ def sqrt_b1_test(sample: Sample) -> TestResult:
     """Two-sided skewness test normalizing sqrt(b1) by its exact null
     moments through the same asinh-form transform as the spms test."""
     _require_n(sample, MIN_TEST_N)
-    raw, z = _batch_sqrt_b1_z(sample.values[None, :])
+    raw, z = _batch_sqrt_b1_z(
+        central_moment_arrays(sample.values[None, :]), sample.n
+    )
     raw = float(raw[0])
     if not math.isfinite(raw):
         return _undefined(TestName.SQRT_B1)

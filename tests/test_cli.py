@@ -195,6 +195,14 @@ class TestCalibrateCommand:
         assert len(doc["rows"]) == 4
         assert {r["level"] for r in doc["rows"]} == {0.01, 0.05, 0.10, 0.20}
 
+    def test_empty_levels_is_config_error(self, capsys):
+        code, out, err = run(
+            capsys, "calibrate", "--n", "20", "--reps", "100", "--levels", ","
+        )
+        assert code == 2
+        assert out == ""
+        assert "levels" in err
+
 
 class TestPowerCommand:
     def test_schema(self, capsys):
@@ -336,13 +344,22 @@ class TestHistCommand:
         assert float(rows[-1]["bin_right"]) == 0.5
 
     def test_bad_range_is_config_error(self, capsys):
-        code, _, _ = run(
-            capsys, "hist", "--n", "20", "--reps", "100", "--range", "1,2,3"
-        )
-        assert code == 2
+        for bad in ("1,2,3", "-inf,inf", "0,inf"):
+            code, out, err = run(
+                capsys, "hist", "--n", "20", "--reps", "100", f"--range={bad}"
+            )
+            assert code == 2
+            assert out == ""
+            assert len(err.splitlines()) == 1
 
 
 class TestMomentsCommand:
+    def test_single_rep_is_config_error(self, capsys):
+        code, out, err = run(capsys, "moments", "--n", "20", "--reps", "1")
+        assert code == 2
+        assert out == ""
+        assert "reps" in err
+
     def test_schema(self, capsys):
         code, out, _ = run(
             capsys, "moments", "--n", "40", "--reps", "600", "--seed", "4"
@@ -401,6 +418,28 @@ class TestJsonMatchesCsv:
         assert [
             {k: csv_cell(v) for k, v in r.items()} for r in doc["rows"]
         ] == csv_rows
+
+    @pytest.mark.parametrize(
+        "argv, keys",
+        [
+            (["calibrate", "--n", "20", "--reps", "100"], ["seed"]),
+            (["power", "--alt", "gamma:2", "--n", "20", "--reps", "100",
+              "--critical-values", "asymptotic"], ["seed"]),
+            (["hist", "--n", "20", "--reps", "100"],
+             ["seed", "stat", "n", "reps", "out_of_range"]),
+            (["moments", "--n", "20", "--reps", "100"], ["seed"]),
+        ],
+        ids=["calibrate", "power", "hist", "moments"],
+    )
+    def test_top_level_key_order(self, capsys, argv, keys):
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert list(json.loads(out)) == ["command", *keys, "rows"]
+
+    def test_test_key_order(self, capsys, normal_file):
+        code, out, _ = run(capsys, "test", normal_file, "--format", "json")
+        assert code == 0
+        assert list(json.loads(out)) == ["command", "n", "rows"]
 
     def test_hist_meta_matches_comments(self, capsys):
         argv = ["hist", "--n", "20", "--reps", "500", "--bins", "4",

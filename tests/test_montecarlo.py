@@ -83,6 +83,8 @@ class TestCalibrate:
             calibrate(50, 0, [0.05], 0)
         with pytest.raises(InvalidLevelError):
             calibrate(50, 100, [0.05, 1.0], 0)
+        with pytest.raises(InvalidParamsError):
+            calibrate(20, 100, [], 0)
 
 
 class TestPowerStudy:
@@ -255,6 +257,10 @@ class TestNullHistogram:
             null_histogram("median", 20, 100, 10, 0)
         with pytest.raises(InvalidParamsError):
             null_histogram("spms", 20, 100, 10, 0, value_range=(1.0, -1.0))
+        with pytest.raises(InvalidParamsError):
+            null_histogram("spms", 20, 100, 10, 0, value_range=(-np.inf, np.inf))
+        with pytest.raises(InvalidParamsError):
+            null_histogram("z", 20, 100, 10, 0, value_range=(0.0, np.inf))
 
 
 class TestMomentValidation:
@@ -295,6 +301,49 @@ class TestMomentValidation:
         m1 = moment_validation(10, 4200, 5, threads=1)
         m3 = moment_validation(10, 4200, 5, threads=3)
         assert m1 == m3
+
+    def test_fewer_than_two_reps_rejected(self):
+        with pytest.raises(InvalidParamsError):
+            moment_validation(20, 1, 0)
+
+
+class TestChunkPipeline:
+    @pytest.fixture
+    def moment_calls(self, monkeypatch):
+        from pmskew import moments, skewtests
+
+        calls = []
+
+        def counted(x):
+            calls.append(len(x))
+            return moments.central_moment_arrays(x)
+
+        for module in (skewtests, montecarlo):
+            monkeypatch.setattr(
+                module, "central_moment_arrays", counted, raising=False
+            )
+        return calls
+
+    @pytest.mark.parametrize(
+        "tests, passes",
+        [
+            (montecarlo.ALL_TESTS, 1),
+            ((TN.SPMS,), 1),
+            ((TN.SQRT_B1,), 1),
+            ((TN.SHAPIRO_WILK,), 0),
+            ((TN.LIN_MUDHOLKAR,), 0),
+        ],
+        ids=["all", "spms", "sqrt_b1", "shapiro_wilk", "lin_mudholkar"],
+    )
+    def test_one_moments_pass_per_chunk(self, moment_calls, tests, passes):
+        x = _draw_chunk(NORMAL, 30, 2, (0, 64))
+        montecarlo._chunk_statistics(x, tests, su_params(30))
+        assert moment_calls == [64] * passes
+
+    def test_power_study_passes_equal_chunks(self, moment_calls):
+        alt = AlternativeSpec.parse("gamma:2")
+        power_study(alt, 20, CHUNK_SIZE + 5, 0.05, critical_values="asymptotic")
+        assert moment_calls == [CHUNK_SIZE, 5]
 
 
 class TestNullReferenceCache:
