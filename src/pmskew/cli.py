@@ -133,6 +133,14 @@ def _int_list(text: str) -> list[int]:
         raise InvalidConfigError(f"expected comma-separated integers: {text!r}")
 
 
+def _sizes(text: str) -> list[int]:
+    """The --n list of sample sizes; at least one is required."""
+    ns = _int_list(text)
+    if not ns:
+        raise InvalidConfigError(f"--n needs at least one sample size: {text!r}")
+    return ns
+
+
 def _float_list(text: str) -> list[float]:
     try:
         return [float(tok) for tok in text.split(",") if tok.strip()]
@@ -225,7 +233,7 @@ def cmd_test(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    ns = _int_list(args.n)
+    ns = _sizes(args.n)
     levels = _float_list(args.levels)
     threads = _resolve_threads(args.threads)
     rows = []
@@ -245,7 +253,7 @@ def cmd_calibrate(args) -> int:
 
 def cmd_power(args) -> int:
     alt = AlternativeSpec.parse(args.alt)
-    ns = _int_list(args.n)
+    ns = _sizes(args.n)
     tests = [t.strip() for t in args.tests.split(",") if t.strip()]
     threads = _resolve_threads(args.threads)
     rows = []

@@ -26,6 +26,7 @@ __all__ = [
     "MomentSummary",
     "central_moments",
     "central_moment_arrays",
+    "centred_moment_arrays",
     "shift_scale",
 ]
 
@@ -134,11 +135,25 @@ def central_moment_arrays(x: np.ndarray):
         Rows with zero variance yield NaN in sqrt_b1 and b2.
     """
     x = np.asarray(x, dtype=np.float64)
-    d = x - x.mean(axis=1, keepdims=True)
-    d2 = d * d
-    m2 = d2.mean(axis=1)
-    m3 = (d2 * d).mean(axis=1)
-    m4 = (d2 * d2).mean(axis=1)
+    return centred_moment_arrays(x - x.mean(axis=1, keepdims=True))
+
+
+def centred_moment_arrays(d: np.ndarray):
+    """central_moment_arrays of rows already centred by their own mean.
+
+    d, the deviations x - x.mean(axis=1, keepdims=True), is left as it
+    is, so a caller can share one centred block between several
+    statistics. Apart from d, one block-sized temporary is used: it holds
+    d^2, then d^2*d, then d^2 again and d^2*d^2, each rounded exactly as
+    the expressions (d*d)*d and (d*d)*(d*d) are.
+    """
+    p = d * d
+    m2 = p.mean(axis=1)
+    p *= d
+    m3 = p.mean(axis=1)
+    np.multiply(d, d, out=p)
+    p *= p
+    m4 = p.mean(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         sqrt_b1 = m3 / m2**1.5
         b2 = m4 / (m2 * m2)

@@ -2,17 +2,26 @@
 
 Replications are independent work items: replication r draws its sample
 from the Philox stream (seed, r), so the variate sequence is fixed by the
-seed alone. Work is split into fixed-size chunks (independent of the
-thread count) distributed over a thread pool, and per-chunk aggregates are
-reduced in chunk order, so every result is bit-identical for a given seed
-whether run on 1 or k threads.
+seed alone. Work is split into chunks distributed over a thread pool,
+and per-chunk aggregates are reduced in chunk order, so every result is
+bit-identical for a given seed whether run on 1 or k threads.
+
+A chunk holds a fixed budget of float64 values, not a fixed number of
+replications: max(1, CHUNK_SIZE // n) rows of n values, about 512 KiB,
+so a chunk and the few temporaries its statistics need stay small enough
+for the CPU caches at every n. Chunking depends on n alone, never on the
+thread count. Every statistic of a row is computed from that row alone,
+with summation orders that do not depend on how many rows share its chunk,
+so the rows per chunk change no result either.
 
 Each chunk builds one Philox generator and, before each replication r,
-re-keys it to (seed, r) with counter 0 (distributions.stream_rekeyer).
-That is the state a generator built for stream (seed, r) starts in, so the
-variates, and every output byte, are those of one generator per
-replication, without the cost of building one per replication. A chunk's
-generator is never shared with another thread.
+re-keys it to (seed, r) with counter 0 (distributions.stream_rekeyer)
+and draws the replication straight into its row of the chunk. That is the
+state a generator built for stream (seed, r) starts in, so the variates,
+and every output byte, are those of one generator per replication, without
+the cost of building one per replication. A chunk's generator is never
+shared with another thread. The chunk is then centred in place once, and
+that one block feeds the central moments and the Lin-Mudholkar kernel.
 
 Power experiments default to simulated critical values: each test's
 rejection threshold is the appropriate empirical quantile of the test
@@ -48,7 +57,7 @@ from .errors import (
     SampleTooLargeError,
     SampleTooSmallError,
 )
-from .moments import central_moment_arrays
+from .moments import centred_moment_arrays
 from .skewtests import (
     SW_MAX_N,
     TestName,
@@ -74,7 +83,7 @@ __all__ = [
     "ALL_TESTS",
 ]
 
-CHUNK_SIZE = 4096
+CHUNK_SIZE = 2**16  # float64 values per chunk (512 KiB), not replications
 CALIBRATION_STREAM_BASE = 2**48
 
 _NORMAL = AlternativeSpec(Family.NORMAL)
@@ -170,8 +179,14 @@ def _check_level(level: float) -> float:
     return level
 
 
-def _spans(reps: int):
-    return [(s, min(s + CHUNK_SIZE, reps)) for s in range(0, reps, CHUNK_SIZE)]
+def _chunk_rows(n: int) -> int:
+    """Replications per chunk at sample size n."""
+    return max(1, CHUNK_SIZE // n)
+
+
+def _spans(reps: int, n: int):
+    rows = _chunk_rows(n)
+    return [(s, min(s + rows, reps)) for s in range(0, reps, rows)]
 
 
 def _draw_chunk(spec, n, seed, span, base=0):
@@ -180,14 +195,14 @@ def _draw_chunk(spec, n, seed, span, base=0):
     rng = SeededStream(seed, base + start).generator()
     set_stream = stream_rekeyer(rng)
     x = np.empty((stop - start, n))
-    for j, r in enumerate(range(base + start, base + stop)):
+    for r, row in zip(range(base + start, base + stop), x):
         set_stream(r)
-        x[j] = draw_values(spec, n, rng)
+        draw_values(spec, n, rng, out=row)
     return x
 
 
-def _map_chunks(work, reps: int, threads: int) -> list:
-    spans = _spans(reps)
+def _map_chunks(work, reps: int, n: int, threads: int) -> list:
+    spans = _spans(reps, n)
     if threads <= 1:
         return [work(s) for s in spans]
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -199,10 +214,11 @@ def _null_spms(n, reps, seed, threads):
 
     def work(span):
         x = _draw_chunk(_NORMAL, n, seed, span)
-        values, defined = _batch_spms(central_moment_arrays(x))
+        x -= x.mean(axis=1, keepdims=True)
+        values, defined = _batch_spms(centred_moment_arrays(x))
         return values[defined]
 
-    return np.concatenate(_map_chunks(work, reps, threads))
+    return np.concatenate(_map_chunks(work, reps, n, threads))
 
 
 def calibrate(
@@ -250,11 +266,17 @@ def _chunk_statistics(x, tests, su):
     """Per-test (statistic array, defined mask) for one chunk of samples.
 
     z-based tests report |z|; Shapiro-Wilk reports W (small rejects).
-    The central moments behind spms and sqrt(b1) are computed once.
+    x is overwritten: once Shapiro-Wilk has sorted a copy, its rows are
+    centred in place, and that block feeds the central moments (computed
+    once, for spms and sqrt(b1)) and Lin-Mudholkar.
     """
-    if TestName.SPMS in tests or TestName.SQRT_B1 in tests:
-        moments = central_moment_arrays(x)
     out = {}
+    if TestName.SHAPIRO_WILK in tests:
+        w, _ = _batch_sw(x)
+        out[TestName.SHAPIRO_WILK] = (w, np.ones(len(w), dtype=bool))
+    x -= x.mean(axis=1, keepdims=True)
+    if TestName.SPMS in tests or TestName.SQRT_B1 in tests:
+        moments = centred_moment_arrays(x)
     for test in tests:
         if test is TestName.SPMS:
             values, defined = _batch_spms(moments)
@@ -264,10 +286,7 @@ def _chunk_statistics(x, tests, su):
         elif test is TestName.SQRT_B1:
             _, z = _batch_sqrt_b1_z(moments, x.shape[1])
             out[test] = (np.abs(z), np.ones(len(z), dtype=bool))
-        elif test is TestName.SHAPIRO_WILK:
-            w, _ = _batch_sw(x)
-            out[test] = (w, np.ones(len(w), dtype=bool))
-        else:
+        elif test is TestName.LIN_MUDHOLKAR:
             _, z, defined = _batch_lm_z(x)
             with np.errstate(invalid="ignore"):
                 out[test] = (np.abs(z), defined)
@@ -298,7 +317,7 @@ def _null_reference(n, seed, null_reps, tests, threads):
         x = _draw_chunk(_NORMAL, n, seed, span, base=CALIBRATION_STREAM_BASE)
         return _chunk_statistics(x, tests, su)
 
-    parts = _map_chunks(work, null_reps, threads)
+    parts = _map_chunks(work, null_reps, n, threads)
     pools = {}
     for test in tests:
         stat = np.concatenate([p[test][0] for p in parts])
@@ -390,7 +409,7 @@ def power_study(
 
     totals = {t: 0 for t in tests}
     undefined = {t: 0 for t in tests}
-    for rejects, bad in _map_chunks(work, reps, threads):
+    for rejects, bad in _map_chunks(work, reps, n, threads):
         for t in tests:
             totals[t] += rejects[t]
             undefined[t] += bad[t]

@@ -10,9 +10,11 @@ row), used by the Monte Carlo harness, and a scalar entry point taking a
 Sample that is a one-row view of that kernel, so both compute identical
 values. The spms and sqrt(b1) kernels take the arrays returned by
 central_moment_arrays, so a chunk that needs both computes its moments
-once. A scalar test whose statistic comes out non-finite (the moments of
-data near the float64 limits can overflow) reports defined=False, never a
-NaN result marked defined.
+once; the Lin-Mudholkar kernel takes rows already centred, so a chunk
+centres its samples once for the moments and for it. The kernels work in
+place on their own temporaries. A scalar test whose statistic comes out
+non-finite (the moments of data near the float64 limits can overflow)
+reports defined=False, never a NaN result marked defined.
 """
 
 from __future__ import annotations
@@ -353,11 +355,11 @@ def _batch_sw(x: np.ndarray):
     n = x.shape[1]
     c = _sw_coefficients(n)
     xs = np.sort(x, axis=1)
-    d = xs - xs.mean(axis=1, keepdims=True)
     # einsum, not matmul: BLAS kernels change summation order with the
     # row count, which would make a replication's W depend on chunk size
     num = np.einsum("ij,j->i", xs, c)
-    w = (num * num) / np.einsum("ij,ij->i", d, d)
+    xs -= xs.mean(axis=1, keepdims=True)
+    w = (num * num) / np.einsum("ij,ij->i", xs, xs)
     np.clip(w, 0.0, 1.0, out=w)
     return w, _sw_z_from_w(w, n)
 
@@ -386,23 +388,28 @@ def shapiro_wilk_test(sample: Sample) -> TestResult:
 # Lin-Mudholkar test
 
 
-def _batch_lm_z(x: np.ndarray):
-    """Row-wise Lin-Mudholkar r and z for a (reps, n) array.
+def _batch_lm_z(xc: np.ndarray):
+    """Row-wise Lin-Mudholkar r and z for a (reps, n) array whose rows are
+    already centred (x - x.mean(axis=1, keepdims=True)); xc is not changed.
 
     Correlates each observation with the cube root of the leave-one-out
     variance proxy sum(x_j^2, j != i) - (sum(x_j, j != i))^2/(n - 1).
     Centering first leaves r unchanged (the proxy is shift-invariant)
-    and avoids large cancellations.
+    and avoids large cancellations. The proxy is built in place in two
+    block-sized temporaries.
     """
-    n = x.shape[1]
-    xc = x - x.mean(axis=1, keepdims=True)
+    n = xc.shape[1]
+    y = xc * xc
+    np.subtract(y.sum(axis=1, keepdims=True), y, out=y)
     s1 = xc.sum(axis=1, keepdims=True) - xc
-    s2 = (xc * xc).sum(axis=1, keepdims=True) - xc * xc
-    y = np.cbrt(s2 - s1 * s1 / (n - 1.0))
-    yc = y - y.mean(axis=1, keepdims=True)
+    s1 *= s1
+    s1 /= n - 1.0
+    y -= s1
+    np.cbrt(y, out=y)
+    y -= y.mean(axis=1, keepdims=True)
     sxx = np.einsum("ij,ij->i", xc, xc)
-    syy = np.einsum("ij,ij->i", yc, yc)
-    sxy = np.einsum("ij,ij->i", xc, yc)
+    syy = np.einsum("ij,ij->i", y, y)
+    sxy = np.einsum("ij,ij->i", xc, y)
     defined = syy > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         r = sxy / np.sqrt(sxx * syy)
@@ -424,7 +431,8 @@ def lin_mudholkar_test(sample: Sample) -> TestResult:
         If the leave-one-out variance proxies are all equal.
     """
     _require_n(sample, MIN_TEST_N)
-    r, z, defined = _batch_lm_z(sample.values[None, :])
+    x = sample.values[None, :]
+    r, z, defined = _batch_lm_z(x - x.mean(axis=1, keepdims=True))
     if not defined[0]:
         raise DegenerateCorrelationError(
             "leave-one-out variance proxies are all equal"

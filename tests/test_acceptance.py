@@ -119,7 +119,7 @@ def _reject_vectors(alt, n, reps, level):
         for t in tests
     }
     cols = {t: [] for t in tests}
-    for span in mc._spans(reps):
+    for span in mc._spans(reps, n):
         x = mc._draw_chunk(alt, n, SEED, span)
         stats = mc._chunk_statistics(x, tests, su)
         for t in tests:
@@ -251,7 +251,7 @@ def test_criterion_4_series_truncation():
 def test_criterion_5_transform_normality():
     reps, n = 100_000, 200
     chunks = []
-    for span in mc._spans(reps):
+    for span in mc._spans(reps, n):
         x = mc._draw_chunk(NORMAL, n, SEED, span)
         values, defined = sk._batch_spms(central_moment_arrays(x))
         chunks.append(values[defined])

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from pmskew.cli import main
+from pmskew.montecarlo import _chunk_rows
 
 
 def run(capsys, *argv):
@@ -203,8 +204,24 @@ class TestCalibrateCommand:
         assert out == ""
         assert "levels" in err
 
+    @pytest.mark.parametrize("sizes", [",", "", " , "])
+    def test_empty_n_is_config_error(self, capsys, sizes):
+        code, out, err = run(capsys, "calibrate", "--n", sizes, "--reps", "100")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "--n" in err
+
 
 class TestPowerCommand:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_empty_n_is_config_error(self, capsys, fmt):
+        code, out, err = run(
+            capsys, "power", "--n", ",", "--alt", "gamma:2", "--format", fmt
+        )
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "--n" in err
+
     def test_schema(self, capsys):
         code, out, _ = run(
             capsys,
@@ -468,7 +485,8 @@ class TestDeterminismAndOutput:
     def test_byte_identical_across_threads(self, tmp_path, capsys):
         out1 = tmp_path / "t1.csv"
         out3 = tmp_path / "t3.csv"
-        base = ["calibrate", "--n", "15", "--reps", "4200", "--seed", "9"]
+        reps = _chunk_rows(15) + 100  # two chunks
+        base = ["calibrate", "--n", "15", "--reps", str(reps), "--seed", "9"]
         assert main(base + ["--threads", "1", "--out", str(out1)]) == 0
         assert main(base + ["--threads", "3", "--out", str(out3)]) == 0
         capsys.readouterr()

@@ -1,6 +1,7 @@
 """Replication engine: brute-force oracles, determinism, conservation."""
 
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -32,7 +33,12 @@ from pmskew import (
 )
 from pmskew import TestName as TN
 from pmskew import montecarlo
-from pmskew.montecarlo import CALIBRATION_STREAM_BASE, CHUNK_SIZE, _draw_chunk
+from pmskew.montecarlo import (
+    CALIBRATION_STREAM_BASE,
+    _chunk_rows,
+    _draw_chunk,
+    _spans,
+)
 
 NORMAL = AlternativeSpec(Family.NORMAL)
 
@@ -67,9 +73,10 @@ class TestCalibrate:
         assert row.n == n and row.reps == reps and row.levels == levels
 
     def test_thread_count_invariance_across_chunk_boundary(self):
-        assert CHUNK_SIZE < 4200
-        r1 = calibrate(12, 4200, [0.05, 0.1], 3, threads=1)
-        r3 = calibrate(12, 4200, [0.05, 0.1], 3, threads=3)
+        reps = 2 * _chunk_rows(12) + 7
+        assert len(_spans(reps, 12)) == 3
+        r1 = calibrate(12, reps, [0.05, 0.1], 3, threads=1)
+        r3 = calibrate(12, reps, [0.05, 0.1], 3, threads=3)
         assert r1 == r3
 
     def test_null_rate_tracks_level(self):
@@ -243,7 +250,9 @@ class TestNullHistogram:
         assert h.counts.sum() + h.out_of_range == 1000
 
     def test_thread_count_invariance(self):
-        kw = dict(statistic="z", n=15, reps=4200, bins=9, seed=2)
+        reps = _chunk_rows(15) + 100
+        assert len(_spans(reps, 15)) == 2
+        kw = dict(statistic="z", n=15, reps=reps, bins=9, seed=2)
         h1 = null_histogram(threads=1, **kw)
         h3 = null_histogram(threads=3, **kw)
         assert np.array_equal(h1.counts, h3.counts)
@@ -298,8 +307,10 @@ class TestMomentValidation:
         assert by_name["kurtosis"].se == pytest.approx(np.sqrt(24.0 / reps))
 
     def test_thread_count_invariance(self):
-        m1 = moment_validation(10, 4200, 5, threads=1)
-        m3 = moment_validation(10, 4200, 5, threads=3)
+        reps = _chunk_rows(10) + 100
+        assert len(_spans(reps, 10)) == 2
+        m1 = moment_validation(10, reps, 5, threads=1)
+        m3 = moment_validation(10, reps, 5, threads=3)
         assert m1 == m3
 
     def test_fewer_than_two_reps_rejected(self):
@@ -314,14 +325,17 @@ class TestChunkPipeline:
 
         calls = []
 
-        def counted(x):
-            calls.append(len(x))
-            return moments.central_moment_arrays(x)
+        def counting(name):
+            def counted(x):
+                calls.append(len(x))
+                return getattr(moments, name)(x)
 
+            return counted
+
+        # a pass from raw rows or from rows the chunk has already centred
         for module in (skewtests, montecarlo):
-            monkeypatch.setattr(
-                module, "central_moment_arrays", counted, raising=False
-            )
+            for name in ("central_moment_arrays", "centred_moment_arrays"):
+                monkeypatch.setattr(module, name, counting(name), raising=False)
         return calls
 
     @pytest.mark.parametrize(
@@ -342,8 +356,69 @@ class TestChunkPipeline:
 
     def test_power_study_passes_equal_chunks(self, moment_calls):
         alt = AlternativeSpec.parse("gamma:2")
-        power_study(alt, 20, CHUNK_SIZE + 5, 0.05, critical_values="asymptotic")
-        assert moment_calls == [CHUNK_SIZE, 5]
+        rows = _chunk_rows(20)
+        power_study(alt, 20, rows + 5, 0.05, critical_values="asymptotic")
+        assert moment_calls == [rows, 5]
+
+
+class TestChunkRule:
+    """Chunks hold CHUNK_SIZE values; no result depends on the rows per
+    chunk, so every experiment gives what fixed 4096-row chunks give."""
+
+    @pytest.mark.parametrize("n", [8, 12, 100, 1000, 2**16, 2**16 + 1, 10**6])
+    def test_rows_fill_the_budget(self, n):
+        rows = _chunk_rows(n)
+        assert rows >= 1
+        assert rows * n <= montecarlo.CHUNK_SIZE or rows == 1
+        assert (rows + 1) * n > montecarlo.CHUNK_SIZE
+
+    EXPERIMENTS = {
+        "calibrate": lambda threads: calibrate(
+            30, 5000, [0.05, 0.2], 7, threads=threads
+        ),
+        "hist": lambda threads: null_histogram(
+            "z", 30, 5000, 12, 2, threads=threads
+        ),
+        "moments": lambda threads: moment_validation(40, 5000, 6, threads=threads),
+        "power_simulated": lambda threads: power_study(
+            AlternativeSpec.parse("gamma:2"), 100, 4500, 0.05, seed=3,
+            threads=threads, null_reps=5000,
+        ),
+        "power_asymptotic": lambda threads: power_study(
+            AlternativeSpec.parse("lognormal:0,0.5"), 100, 4500, 0.05, seed=5,
+            threads=threads, critical_values="asymptotic",
+        ),
+    }
+
+    @staticmethod
+    def _fields(result):
+        if isinstance(result, montecarlo.HistogramData):
+            return (result.bin_edges.tobytes(), result.counts.tobytes(),
+                    result.out_of_range)
+        return result
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+    def test_budget_chunks_equal_fixed_chunks(self, name, threads, monkeypatch):
+        run = self.EXPERIMENTS[name]
+        monkeypatch.setattr(montecarlo, "_null_cache", {})
+        budget = self._fields(run(threads))
+        monkeypatch.setattr(montecarlo, "_null_cache", {})
+        monkeypatch.setattr(montecarlo, "_chunk_rows", lambda n: 4096)
+        fixed = self._fields(run(threads))
+        assert budget == fixed
+
+    def test_power_cell_at_n1000_peaks_small(self):
+        # one chunk of 4096 rows at n=1000 is 32 MiB; a 65-row one 0.5 MiB
+        alt = AlternativeSpec.parse("lognormal:0,0.5")
+        power_study(alt, 1000, 8, 0.05, critical_values="asymptotic")
+        tracemalloc.start()
+        try:
+            power_study(alt, 1000, 4096, 0.05, critical_values="asymptotic")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestNullReferenceCache:
@@ -512,7 +587,7 @@ class TestStreamContract:
         )
 
     @pytest.mark.parametrize("base", [0, CALIBRATION_STREAM_BASE])
-    @pytest.mark.parametrize("span", [(CHUNK_SIZE, 2 * CHUNK_SIZE), (8192, 8197)])
+    @pytest.mark.parametrize("span", [(4096, 8192), (8192, 8197)])
     @pytest.mark.parametrize("n", [8, 1000])
     @pytest.mark.parametrize(
         "spec", (NORMAL,) + POWER_STUDY_ALTERNATIVES, ids=lambda s: s.label
@@ -525,7 +600,8 @@ class TestStreamContract:
 
     def test_concurrent_chunks_match_sequential(self):
         spec = AlternativeSpec.parse("beta:2,1")
-        spans = [(0, CHUNK_SIZE), (CHUNK_SIZE, 2 * CHUNK_SIZE)]
+        spans = _spans(2 * _chunk_rows(40), 40)
+        assert len(spans) == 2
         sequential = [_draw_chunk(spec, 40, self.SEED, s) for s in spans]
         barrier = threading.Barrier(2)
 
