@@ -14,8 +14,7 @@ by setting its key to (seed, stream_id) and its counter to 0
 (stream_rekeyer). It then draws exactly the variates of a freshly built
 SeededStream(seed, stream_id).generator(), without the cost of building
 one; the Monte Carlo harness uses this to draw a whole chunk of
-replications with one generator, each straight into its row of the chunk
-(draw_values with out=row).
+replications with one generator.
 
 Sampling methods are numpy Generator implementations (ziggurat normals,
 Marsaglia-Tsang gamma, inversion Weibull, exp-of-normal lognormal,
@@ -183,39 +182,22 @@ def stream_rekeyer(rng: np.random.Generator):
     return set_stream
 
 
-def draw_values(
-    spec: AlternativeSpec,
-    n: int,
-    rng: np.random.Generator,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Draw n variates from spec using the given generator.
-
-    With out, a writable float64 array of shape (n,) such as one row of a
-    chunk, the variates are written into it and out is returned; without
-    it a new array is returned. Either way the values are the same, so the
-    Monte Carlo harness draws each replication straight into its row.
-    """
+def draw_values(spec: AlternativeSpec, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw n variates from spec using the given generator."""
     if n < 1:
         raise InvalidParamsError(f"n must be positive, got {n}")
-    if out is None:
-        out = np.empty(n)
-    elif out.shape != (n,):
-        raise InvalidParamsError(f"out must have shape ({n},), got {out.shape}")
     family = spec.family
     if family is Family.NORMAL:
-        rng.standard_normal(out=out)
-    elif family is Family.BETA:
-        out[...] = rng.beta(spec.params[0], spec.params[1], n)
-    elif family is Family.GAMMA:
-        out[...] = rng.gamma(spec.params[0], 1.0, n)
-    elif family is Family.WEIBULL:
-        out[...] = rng.weibull(spec.params[0], n)
-    elif family is Family.LOGNORMAL:
-        out[...] = rng.lognormal(spec.params[0], spec.params[1], n)
-    else:
-        raise InvalidParamsError(f"unhandled family {family!r}")
-    return out
+        return rng.standard_normal(n)
+    if family is Family.BETA:
+        return rng.beta(spec.params[0], spec.params[1], n)
+    if family is Family.GAMMA:
+        return rng.gamma(spec.params[0], 1.0, n)
+    if family is Family.WEIBULL:
+        return rng.weibull(spec.params[0], n)
+    if family is Family.LOGNORMAL:
+        return rng.lognormal(spec.params[0], spec.params[1], n)
+    raise InvalidParamsError(f"unhandled family {family!r}")
 
 
 def sample(spec: AlternativeSpec, n: int, stream: SeededStream) -> Sample:

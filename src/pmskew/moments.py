@@ -26,7 +26,6 @@ __all__ = [
     "MomentSummary",
     "central_moments",
     "central_moment_arrays",
-    "centred_moment_arrays",
     "shift_scale",
 ]
 

@@ -134,28 +134,6 @@ class TestDrawValues:
                 AlternativeSpec(Family.NORMAL), 0, SeededStream(0, 0).generator()
             )
 
-    @pytest.mark.parametrize(
-        "spec",
-        [AlternativeSpec(Family.NORMAL)] + list(POWER_STUDY_ALTERNATIVES),
-        ids=lambda s: s.label,
-    )
-    def test_out_row_gets_the_same_values(self, spec):
-        block = np.full((3, 40), np.nan)
-        got = draw_values(spec, 40, SeededStream(5, 9).generator(), out=block[1])
-        assert np.shares_memory(got, block[1])
-        want = draw_values(spec, 40, SeededStream(5, 9).generator())
-        assert block[1].tobytes() == want.tobytes()
-        assert np.isnan(block[[0, 2]]).all()
-
-    def test_out_of_wrong_shape(self):
-        with pytest.raises(InvalidParamsError, match="shape"):
-            draw_values(
-                AlternativeSpec(Family.NORMAL),
-                40,
-                SeededStream(0, 0).generator(),
-                out=np.empty(39),
-            )
-
 
 class TestPopulationMoments:
     @pytest.mark.parametrize(

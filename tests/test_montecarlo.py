@@ -365,7 +365,7 @@ class TestChunkRule:
     """Chunks hold CHUNK_SIZE values; no result depends on the rows per
     chunk, so every experiment gives what fixed 4096-row chunks give."""
 
-    @pytest.mark.parametrize("n", [8, 12, 100, 1000, 2**16, 2**16 + 1, 10**6])
+    @pytest.mark.parametrize("n", [8, 12, 100, 1000, 2**17, 2**17 + 1, 10**6])
     def test_rows_fill_the_budget(self, n):
         rows = _chunk_rows(n)
         assert rows >= 1
@@ -409,7 +409,7 @@ class TestChunkRule:
         assert budget == fixed
 
     def test_power_cell_at_n1000_peaks_small(self):
-        # one chunk of 4096 rows at n=1000 is 32 MiB; a 65-row one 0.5 MiB
+        # one chunk of 4096 rows at n=1000 is 32 MiB; a 131-row one 1 MiB
         alt = AlternativeSpec.parse("lognormal:0,0.5")
         power_study(alt, 1000, 8, 0.05, critical_values="asymptotic")
         tracemalloc.start()

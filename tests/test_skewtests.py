@@ -26,6 +26,7 @@ from pmskew import (
     sqrt_b1_test,
 )
 from pmskew.moments import central_moment_arrays
+from pmskew.montecarlo import _chunk_statistics
 from pmskew.skewtests import (
     _batch_lm_z,
     _batch_spms,
@@ -311,6 +312,23 @@ class TestLinMudholkar:
             r = lin_mudholkar_test(Sample(x[i]))
             assert r_arr[i] == r.raw_statistic
             assert z_arr[i] == r.z_value
+
+    def test_callers_centre_rows_with_a_large_offset(self):
+        # _batch_lm_z takes centred rows: on raw rows offset by 1e6 its
+        # leave-one-out proxy cancels and r comes out near 0, so the scalar
+        # test and the chunk pipeline must each centre before calling it
+        x = np.vstack([_seeded(25, seed=s, skew=0.4) for s in range(8)])
+        r_arr, z_arr, _ = _batch_lm_z(x - x.mean(axis=1, keepdims=True))
+        shifted = x + 1e6
+        for i in range(8):
+            r = lin_mudholkar_test(Sample(shifted[i]))
+            assert r.raw_statistic == pytest.approx(r_arr[i], rel=1e-8)
+            assert r.z_value == pytest.approx(z_arr[i], rel=1e-8)
+        stat, defined = _chunk_statistics(shifted, (pk.TestName.LIN_MUDHOLKAR,), None)[
+            pk.TestName.LIN_MUDHOLKAR
+        ]
+        assert defined.all()
+        assert stat == pytest.approx(np.abs(z_arr), rel=1e-8)
 
 
 class TestNonFiniteStatistic:
