@@ -34,6 +34,12 @@ __all__ = [
 class Sample:
     """A finite list of real observations with positive variance.
 
+    The deviations from the mean that validation computes are kept,
+    read-only, and the central moments are computed from them at most
+    once, on first use; central_moments and the scalar tests in
+    skewtests all read these, so a Sample is centred once however many
+    tests it goes through.
+
     Parameters
     ----------
     values : array_like
@@ -75,11 +81,24 @@ class Sample:
             )
         arr = arr.copy()
         arr.flags.writeable = False
+        d.flags.writeable = False
         object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "_centred", d)
+        object.__setattr__(self, "_moments", None)
 
     @property
     def n(self) -> int:
         return int(self.values.size)
+
+    def _moment_arrays(self):
+        """centred_moment_arrays of the sample as one row, each a
+        read-only array of shape (1,); computed on the first call."""
+        if self._moments is None:
+            moments = centred_moment_arrays(self._centred[None, :])
+            for a in moments:
+                a.flags.writeable = False
+            object.__setattr__(self, "_moments", moments)
+        return self._moments
 
 
 @dataclass(frozen=True)
@@ -109,7 +128,7 @@ def central_moments(sample: Sample) -> MomentSummary:
     -------
     MomentSummary
     """
-    m2, m3, m4, sqrt_b1, b2 = central_moment_arrays(sample.values[None, :])
+    m2, m3, m4, sqrt_b1, b2 = sample._moment_arrays()
     return MomentSummary(
         mean=float(sample.values.mean()),
         m2=float(m2[0]),

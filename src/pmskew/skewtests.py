@@ -11,10 +11,13 @@ Sample that is a one-row view of that kernel, so both compute identical
 values. The spms and sqrt(b1) kernels take the arrays returned by
 central_moment_arrays, so a chunk that needs both computes its moments
 once; the Lin-Mudholkar kernel takes rows already centred, so a chunk
-centres its samples once for the moments and for it. The kernels work in
-place on their own temporaries. A scalar test whose statistic comes out
-non-finite (the moments of data near the float64 limits can overflow)
-reports defined=False, never a NaN result marked defined.
+centres its samples once for the moments and for it. The scalar entry
+points share work the same way: a Sample keeps the centred row its
+validation computed and computes its moments once, on first use, and the
+spms, sqrt(b1) and Lin-Mudholkar tests read both from it. The kernels
+work in place on their own temporaries. A scalar test whose statistic
+comes out non-finite (the moments of data near the float64 limits can
+overflow) reports defined=False, never a NaN result marked defined.
 """
 
 from __future__ import annotations
@@ -35,6 +38,8 @@ from .errors import (
     SampleTooLargeError,
     SampleTooSmallError,
 )
+# central_moment_arrays is no longer called here; the benchmark's tracer
+# (bench/tracing.py) times the moments layer through this name
 from .moments import MomentSummary, Sample, central_moment_arrays, central_moments
 
 __all__ = [
@@ -83,7 +88,12 @@ class TestResult:
     defined: bool = True
 
     def reject_at(self, level: float) -> bool:
-        """Two-sided rejection at the given significance level."""
+        """Rejection at the given significance level: p_value < level.
+
+        The p-value already carries the test's sidedness: two-sided in z
+        for spms, sqrt(b1) and Lin-Mudholkar, one-tailed (small W
+        rejects) for Shapiro-Wilk.
+        """
         if not 0.0 < level < 1.0:
             raise InvalidLevelError(f"level must be in (0, 1), got {level}")
         if not self.defined:
@@ -241,7 +251,7 @@ def spms_test(sample: Sample, series: str = "calibrated") -> TestResult:
     """
     _require_n(sample, MIN_TEST_N)
     su = su_transform.su_params(sample.n, series=series)
-    values, _ = _batch_spms(central_moment_arrays(sample.values[None, :]))
+    values, _ = _batch_spms(sample._moment_arrays())
     value = float(values[0])
     if not math.isfinite(value):
         return _undefined(TestName.SPMS)
@@ -283,9 +293,7 @@ def sqrt_b1_test(sample: Sample) -> TestResult:
     """Two-sided skewness test normalizing sqrt(b1) by its exact null
     moments through the same asinh-form transform as the spms test."""
     _require_n(sample, MIN_TEST_N)
-    raw, z = _batch_sqrt_b1_z(
-        central_moment_arrays(sample.values[None, :]), sample.n
-    )
+    raw, z = _batch_sqrt_b1_z(sample._moment_arrays(), sample.n)
     raw = float(raw[0])
     if not math.isfinite(raw):
         return _undefined(TestName.SQRT_B1)
@@ -307,6 +315,14 @@ _SW_G = (0.459, -2.273)
 _SW_TINY = 1e-19
 
 
+def _horner(coeffs, x: float) -> float:
+    """np.polyval(coeffs, x) for a scalar x, rounded identically."""
+    y = 0.0
+    for c in coeffs:
+        y = y * x + c
+    return y
+
+
 @lru_cache(maxsize=64)
 def _sw_coefficients(n: int) -> np.ndarray:
     """Ascending-order AS R94 weight vector for sample size n."""
@@ -316,8 +332,8 @@ def _sw_coefficients(n: int) -> np.ndarray:
     summ2 = 2.0 * float(np.sum(m * m))
     ssumm2 = math.sqrt(summ2)
     rsn = 1.0 / math.sqrt(n)
-    a1 = float(np.polyval(_SW_C1, rsn)) - m[0] / ssumm2
-    a2 = float(np.polyval(_SW_C2, rsn)) - m[1] / ssumm2
+    a1 = _horner(_SW_C1, rsn) - m[0] / ssumm2
+    a2 = _horner(_SW_C2, rsn) - m[1] / ssumm2
     fac = math.sqrt(
         (summ2 - 2.0 * m[0] ** 2 - 2.0 * m[1] ** 2)
         / (1.0 - 2.0 * a1**2 - 2.0 * a2**2)
@@ -338,15 +354,15 @@ def _sw_z_from_w(w, n: int):
     w1 = np.maximum(1.0 - np.asarray(w, dtype=np.float64), _SW_TINY)
     y = np.log(w1)
     if n <= 11:
-        gamma = np.polyval(_SW_G, n)
+        gamma = _horner(_SW_G, n)
         inside = y < gamma
         yg = np.where(inside, -np.log(np.where(inside, gamma - y, 1.0)), np.inf)
-        mu = np.polyval(_SW_C3, n)
-        sigma = math.exp(np.polyval(_SW_C4, n))
+        mu = _horner(_SW_C3, n)
+        sigma = math.exp(_horner(_SW_C4, n))
         return (yg - mu) / sigma
     u = math.log(n)
-    mu = np.polyval(_SW_C5, u)
-    sigma = math.exp(np.polyval(_SW_C6, u))
+    mu = _horner(_SW_C5, u)
+    sigma = math.exp(_horner(_SW_C6, u))
     return (y - mu) / sigma
 
 
@@ -431,8 +447,7 @@ def lin_mudholkar_test(sample: Sample) -> TestResult:
         If the leave-one-out variance proxies are all equal.
     """
     _require_n(sample, MIN_TEST_N)
-    x = sample.values[None, :]
-    r, z, defined = _batch_lm_z(x - x.mean(axis=1, keepdims=True))
+    r, z, defined = _batch_lm_z(sample._centred[None, :])
     if not defined[0]:
         raise DegenerateCorrelationError(
             "leave-one-out variance proxies are all equal"

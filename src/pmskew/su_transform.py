@@ -86,6 +86,11 @@ class NullMomentSeries:
 
 NULL_MOMENT_SERIES = NullMomentSeries()
 
+# the coefficients as floats, converted once rather than on every call
+_LAMBDA2 = tuple(map(float, NULL_MOMENT_SERIES.lambda2_coeffs))
+_LAMBDA4 = tuple(map(float, NULL_MOMENT_SERIES.lambda4_coeffs))
+_BETA2 = tuple(map(float, NULL_MOMENT_SERIES.beta2_coeffs))
+
 
 def _check_n(n: int) -> int:
     n = int(n)
@@ -107,8 +112,7 @@ def lambda2(n: int, terms: int = 3) -> float:
     n = _check_n(n)
     if not 1 <= terms <= 3:
         raise InvalidParamsError("lambda2 has 1 to 3 series terms")
-    coeffs = NULL_MOMENT_SERIES.lambda2_coeffs[:terms]
-    return float(sum(float(c) / n ** (k + 1) for k, c in enumerate(coeffs)))
+    return float(sum(c / n ** (k + 1) for k, c in enumerate(_LAMBDA2[:terms])))
 
 
 def lambda4(n: int, terms: int = 2) -> float:
@@ -124,8 +128,7 @@ def lambda4(n: int, terms: int = 2) -> float:
     n = _check_n(n)
     if not 1 <= terms <= 2:
         raise InvalidParamsError("lambda4 has 1 to 2 series terms")
-    coeffs = NULL_MOMENT_SERIES.lambda4_coeffs[:terms]
-    return float(sum(float(c) / n ** (k + 2) for k, c in enumerate(coeffs)))
+    return float(sum(c / n ** (k + 2) for k, c in enumerate(_LAMBDA4[:terms])))
 
 
 def beta2_spms(n: int, terms: int = 3) -> float:
@@ -142,8 +145,7 @@ def beta2_spms(n: int, terms: int = 3) -> float:
     n = _check_n(n)
     if not 1 <= terms <= 3:
         raise InvalidParamsError("beta2_spms has 1 to 3 correction terms")
-    coeffs = NULL_MOMENT_SERIES.beta2_coeffs[: terms + 1]
-    return float(sum(float(c) / n**k for k, c in enumerate(coeffs)))
+    return float(sum(c / n**k for k, c in enumerate(_BETA2[: terms + 1])))
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,34 @@
-"""Golden digests of `pmskew` stdout.
+"""Golden digests of `pmskew` output.
 
-Each invocation's CSV output is pinned by its SHA-256, at threads 1 and
-2. The digests were recorded with fixed 4096-replication chunks; the
-reps are chosen so that most runs cross a chunk boundary under both that
-rule and the value-budget rule, so a change to how work is chunked, how
-rows are drawn, or how a kernel reduces them shows up as a changed digest.
+Each Monte Carlo invocation's CSV output is pinned by its SHA-256, at
+threads 1 and 2. The digests were recorded with fixed 4096-replication
+chunks; the reps are chosen so that most runs cross a chunk boundary
+under both that rule and the value-budget rule, so a change to how work
+is chunked, how rows are drawn, or how a kernel reduces them shows up as
+a changed digest.
+
+The scalar tests are pinned the same way: the exact bits of every
+TestResult over seeded samples from the null and the six power-study
+alternatives, and the `pmskew test` CSV output for one data file. The
+sizes cover both branches of the Shapiro-Wilk z approximation (n <= 11
+and n >= 12) and its upper limit, n = 5000.
 """
 
 import hashlib
 
 import pytest
 
-from pmskew import montecarlo
+from pmskew import (
+    POWER_STUDY_ALTERNATIVES,
+    AlternativeSpec,
+    SeededStream,
+    lin_mudholkar_test,
+    montecarlo,
+    sample,
+    shapiro_wilk_test,
+    spms_test,
+    sqrt_b1_test,
+)
 from pmskew.cli import main
 
 GOLDEN = {
@@ -55,3 +72,37 @@ def test_stdout_digest(name, threads, capsys, monkeypatch):
     assert main(argv + ["--threads", threads]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+SCALAR_SPECS = (AlternativeSpec.parse("normal"),) + POWER_STUDY_ALTERNATIVES
+SCALAR_SIZES = (8, 11, 12, 20, 100, 1000, 5000)
+SCALAR_DIGEST = "138812e388a2ea3e9bacc910bdb1c2e0add367c2687054fafa79dd1137826d22"
+CLI_TEST_DIGEST = "f817ea3ffd66ba459b1fea4c194f612220946e834bd8d5f62f9a016d77f7b9c9"
+
+
+def _result_line(result):
+    fields = (result.raw_statistic, result.z_value, result.p_value)
+    return " ".join(
+        [str(result.test_name)] + [v.hex() for v in fields] + [str(result.defined)]
+    )
+
+
+def test_scalar_results_digest():
+    lines = []
+    for i, spec in enumerate(SCALAR_SPECS):
+        for n in SCALAR_SIZES:
+            s = sample(spec, n, SeededStream(11, 1000 * i + n))
+            for test in (spms_test, sqrt_b1_test, shapiro_wilk_test,
+                         lin_mudholkar_test):
+                lines.append(f"{spec.label} {n} {_result_line(test(s))}")
+    text = "\n".join(lines) + "\n"
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SCALAR_DIGEST
+
+
+def test_cli_test_stdout_digest(tmp_path, capsys):
+    s = sample(AlternativeSpec.parse("gamma:2"), 60, SeededStream(12, 0))
+    path = tmp_path / "gamma60.txt"
+    path.write_text("".join(f"{v!r}\n" for v in s.values.tolist()))
+    assert main(["test", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CLI_TEST_DIGEST

@@ -1,6 +1,8 @@
 """The spms statistic, its series expansion, and the comparison tests."""
 
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,9 +27,14 @@ from pmskew import (
     spms_test,
     sqrt_b1_test,
 )
+from pmskew import moments, skewtests
 from pmskew.moments import central_moment_arrays
 from pmskew.montecarlo import _chunk_statistics
 from pmskew.skewtests import (
+    _O1,
+    _O2,
+    _O3,
+    _O4,
     _batch_lm_z,
     _batch_spms,
     _batch_sqrt_b1_z,
@@ -146,6 +153,38 @@ class TestSpmsSeries:
             errs_lead.append(abs(value - 0.5 * st.V / math.sqrt(st.n)))
         assert np.median(errs_full) < 0.2 * np.median(errs_lead)
         assert np.median(errs_full) < 1e-3
+
+    def test_orders_match_computer_algebra_expansion(self):
+        # expand spms in e = n^-1/2 about the normal moments, with
+        # m2 = 1 + U e, m3 = V e, m4 = 3 + W e as in SeriesState; the
+        # coefficient of e^k must be exactly the k-th printed order
+        sp = pytest.importorskip("sympy")
+        U, V, W, e = sp.symbols("U V W e")
+        m2, m3, m4 = 1 + U * e, V * e, 3 + W * e
+        sqrt_b1 = m3 / m2 ** sp.Rational(3, 2)
+        b1 = m3**2 / m2**3
+        b2 = m4 / m2**2
+        spms = sqrt_b1 * (b2 + 3) / (2 * (5 * b2 - 6 * b1 - 9))
+        expansion = sp.expand(sp.series(spms, e, 0, 5).removeO())
+        printed = {
+            1: zip(_O1, (V,)),
+            2: zip(_O2, (U * V, V * W)),
+            3: zip(_O3, (U**2 * V, U * V * W, V**3, V * W**2)),
+            4: zip(_O4, (U**3 * V, U**2 * V * W, U * V**3, U * V * W**2,
+                         V**3 * W, V * W**3)),
+        }
+        for k, terms in printed.items():
+            derived = sp.Poly(expansion.coeff(e, k), U, V, W)
+            want = {}
+            for c, monomial in terms:
+                exact = Fraction(c).limit_denominator(1000)
+                assert float(exact) == c  # the float is the rounded fraction
+                want[sp.Poly(monomial, U, V, W).monoms()[0]] = exact
+            got = {
+                m: Fraction(int(c.p), int(c.q))
+                for m, c in zip(derived.monoms(), derived.coeffs())
+            }
+            assert got == want, k
 
 
 class TestTestResult:
@@ -329,6 +368,74 @@ class TestLinMudholkar:
         ]
         assert defined.all()
         assert stat == pytest.approx(np.abs(z_arr), rel=1e-8)
+
+
+class TestSampleSharing:
+    """A Sample is centred once, when it is validated, and its moments are
+    computed once; every scalar test reads them from the Sample."""
+
+    TESTS = (spms_test, sqrt_b1_test, shapiro_wilk_test, lin_mudholkar_test)
+
+    @staticmethod
+    def _bits(result):
+        fields = (result.raw_statistic, result.z_value, result.p_value)
+        return (result.test_name, result.defined) + tuple(
+            v.hex() for v in fields
+        )
+
+    @staticmethod
+    def _summary_bits(summary):
+        return tuple(float(v).hex() for v in vars(summary).values())
+
+    def test_one_centring_and_one_moments_pass(self, monkeypatch):
+        s = Sample(_seeded(150, seed=8, skew=0.5))
+        seen = []
+
+        def recording(name, orig):
+            def wrapped(x, *a):
+                seen.append((name, x))
+                return orig(x, *a)
+
+            return wrapped
+
+        monkeypatch.setattr(
+            moments,
+            "centred_moment_arrays",
+            recording("moments", moments.centred_moment_arrays),
+        )
+        monkeypatch.setattr(
+            skewtests, "_batch_lm_z", recording("lm", skewtests._batch_lm_z)
+        )
+        for test in self.TESTS:
+            test(s)
+        central_moments(s)
+        SeriesState.from_sample(s)
+        assert [name for name, _ in seen] == ["moments", "lm"]
+        # both read the centred row the Sample kept, not a new centring
+        for _, x in seen:
+            assert np.shares_memory(x, s._centred)
+
+    def test_cached_arrays_are_read_only(self):
+        s = Sample(_seeded(40, seed=9))
+        assert not s._centred.flags.writeable
+        cached = s._moment_arrays()
+        assert s._moment_arrays() is cached
+        for a in cached:
+            assert not a.flags.writeable
+
+    @pytest.mark.parametrize("n", [8, 60, 700])
+    def test_results_do_not_depend_on_call_order(self, n):
+        x = _seeded(n, seed=n, skew=0.4)
+        alone = [self._bits(test(Sample(x))) for test in self.TESTS]
+        summary = self._summary_bits(central_moments(Sample(x)))
+        for order in itertools.permutations(range(len(self.TESTS))):
+            s = Sample(x)
+            got = {i: self._bits(self.TESTS[i](s)) for i in order}
+            assert [got[i] for i in range(len(self.TESTS))] == alone
+            assert self._summary_bits(central_moments(s)) == summary
+        s = Sample(x)
+        assert self._summary_bits(central_moments(s)) == summary
+        assert [self._bits(test(s)) for test in self.TESTS] == alone
 
 
 class TestNonFiniteStatistic:

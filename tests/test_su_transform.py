@@ -131,8 +131,18 @@ class TestSuParams:
         assert x.var() == pytest.approx(1.0, abs=0.02)
 
     def test_invalid_series_name(self):
-        with pytest.raises(InvalidParamsError):
-            su_params(200, series="extended")
+        # raised on every call, also after valid calls at the same n
+        for _ in range(3):
+            with pytest.raises(InvalidParamsError):
+                su_params(200, series="extended")
+            su_params(200)
+
+    def test_numpy_integer_n(self):
+        for n in (8, 11, 200, 5000):
+            for series in ("calibrated", "full"):
+                su = su_params(np.int64(n), series=series)
+                assert su == su_params(n, series=series)
+                assert type(su.n) is int
 
     def test_min_n(self):
         with pytest.raises(SampleTooSmallError):
