@@ -21,7 +21,6 @@ from .distributions import (
     sample,
 )
 from .errors import (
-    DegenerateCorrelationError,
     DegenerateDenominatorError,
     InvalidConfigError,
     InvalidLevelError,
@@ -126,7 +125,6 @@ __all__ = [
     "SampleTooSmallError",
     "SampleTooLargeError",
     "DegenerateDenominatorError",
-    "DegenerateCorrelationError",
     "InvalidParamsError",
     "InvalidLevelError",
     "InvalidConfigError",

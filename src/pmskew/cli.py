@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -21,7 +22,6 @@ import numpy as np
 
 from .distributions import AlternativeSpec
 from .errors import (
-    DegenerateCorrelationError,
     DegenerateDenominatorError,
     InvalidConfigError,
     InvalidLevelError,
@@ -43,6 +43,7 @@ from .montecarlo import (
 )
 from .skewtests import (
     TestName,
+    TestResult,
     lin_mudholkar_test,
     shapiro_wilk_test,
     spms_test,
@@ -60,7 +61,6 @@ _DATA_ERRORS = (
     SampleTooSmallError,
     SampleTooLargeError,
     DegenerateDenominatorError,
-    DegenerateCorrelationError,
 )
 _CONFIG_ERRORS = (InvalidConfigError, InvalidParamsError, InvalidLevelError)
 
@@ -206,19 +206,12 @@ def cmd_test(args) -> int:
             result = _TEST_FUNCS[name](sample)
         except _DATA_ERRORS as exc:
             failures.append(f"{name.value}: {exc}")
-            rows.append([name.value, False, None, None, None] + [False] * 4)
-            any_undefined = True
-            continue
-        if not result.defined:
-            any_undefined = True
+            result = TestResult(name, math.nan, math.nan, math.nan, defined=False)
+        any_undefined |= not result.defined
+        numbers = [result.raw_statistic, result.z_value, result.p_value]
         rows.append(
-            [
-                name.value,
-                result.defined,
-                result.raw_statistic if result.defined else None,
-                result.z_value if result.defined else None,
-                result.p_value if result.defined else None,
-            ]
+            [name.value, result.defined]
+            + (numbers if result.defined else [None] * 3)
             + [result.reject_at(level) for level in REPORT_LEVELS]
         )
     header = ["test", "defined", "raw_statistic", "z_value", "p_value"] + [

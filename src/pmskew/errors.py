@@ -29,10 +29,6 @@ class DegenerateDenominatorError(PmskewError):
     """The denominator 5*b2 - 6*b1 - 9 is numerically zero."""
 
 
-class DegenerateCorrelationError(PmskewError):
-    """A correlation is undefined because one variable is constant."""
-
-
 class InvalidParamsError(PmskewError):
     """Distribution parameters are missing, malformed, or out of range."""
 

@@ -21,7 +21,13 @@ variates, and every output byte, are those of one generator per
 replication, without the cost of building one per replication. A chunk's
 generator is never shared with another thread. The chunk is then centred
 in place once, and that one block feeds the central moments and the
-Lin-Mudholkar kernel.
+Lin-Mudholkar kernel. Every test's kernel gives each chunk the same three
+row-wise arrays, (raw, z, defined) with defined = isfinite(raw); rows
+that are not defined are counted as undefined and never as rejections.
+
+One null pipeline, _null_statistics (draw normal rows, run the kernels,
+keep the defined rows), serves calibrate, null_histogram,
+moment_validation and the null pools of power_study.
 
 Power experiments default to simulated critical values: each test's
 rejection threshold is the appropriate empirical quantile of the test
@@ -30,7 +36,8 @@ disjoint from the experiment streams). This is the protocol that
 reproduces the reference power table; the spms and Lin-Mudholkar z
 approximations are visibly miscalibrated at n <= 100, where asymptotic
 thresholds distort power by up to 0.11. critical_values="asymptotic"
-selects plain |z| > z_{1-level/2} rejection instead.
+selects plain |z| > z_{1-level/2} rejection instead. Both go through one
+tail rule, _rejects.
 """
 
 from __future__ import annotations
@@ -65,7 +72,6 @@ from .skewtests import (
     _batch_spms,
     _batch_sqrt_b1_z,
     _batch_sw,
-    _sw_z_from_w,
 )
 from .su_transform import beta2_spms, lambda2, su_params
 
@@ -96,6 +102,7 @@ ALL_TESTS = (
     TestName.SHAPIRO_WILK,
     TestName.LIN_MUDHOLKAR,
 )
+_SPMS = (TestName.SPMS,)
 
 
 class Statistic(str, enum.Enum):
@@ -211,16 +218,18 @@ def _map_chunks(work, reps: int, n: int, threads: int) -> list:
         return list(pool.map(work, spans))
 
 
-def _null_spms(n, reps, seed, threads):
-    """Defined null spms values of replications 0..reps-1, in order."""
+def _null_statistics(n, reps, seed, tests, threads, keep, base=0):
+    """The null pipeline: keep(test, raw, z) of the defined rows among the
+    standard normal replications base..base+reps-1, per test, in order."""
+    su = su_params(n)
 
     def work(span):
-        x = _draw_chunk(_NORMAL, n, seed, span)
-        x -= x.mean(axis=1, keepdims=True)
-        values, defined = _batch_spms(centred_moment_arrays(x))
-        return values[defined]
+        x = _draw_chunk(_NORMAL, n, seed, span, base)
+        stats = _chunk_statistics(x, tests, su)
+        return {t: keep(t, raw, z)[ok] for t, (raw, z, ok) in stats.items()}
 
-    return np.concatenate(_map_chunks(work, reps, n, threads))
+    parts = _map_chunks(work, reps, n, threads)
+    return {t: np.concatenate([p[t] for p in parts]) for t in tests}
 
 
 def calibrate(
@@ -241,7 +250,8 @@ def calibrate(
     levels = tuple(_check_level(l) for l in levels)
     if not levels:
         raise InvalidParamsError("levels must be nonempty")
-    az = np.abs(su_params(n).z(_null_spms(n, reps, seed, threads)))
+    null = _null_statistics(n, reps, seed, _SPMS, threads, _tail_statistic)
+    az = null[TestName.SPMS]  # |z| of the defined replications
     counts = [
         np.count_nonzero(az > t) for t in ndtri(1.0 - np.array(levels) / 2.0)
     ]
@@ -265,36 +275,57 @@ def _normalize_tests(tests) -> tuple[TestName, ...]:
 
 
 def _chunk_statistics(x, tests, su):
-    """Per-test (statistic array, defined mask) for one chunk of samples.
+    """Per-test kernel output (raw, z, defined) for one chunk of samples.
 
-    z-based tests report |z|; Shapiro-Wilk reports W (small rejects).
-    x is overwritten: once Shapiro-Wilk has sorted a copy, its rows are
-    centred in place (unless Shapiro-Wilk is the only test), and that block
-    feeds the central moments (computed once, for spms and sqrt(b1)) and
+    su is the S_U transform of the spms test at this n. x is overwritten:
+    once Shapiro-Wilk has sorted a copy, its rows are centred in place
+    (unless Shapiro-Wilk is the only test), and that block feeds the
+    central moments (computed once, for spms and sqrt(b1)) and
     Lin-Mudholkar.
     """
     out = {}
     if TestName.SHAPIRO_WILK in tests:
-        w, _ = _batch_sw(x)
-        out[TestName.SHAPIRO_WILK] = (w, np.ones(len(w), dtype=bool))
+        out[TestName.SHAPIRO_WILK] = _batch_sw(x)
     if tests != (TestName.SHAPIRO_WILK,):
         x -= x.mean(axis=1, keepdims=True)
     if TestName.SPMS in tests or TestName.SQRT_B1 in tests:
         moments = centred_moment_arrays(x)
-    for test in tests:
-        if test is TestName.SPMS:
-            values, defined = _batch_spms(moments)
-            with np.errstate(invalid="ignore"):
-                stat = np.abs(su.z(values))
-            out[test] = (stat, defined)
-        elif test is TestName.SQRT_B1:
-            _, z = _batch_sqrt_b1_z(moments, x.shape[1])
-            out[test] = (np.abs(z), np.ones(len(z), dtype=bool))
-        elif test is TestName.LIN_MUDHOLKAR:
-            _, z, defined = _batch_lm_z(x)
-            with np.errstate(invalid="ignore"):
-                out[test] = (np.abs(z), defined)
+    if TestName.SPMS in tests:
+        out[TestName.SPMS] = _batch_spms(moments, su)
+    if TestName.SQRT_B1 in tests:
+        out[TestName.SQRT_B1] = _batch_sqrt_b1_z(moments, x.shape[1])
+    if TestName.LIN_MUDHOLKAR in tests:
+        out[TestName.LIN_MUDHOLKAR] = _batch_lm_z(x)
     return out
+
+
+def _tail_statistic(test, raw, z):
+    """What a null pool keeps and a simulated critical value cuts: W for
+    Shapiro-Wilk (a low W rejects), |z| for the others."""
+    return raw if test is TestName.SHAPIRO_WILK else np.abs(z)
+
+
+def _rejects(test, level, pool=None):
+    """The tail rule: a function of a test's kernel output (raw, z,
+    defined) marking the defined rows that reject at level.
+
+    With the test's null pool of _tail_statistic values the critical value
+    is simulated: Shapiro-Wilk rejects a W below the pool's level
+    quantile, the others a |z| above its 1 - level quantile. Without a
+    pool it is asymptotic: z > z_{1-level} for Shapiro-Wilk (one-tailed,
+    like its p-value), |z| > z_{1-level/2} for the others.
+    """
+    if test is TestName.SHAPIRO_WILK:
+        if pool is None:
+            crit = float(ndtri(1.0 - level))
+            return lambda raw, z, defined: (z > crit) & defined
+        crit = float(np.quantile(pool, level))
+        return lambda raw, z, defined: (raw < crit) & defined
+    if pool is None:
+        crit = float(ndtri(1.0 - level / 2.0))
+    else:
+        crit = float(np.quantile(pool, 1.0 - level))
+    return lambda raw, z, defined: (np.abs(z) > crit) & defined
 
 
 _null_cache: dict = {}
@@ -315,19 +346,12 @@ def _null_reference(n, seed, null_reps, tests, threads):
         hit = _null_cache.get(key)
     if hit is not None:
         return hit
-    su = su_params(n)
-
-    def work(span):
-        x = _draw_chunk(_NORMAL, n, seed, span, base=CALIBRATION_STREAM_BASE)
-        return _chunk_statistics(x, tests, su)
-
-    parts = _map_chunks(work, null_reps, n, threads)
-    pools = {}
-    for test in tests:
-        stat = np.concatenate([p[test][0] for p in parts])
-        defined = np.concatenate([p[test][1] for p in parts])
-        pools[test] = stat[defined]
-        pools[test].flags.writeable = False  # shared by every later lookup
+    pools = _null_statistics(
+        n, null_reps, seed, tests, threads, _tail_statistic,
+        CALIBRATION_STREAM_BASE,
+    )
+    for pool in pools.values():
+        pool.flags.writeable = False  # shared by every later lookup
     with _null_cache_lock:
         if any(k[1:] != key[1:] for k in _null_cache):
             _null_cache.clear()
@@ -358,7 +382,8 @@ def power_study(
     n, reps, seed = _check_common(n, reps, seed)
     level = _check_level(level)
     tests = _normalize_tests(tests)
-    if critical_values == "simulated":
+    simulated = critical_values == "simulated"
+    if simulated:
         null_reps = int(null_reps)
         if null_reps < 1:
             raise InvalidParamsError(
@@ -368,62 +393,32 @@ def power_study(
         raise SampleTooLargeError(
             f"Shapiro-Wilk requires n <= {SW_MAX_N}, got {n}"
         )
-    su = su_params(n)
-
-    if critical_values == "simulated":
-        pools = _null_reference(n, seed, null_reps, tests, threads)
-        crit = {}
-        for test in tests:
-            if test is TestName.SHAPIRO_WILK:
-                crit[test] = float(np.quantile(pools[test], level))
-            else:
-                crit[test] = float(np.quantile(pools[test], 1.0 - level))
-    elif critical_values == "asymptotic":
-        two_sided = float(ndtri(1.0 - level / 2.0))
-        crit = {}
-        for test in tests:
-            if test is TestName.SHAPIRO_WILK:
-                # one-tailed in W via its normal deviate: p < level
-                crit[test] = float(ndtri(1.0 - level))
-            else:
-                crit[test] = two_sided
-    else:
+    if not simulated and critical_values != "asymptotic":
         raise InvalidParamsError(
             f'critical_values must be "simulated" or "asymptotic", '
             f"got {critical_values!r}"
         )
+    su = su_params(n)
+    pools = _null_reference(n, seed, null_reps, tests, threads) if simulated else {}
+    rejects = {t: _rejects(t, level, pools.get(t)) for t in tests}
 
     def work(span):
         x = _draw_chunk(alternative, n, seed, span)
         stats = _chunk_statistics(x, tests, su)
-        rejects = {}
-        bad = {}
-        for test in tests:
-            stat, defined = stats[test]
-            if test is TestName.SHAPIRO_WILK:
-                if critical_values == "simulated":
-                    hit = stat < crit[test]
-                else:
-                    hit = _sw_z_from_w(stat, n) > crit[test]
-            else:
-                hit = stat > crit[test]
-            rejects[test] = int(np.count_nonzero(hit & defined))
-            bad[test] = int(np.count_nonzero(~defined))
-        return rejects, bad
+        return [
+            (np.count_nonzero(rejects[t](*stats[t])), np.count_nonzero(~stats[t][2]))
+            for t in tests
+        ]
 
-    totals = {t: 0 for t in tests}
-    undefined = {t: 0 for t in tests}
-    for rejects, bad in _map_chunks(work, reps, n, threads):
-        for t in tests:
-            totals[t] += rejects[t]
-            undefined[t] += bad[t]
+    # per test (rejections, undefined), summed over chunks, as Python ints
+    counts = np.sum(_map_chunks(work, reps, n, threads), axis=0).tolist()
     return PowerCell(
         alternative=alternative,
         n=n,
         reps=reps,
         level=level,
-        powers={t: totals[t] / reps for t in tests},
-        undefined_counts=undefined,
+        powers={t: c[0] / reps for t, c in zip(tests, counts)},
+        undefined_counts={t: c[1] for t, c in zip(tests, counts)},
     )
 
 
@@ -455,9 +450,10 @@ def null_histogram(
             raise InvalidParamsError(
                 f"value_range must be finite and increasing, got ({lo}, {hi})"
             )
-    values = _null_spms(n, reps, seed, threads)
-    if statistic is Statistic.SPMS_Z:
-        values = su_params(n).z(values)
+    keep_z = statistic is Statistic.SPMS_Z
+    values = _null_statistics(
+        n, reps, seed, _SPMS, threads, lambda t, raw, z: z if keep_z else raw
+    )[TestName.SPMS]
     if value_range is None:
         mean = float(values.mean())
         sd = float(values.std())
@@ -489,7 +485,9 @@ def moment_validation(
     n, reps, seed = _check_common(n, reps, seed)
     if reps < 2:
         raise InvalidParamsError(f"moment validation needs reps >= 2, got {reps}")
-    values = _null_spms(n, reps, seed, threads)
+    values = _null_statistics(
+        n, reps, seed, _SPMS, threads, lambda t, raw, z: raw
+    )[TestName.SPMS]
     lam2 = lambda2(n)
     bet2 = beta2_spms(n)
     mean = float(values.mean())

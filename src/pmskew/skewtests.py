@@ -6,18 +6,24 @@ tests are two-sided in z; Shapiro-Wilk is one-tailed (small W rejects) and
 its p-value is reported accordingly.
 
 Each test has a private batch kernel over an array of samples (one per
-row), used by the Monte Carlo harness, and a scalar entry point taking a
-Sample that is a one-row view of that kernel, so both compute identical
-values. The spms and sqrt(b1) kernels take the arrays returned by
+row), used by the Monte Carlo harness, and every kernel returns the same
+three row-wise arrays: (raw, z, defined), where raw is the test statistic,
+z its normal deviate and defined = isfinite(raw). An undefined row (a
+degenerate spms denominator or Lin-Mudholkar correlation, or moments that
+overflow near the float64 limits) has raw = NaN. The scalar entry points
+take a Sample and are one-row views of the kernels through one adapter,
+so both compute identical values and every test reports an undefined
+statistic the same way: defined=False with NaN fields, never an error and
+never a NaN result marked defined.
+
+The spms and sqrt(b1) kernels take the arrays returned by
 central_moment_arrays, so a chunk that needs both computes its moments
 once; the Lin-Mudholkar kernel takes rows already centred, so a chunk
 centres its samples once for the moments and for it. The scalar entry
 points share work the same way: a Sample keeps the centred row its
 validation computed and computes its moments once, on first use, and the
 spms, sqrt(b1) and Lin-Mudholkar tests read both from it. The kernels
-work in place on their own temporaries. A scalar test whose statistic
-comes out non-finite (the moments of data near the float64 limits can
-overflow) reports defined=False, never a NaN result marked defined.
+work in place on their own temporaries.
 """
 
 from __future__ import annotations
@@ -32,7 +38,6 @@ from scipy.special import ndtr, ndtri
 
 from . import su_transform
 from .errors import (
-    DegenerateCorrelationError,
     DegenerateDenominatorError,
     InvalidLevelError,
     SampleTooLargeError,
@@ -143,13 +148,7 @@ def spms_statistic(summary: MomentSummary) -> float:
     DegenerateDenominatorError
         If |5*b2 - 6*b1 - 9| is below the relative-scale guard.
     """
-    b1 = summary.sqrt_b1 * summary.sqrt_b1
-    den = 5.0 * summary.b2 - 6.0 * b1 - 9.0
-    if abs(den) <= _den_eps(b1, summary.b2):
-        raise DegenerateDenominatorError(
-            f"5*b2 - 6*b1 - 9 = {den:.3e} is numerically zero"
-        )
-    return summary.sqrt_b1 * (summary.b2 + 3.0) / (2.0 * den)
+    return population_pms(summary.sqrt_b1, summary.b2)
 
 
 def population_pms(sqrt_beta1: float, beta2: float) -> float:
@@ -222,24 +221,29 @@ def _two_sided_p(z):
     return 2.0 * ndtr(-np.abs(z))
 
 
-def _undefined(name: TestName) -> TestResult:
-    return TestResult(name, math.nan, math.nan, math.nan, False)
+def _one_row(name: TestName, kernel_out, p_value=_two_sided_p) -> TestResult:
+    """The TestResult of a kernel's (raw, z, defined) for a one-row batch."""
+    raw, z, defined = kernel_out
+    if not defined[0]:
+        return TestResult(name, math.nan, math.nan, math.nan, False)
+    z = float(z[0])
+    return TestResult(name, float(raw[0]), z, float(p_value(z)))
 
 
 # ---------------------------------------------------------------------------
 # spms test
 
 
-def _batch_spms(moments):
-    """Row-wise spms values and defined mask from central_moment_arrays."""
+def _batch_spms(moments, su):
+    """Row-wise (spms, z, defined) from central_moment_arrays, z through
+    the S_U transform su; a degenerate denominator gives spms = NaN."""
     _, _, _, sqrt_b1, b2 = moments
     b1 = sqrt_b1 * sqrt_b1
     den = 5.0 * b2 - 6.0 * b1 - 9.0
-    defined = np.abs(den) > _den_eps(b1, b2)
+    den[np.abs(den) <= _den_eps(b1, b2)] = np.nan
     with np.errstate(divide="ignore", invalid="ignore"):
-        values = sqrt_b1 * (b2 + 3.0) / (2.0 * den)
-    values = np.where(defined, values, np.nan)
-    return values, defined
+        raw = sqrt_b1 * (b2 + 3.0) / (2.0 * den)
+        return raw, su.z(raw), np.isfinite(raw)
 
 
 def spms_test(sample: Sample, series: str = "calibrated") -> TestResult:
@@ -251,12 +255,7 @@ def spms_test(sample: Sample, series: str = "calibrated") -> TestResult:
     """
     _require_n(sample, MIN_TEST_N)
     su = su_transform.su_params(sample.n, series=series)
-    values, _ = _batch_spms(sample._moment_arrays())
-    value = float(values[0])
-    if not math.isfinite(value):
-        return _undefined(TestName.SPMS)
-    z = su.z(value)
-    return TestResult(TestName.SPMS, value, z, float(_two_sided_p(z)))
+    return _one_row(TestName.SPMS, _batch_spms(sample._moment_arrays(), su))
 
 
 # ---------------------------------------------------------------------------
@@ -281,24 +280,21 @@ def _sqrt_b1_constants(n: int):
 
 
 def _batch_sqrt_b1_z(moments, n: int):
-    """Row-wise sqrt(b1) and z from central_moment_arrays at sample size n."""
+    """Row-wise (sqrt(b1), z, defined) from central_moment_arrays at
+    sample size n."""
     var, delta, alpha = _sqrt_b1_constants(n)
     _, _, _, sqrt_b1, _ = moments
     y = sqrt_b1 / math.sqrt(var)
     z = delta * np.arcsinh(y / alpha)
-    return sqrt_b1, z
+    return sqrt_b1, z, np.isfinite(sqrt_b1)
 
 
 def sqrt_b1_test(sample: Sample) -> TestResult:
     """Two-sided skewness test normalizing sqrt(b1) by its exact null
     moments through the same asinh-form transform as the spms test."""
     _require_n(sample, MIN_TEST_N)
-    raw, z = _batch_sqrt_b1_z(sample._moment_arrays(), sample.n)
-    raw = float(raw[0])
-    if not math.isfinite(raw):
-        return _undefined(TestName.SQRT_B1)
-    z = float(z[0])
-    return TestResult(TestName.SQRT_B1, raw, z, float(_two_sided_p(z)))
+    kernel_out = _batch_sqrt_b1_z(sample._moment_arrays(), sample.n)
+    return _one_row(TestName.SQRT_B1, kernel_out)
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +363,7 @@ def _sw_z_from_w(w, n: int):
 
 
 def _batch_sw(x: np.ndarray):
-    """Row-wise W statistics and z values for a (reps, n) array."""
+    """Row-wise (W, z, defined) for a (reps, n) array."""
     n = x.shape[1]
     c = _sw_coefficients(n)
     xs = np.sort(x, axis=1)
@@ -377,7 +373,7 @@ def _batch_sw(x: np.ndarray):
     xs -= xs.mean(axis=1, keepdims=True)
     w = (num * num) / np.einsum("ij,ij->i", xs, xs)
     np.clip(w, 0.0, 1.0, out=w)
-    return w, _sw_z_from_w(w, n)
+    return w, _sw_z_from_w(w, n), np.isfinite(w)
 
 
 def shapiro_wilk_test(sample: Sample) -> TestResult:
@@ -392,12 +388,8 @@ def shapiro_wilk_test(sample: Sample) -> TestResult:
             f"Shapiro-Wilk approximation requires n <= {SW_MAX_N}, got {sample.n}"
         )
     _require_n(sample, SW_MIN_N)
-    w, z = _batch_sw(sample.values[None, :])
-    w = float(w[0])
-    if not math.isfinite(w):
-        return _undefined(TestName.SHAPIRO_WILK)
-    z = float(z[0])
-    return TestResult(TestName.SHAPIRO_WILK, w, z, float(ndtr(-z)))
+    kernel_out = _batch_sw(sample.values[None, :])
+    return _one_row(TestName.SHAPIRO_WILK, kernel_out, lambda z: ndtr(-z))
 
 
 # ---------------------------------------------------------------------------
@@ -405,8 +397,10 @@ def shapiro_wilk_test(sample: Sample) -> TestResult:
 
 
 def _batch_lm_z(xc: np.ndarray):
-    """Row-wise Lin-Mudholkar r and z for a (reps, n) array whose rows are
-    already centred (x - x.mean(axis=1, keepdims=True)); xc is not changed.
+    """Row-wise Lin-Mudholkar (r, z, defined) for a (reps, n) array whose
+    rows are already centred (x - x.mean(axis=1, keepdims=True)); xc is
+    not changed. A row whose centred proxies are all zero (all proxies
+    equal) gets r = 0/0 = NaN.
 
     Correlates each observation with the cube root of the leave-one-out
     variance proxy sum(x_j^2, j != i) - (sum(x_j, j != i))^2/(n - 1).
@@ -426,33 +420,19 @@ def _batch_lm_z(xc: np.ndarray):
     sxx = np.einsum("ij,ij->i", xc, xc)
     syy = np.einsum("ij,ij->i", y, y)
     sxy = np.einsum("ij,ij->i", xc, y)
-    defined = syy > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         r = sxy / np.sqrt(sxx * syy)
-        r = np.clip(r, -1.0, 1.0)
-        z = np.arctanh(r) * math.sqrt(n / 3.0)
-    r = np.where(defined, r, np.nan)
-    z = np.where(defined, z, np.nan)
-    return r, z, defined
+        np.clip(r, -1.0, 1.0, out=r)
+        return r, np.arctanh(r) * math.sqrt(n / 3.0), np.isfinite(r)
 
 
 def lin_mudholkar_test(sample: Sample) -> TestResult:
     """Two-sided mean-variance correlation test for normality.
 
-    raw_statistic is the correlation r; z = arctanh(r)*sqrt(n/3).
-
-    Raises
-    ------
-    DegenerateCorrelationError
-        If the leave-one-out variance proxies are all equal.
+    raw_statistic is the correlation r; z = arctanh(r)*sqrt(n/3). If the
+    leave-one-out variance proxies are all equal, r is undefined and the
+    result has defined=False.
     """
     _require_n(sample, MIN_TEST_N)
-    r, z, defined = _batch_lm_z(sample._centred[None, :])
-    if not defined[0]:
-        raise DegenerateCorrelationError(
-            "leave-one-out variance proxies are all equal"
-        )
-    z = float(z[0])
-    return TestResult(
-        TestName.LIN_MUDHOLKAR, float(r[0]), z, float(_two_sided_p(z))
-    )
+    kernel_out = _batch_lm_z(sample._centred[None, :])
+    return _one_row(TestName.LIN_MUDHOLKAR, kernel_out)

@@ -108,24 +108,17 @@ POWER_PINS = {
 
 
 def _reject_vectors(alt, n, reps, level):
-    """Per-replication rejection indicators, mirroring power_study."""
+    """Per-replication rejection indicators through power_study's tail rule."""
     tests = mc.ALL_TESTS
     su = pmskew.su_params(n)
     pools = mc._null_reference(n, SEED, 100_000, tests, threads=1)
-    crit = {
-        t: float(
-            np.quantile(pools[t], level if t is TN.SHAPIRO_WILK else 1.0 - level)
-        )
-        for t in tests
-    }
+    rejects = {t: mc._rejects(t, level, pools[t]) for t in tests}
     cols = {t: [] for t in tests}
     for span in mc._spans(reps, n):
         x = mc._draw_chunk(alt, n, SEED, span)
         stats = mc._chunk_statistics(x, tests, su)
         for t in tests:
-            stat, defined = stats[t]
-            hit = (stat < crit[t]) if t is TN.SHAPIRO_WILK else (stat > crit[t])
-            cols[t].append(hit & defined)
+            cols[t].append(rejects[t](*stats[t]))
     return {t: np.concatenate(cols[t]) for t in tests}
 
 
@@ -250,13 +243,13 @@ def test_criterion_4_series_truncation():
 
 def test_criterion_5_transform_normality():
     reps, n = 100_000, 200
+    su = pmskew.su_params(n)
     chunks = []
     for span in mc._spans(reps, n):
         x = mc._draw_chunk(NORMAL, n, SEED, span)
-        values, defined = sk._batch_spms(central_moment_arrays(x))
-        chunks.append(values[defined])
-    values = np.concatenate(chunks)
-    z = pmskew.su_params(n).z(values)
+        _, z, defined = sk._batch_spms(central_moment_arrays(x), su)
+        chunks.append(z[defined])
+    z = np.concatenate(chunks)
     ks = float(sstats.kstest(z, "norm").statistic)
     edges = ndtri(np.linspace(0.0, 1.0, 61))
     counts, _ = np.histogram(z, bins=edges)

@@ -1,17 +1,18 @@
 """Golden digests of `pmskew` output.
 
 Each Monte Carlo invocation's CSV output is pinned by its SHA-256, at
-threads 1 and 2. The digests were recorded with fixed 4096-replication
-chunks; the reps are chosen so that most runs cross a chunk boundary
-under both that rule and the value-budget rule, so a change to how work
-is chunked, how rows are drawn, or how a kernel reduces them shows up as
-a changed digest.
+threads 1 and 2. The first six digests were recorded with fixed
+4096-replication chunks, the two test-subset power runs with the
+value-budget rule; the reps are chosen so that most runs cross a chunk
+boundary under both rules, so a change to how work is chunked, how rows
+are drawn, or how a kernel reduces them shows up as a changed digest.
 
 The scalar tests are pinned the same way: the exact bits of every
 TestResult over seeded samples from the null and the six power-study
-alternatives, and the `pmskew test` CSV output for one data file. The
-sizes cover both branches of the Shapiro-Wilk z approximation (n <= 11
-and n >= 12) and its upper limit, n = 5000.
+alternatives, and the `pmskew test` CSV output for two data files, one
+of them degenerate for the Lin-Mudholkar test. The sizes cover both
+branches of the Shapiro-Wilk z approximation (n <= 11 and n >= 12) and
+its upper limit, n = 5000.
 """
 
 import hashlib
@@ -60,6 +61,20 @@ GOLDEN = {
         ["moments", "--n", "40", "--reps", "5000", "--seed", "6"],
         "deac2822ea5f483d3de19129cc5ac01b13cb68ab1a3544c1add218a4e080d856",
     ),
+    # Shapiro-Wilk alone skips the centring; n=10 and n=30 take the two
+    # branches of its z approximation
+    "power_sw_asymptotic": (
+        ["power", "--alt", "gamma:2", "--n", "10,30", "--reps", "5000",
+         "--tests", "shapiro_wilk", "--critical-values", "asymptotic",
+         "--seed", "8"],
+        "9cc29d4d160ddf9e39dab0873cfdb77774793de2e3755b48fa24ed12119e9330",
+    ),
+    "power_sqrt_b1_lm_simulated": (
+        ["power", "--alt", "beta:2,1", "--n", "25", "--reps", "3000",
+         "--tests", "sqrt_b1,lin_mudholkar", "--null-reps", "6000",
+         "--seed", "9"],
+        "60796980bef04e80372cdc3366f42c55ddbac64fd6b43213daf327b1986fd761",
+    ),
 }
 
 
@@ -78,6 +93,10 @@ SCALAR_SPECS = (AlternativeSpec.parse("normal"),) + POWER_STUDY_ALTERNATIVES
 SCALAR_SIZES = (8, 11, 12, 20, 100, 1000, 5000)
 SCALAR_DIGEST = "138812e388a2ea3e9bacc910bdb1c2e0add367c2687054fafa79dd1137826d22"
 CLI_TEST_DIGEST = "f817ea3ffd66ba459b1fea4c194f612220946e834bd8d5f62f9a016d77f7b9c9"
+# [1, -1] * 4: the Lin-Mudholkar variance proxies are all equal
+CLI_DEGENERATE_DIGEST = (
+    "4b81274731621504b5a1d272da287cd3eae22e09e8d29d415d992fe15edcc04b"
+)
 
 
 def _result_line(result):
@@ -106,3 +125,11 @@ def test_cli_test_stdout_digest(tmp_path, capsys):
     assert main(["test", str(path)]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CLI_TEST_DIGEST
+
+
+def test_cli_test_degenerate_stdout_digest(tmp_path, capsys):
+    path = tmp_path / "degenerate8.txt"
+    path.write_text("".join(f"{v!r}\n" for v in [1.0, -1.0] * 4))
+    assert main(["test", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CLI_DEGENERATE_DIGEST

@@ -10,7 +10,6 @@ from scipy import stats
 
 import pmskew as pk
 from pmskew import (
-    DegenerateCorrelationError,
     DegenerateDenominatorError,
     InvalidLevelError,
     Sample,
@@ -26,6 +25,7 @@ from pmskew import (
     spms_statistic,
     spms_test,
     sqrt_b1_test,
+    su_params,
 )
 from pmskew import moments, skewtests
 from pmskew.moments import central_moment_arrays
@@ -231,11 +231,12 @@ class TestSpmsTest:
 
     def test_batch_matches_scalar(self):
         x = np.vstack([_seeded(60, seed=s, skew=0.2) for s in range(12)])
-        values, defined = _batch_spms(central_moment_arrays(x))
+        values, z, defined = _batch_spms(central_moment_arrays(x), su_params(60))
         assert defined.all()
         for i in range(12):
             r = spms_test(Sample(x[i]))
             assert values[i] == r.raw_statistic
+            assert z[i] == r.z_value
 
 
 class TestSqrtB1:
@@ -256,7 +257,8 @@ class TestSqrtB1:
 
     def test_batch_matches_scalar(self):
         x = np.vstack([_seeded(40, seed=s) for s in range(8)])
-        raw, z = _batch_sqrt_b1_z(central_moment_arrays(x), x.shape[1])
+        raw, z, defined = _batch_sqrt_b1_z(central_moment_arrays(x), x.shape[1])
+        assert defined.all()
         for i in range(8):
             r = sqrt_b1_test(Sample(x[i]))
             assert raw[i] == r.raw_statistic
@@ -302,7 +304,8 @@ class TestShapiroWilk:
 
     def test_batch_matches_scalar(self):
         x = np.vstack([_seeded(30, seed=s, skew=0.3) for s in range(8)])
-        w, z = _batch_sw(x)
+        w, z, defined = _batch_sw(x)
+        assert defined.all()
         for i in range(8):
             r = shapiro_wilk_test(Sample(x[i]))
             assert w[i] == r.raw_statistic
@@ -336,8 +339,13 @@ class TestLinMudholkar:
         assert r.p_value < 1e-4
 
     def test_degenerate_correlation(self):
-        with pytest.raises(DegenerateCorrelationError):
-            lin_mudholkar_test(Sample(np.array([1.0, -1.0] * 4)))
+        # equal leave-one-out proxies: r is undefined, reported, not raised
+        r = lin_mudholkar_test(Sample(np.array([1.0, -1.0] * 4)))
+        assert not r.defined
+        assert all(
+            math.isnan(v) for v in (r.raw_statistic, r.z_value, r.p_value)
+        )
+        assert not r.reject_at(0.05)
 
     def test_min_n(self):
         with pytest.raises(SampleTooSmallError):
@@ -363,11 +371,11 @@ class TestLinMudholkar:
             r = lin_mudholkar_test(Sample(shifted[i]))
             assert r.raw_statistic == pytest.approx(r_arr[i], rel=1e-8)
             assert r.z_value == pytest.approx(z_arr[i], rel=1e-8)
-        stat, defined = _chunk_statistics(shifted, (pk.TestName.LIN_MUDHOLKAR,), None)[
+        _, z, defined = _chunk_statistics(shifted, (pk.TestName.LIN_MUDHOLKAR,), None)[
             pk.TestName.LIN_MUDHOLKAR
         ]
         assert defined.all()
-        assert stat == pytest.approx(np.abs(z_arr), rel=1e-8)
+        assert z == pytest.approx(z_arr, rel=1e-8)
 
 
 class TestSampleSharing:
@@ -476,3 +484,58 @@ class TestCrossTestSanity:
             shapiro_wilk_test(s),
         ):
             assert result.p_value > 0.2, result.test_name
+
+
+class TestUndefinedConvention:
+    """Every kernel returns (raw, z, defined) with defined = isfinite(raw),
+    and the chunk pipeline and the scalar tests agree row by row."""
+
+    N = 8
+
+    def _mixed_chunk(self):
+        c = math.sqrt(5.0) - 2.0
+        rows = [
+            _seeded(self.N, seed=1, skew=0.5),
+            [1.0, -1.0, c, -c] * 2,  # b2 = 1.8: spms denominator is zero
+            _seeded(self.N, seed=2),
+            [1.0, -1.0] * 4,  # equal Lin-Mudholkar proxies
+            _seeded(self.N, seed=3, skew=1.0),
+        ]
+        return np.array(rows, dtype=float)
+
+    def test_every_kernel_marks_exactly_the_non_finite_rows(self):
+        x = self._mixed_chunk()
+        xc = x - x.mean(axis=1, keepdims=True)
+        m = central_moment_arrays(x)
+        outs = {
+            "spms": _batch_spms(m, su_params(self.N)),
+            "sqrt_b1": _batch_sqrt_b1_z(m, self.N),
+            "shapiro_wilk": _batch_sw(x),
+            "lin_mudholkar": _batch_lm_z(xc),
+        }
+        for name, (raw, z, defined) in outs.items():
+            assert raw.shape == z.shape == defined.shape == (len(x),), name
+            assert defined.dtype == bool, name
+            assert np.array_equal(defined, np.isfinite(raw)), name
+        assert outs["spms"][2].tolist() == [True, False, True, True, True]
+        assert outs["lin_mudholkar"][2].tolist() == [True, True, True, False, True]
+
+    def test_chunk_masks_match_scalar_results(self):
+        x = self._mixed_chunk()
+        tests = pk.ALL_TESTS
+        stats = _chunk_statistics(x.copy(), tests, su_params(self.N))
+        scalar = {
+            pk.TestName.SPMS: spms_test,
+            pk.TestName.SQRT_B1: sqrt_b1_test,
+            pk.TestName.SHAPIRO_WILK: shapiro_wilk_test,
+            pk.TestName.LIN_MUDHOLKAR: lin_mudholkar_test,
+        }
+        for test in tests:
+            raw, z, defined = stats[test]
+            for i, row in enumerate(x):
+                r = scalar[test](Sample(row))
+                assert defined[i] == r.defined, (test, i)
+                if r.defined:
+                    assert (raw[i], z[i]) == (r.raw_statistic, r.z_value)
+                else:
+                    assert math.isnan(raw[i]) and math.isnan(r.raw_statistic)
