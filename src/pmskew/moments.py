@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    InvalidParamsError,
     NonFiniteError,
     SampleTooSmallError,
     ZeroScaleError,
@@ -48,6 +49,8 @@ class Sample:
 
     Raises
     ------
+    InvalidParamsError
+        If values is not one-dimensional.
     SampleTooSmallError
         If fewer than 3 observations are supplied.
     NonFiniteError
@@ -63,7 +66,9 @@ class Sample:
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=np.float64)
         if arr.ndim != 1:
-            arr = arr.reshape(-1)
+            raise InvalidParamsError(
+                f"a sample is one-dimensional, got shape {arr.shape}"
+            )
         if arr.size < 3:
             raise SampleTooSmallError(
                 f"need at least 3 observations, got {arr.size}"

@@ -27,7 +27,8 @@ that are not defined are counted as undefined and never as rejections.
 
 One null pipeline, _null_statistics (draw normal rows, run the kernels,
 keep the defined rows), serves calibrate, null_histogram,
-moment_validation and the null pools of power_study.
+moment_validation and the null pools of power_study, and caches its runs,
+so these summaries of one (n, reps, seed) simulate the null once.
 
 Power experiments default to simulated critical values: each test's
 rejection threshold is the appropriate empirical quantile of the test
@@ -218,18 +219,41 @@ def _map_chunks(work, reps: int, n: int, threads: int) -> list:
         return list(pool.map(work, spans))
 
 
-def _null_statistics(n, reps, seed, tests, threads, keep, base=0):
-    """The null pipeline: keep(test, raw, z) of the defined rows among the
-    standard normal replications base..base+reps-1, per test, in order."""
+_null_cache: dict = {}
+_null_cache_lock = threading.Lock()
+
+
+def _null_statistics(n, reps, seed, tests, threads, base=0):
+    """The null pipeline: per test, read-only (raw, z) arrays of the
+    defined rows among the standard normal replications base..base+reps-1,
+    in order. Runs are cached under (n, reps, seed, tests, base); threads
+    changes no result. The cache holds one table, the runs of every n for
+    the latest (reps, seed, tests, base): a run for another configuration
+    drops it, so memory stays at one table's worth.
+    """
+    key = (n, reps, seed, tests, base)
+    with _null_cache_lock:
+        hit = _null_cache.get(key)
+    if hit is not None:
+        return hit
     su = su_params(n)
 
     def work(span):
         x = _draw_chunk(_NORMAL, n, seed, span, base)
         stats = _chunk_statistics(x, tests, su)
-        return {t: keep(t, raw, z)[ok] for t, (raw, z, ok) in stats.items()}
+        return {t: (raw[ok], z[ok]) for t, (raw, z, ok) in stats.items()}
 
     parts = _map_chunks(work, reps, n, threads)
-    return {t: np.concatenate([p[t] for p in parts]) for t in tests}
+    null = {}
+    for t in tests:
+        raw, z = (np.concatenate(col) for col in zip(*(p[t] for p in parts)))
+        raw.flags.writeable = z.flags.writeable = False  # shared by later hits
+        null[t] = raw, z
+    with _null_cache_lock:
+        if any(k[1:] != key[1:] for k in _null_cache):
+            _null_cache.clear()
+        _null_cache[key] = null
+    return null
 
 
 def calibrate(
@@ -250,8 +274,8 @@ def calibrate(
     levels = tuple(_check_level(l) for l in levels)
     if not levels:
         raise InvalidParamsError("levels must be nonempty")
-    null = _null_statistics(n, reps, seed, _SPMS, threads, _tail_statistic)
-    az = null[TestName.SPMS]  # |z| of the defined replications
+    _, z = _null_statistics(n, reps, seed, _SPMS, threads)[TestName.SPMS]
+    az = np.abs(z)  # |z| of the defined replications
     counts = [
         np.count_nonzero(az > t) for t in ndtri(1.0 - np.array(levels) / 2.0)
     ]
@@ -300,8 +324,8 @@ def _chunk_statistics(x, tests, su):
 
 
 def _tail_statistic(test, raw, z):
-    """What a null pool keeps and a simulated critical value cuts: W for
-    Shapiro-Wilk (a low W rejects), |z| for the others."""
+    """What a simulated critical value cuts: W for Shapiro-Wilk (a low W
+    rejects), |z| for the others."""
     return raw if test is TestName.SHAPIRO_WILK else np.abs(z)
 
 
@@ -328,35 +352,14 @@ def _rejects(test, level, pool=None):
     return lambda raw, z, defined: (np.abs(z) > crit) & defined
 
 
-_null_cache: dict = {}
-_null_cache_lock = threading.Lock()
-
-
 def _null_reference(n, seed, null_reps, tests, threads):
-    """Null statistic pools used for simulated critical values.
-
-    Pools are cached under (n, seed, null_reps, tests) and are read-only.
-    The cache holds one table: the pools of every n for the latest
-    (seed, null_reps, tests). Building a pool for another configuration
-    drops the previous table, so a power table's cells share their pools
-    across alternatives and memory stays at one table's worth.
-    """
-    key = (n, seed, null_reps, tests)
-    with _null_cache_lock:
-        hit = _null_cache.get(key)
-    if hit is not None:
-        return hit
-    pools = _null_statistics(
-        n, null_reps, seed, tests, threads, _tail_statistic,
-        CALIBRATION_STREAM_BASE,
+    """Null pools for simulated critical values: each test's
+    _tail_statistic over the cached null run of null_reps replications on
+    streams (seed, CALIBRATION_STREAM_BASE + j)."""
+    null = _null_statistics(
+        n, null_reps, seed, tests, threads, CALIBRATION_STREAM_BASE
     )
-    for pool in pools.values():
-        pool.flags.writeable = False  # shared by every later lookup
-    with _null_cache_lock:
-        if any(k[1:] != key[1:] for k in _null_cache):
-            _null_cache.clear()
-        _null_cache[key] = pools
-    return pools
+    return {t: _tail_statistic(t, *null[t]) for t in tests}
 
 
 def power_study(
@@ -450,10 +453,8 @@ def null_histogram(
             raise InvalidParamsError(
                 f"value_range must be finite and increasing, got ({lo}, {hi})"
             )
-    keep_z = statistic is Statistic.SPMS_Z
-    values = _null_statistics(
-        n, reps, seed, _SPMS, threads, lambda t, raw, z: z if keep_z else raw
-    )[TestName.SPMS]
+    raw, z = _null_statistics(n, reps, seed, _SPMS, threads)[TestName.SPMS]
+    values = z if statistic is Statistic.SPMS_Z else raw
     if value_range is None:
         mean = float(values.mean())
         sd = float(values.std())
@@ -485,9 +486,7 @@ def moment_validation(
     n, reps, seed = _check_common(n, reps, seed)
     if reps < 2:
         raise InvalidParamsError(f"moment validation needs reps >= 2, got {reps}")
-    values = _null_statistics(
-        n, reps, seed, _SPMS, threads, lambda t, raw, z: raw
-    )[TestName.SPMS]
+    values, _ = _null_statistics(n, reps, seed, _SPMS, threads)[TestName.SPMS]
     lam2 = lambda2(n)
     bet2 = beta2_spms(n)
     mean = float(values.mean())

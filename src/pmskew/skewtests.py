@@ -400,7 +400,8 @@ def _batch_lm_z(xc: np.ndarray):
     """Row-wise Lin-Mudholkar (r, z, defined) for a (reps, n) array whose
     rows are already centred (x - x.mean(axis=1, keepdims=True)); xc is
     not changed. A row whose centred proxies are all zero (all proxies
-    equal) gets r = 0/0 = NaN.
+    equal) gets r = 0/0 = NaN, and so does a row whose sxx * syy
+    overflows (scales near 1e100 and above).
 
     Correlates each observation with the cube root of the leave-one-out
     variance proxy sum(x_j^2, j != i) - (sum(x_j, j != i))^2/(n - 1).
@@ -420,8 +421,10 @@ def _batch_lm_z(xc: np.ndarray):
     sxx = np.einsum("ij,ij->i", xc, xc)
     syy = np.einsum("ij,ij->i", y, y)
     sxy = np.einsum("ij,ij->i", xc, y)
+    ss = sxx * syy
+    ss[np.isinf(ss)] = np.nan  # an overflowed product would read as r = 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        r = sxy / np.sqrt(sxx * syy)
+        r = sxy / np.sqrt(ss)
         np.clip(r, -1.0, 1.0, out=r)
         return r, np.arctanh(r) * math.sqrt(n / 3.0), np.isfinite(r)
 

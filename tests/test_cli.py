@@ -3,10 +3,12 @@
 import csv
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
 
+from pmskew import montecarlo
 from pmskew.cli import main
 from pmskew.montecarlo import _chunk_rows
 
@@ -120,13 +122,16 @@ class TestTestCommand:
         assert code == 0
         assert "# n=200" in out
 
-    def test_overflowing_statistics_are_undefined(self, capsys, tmp_path):
+    @pytest.fixture
+    def huge_file(self, tmp_path):
         rng = np.random.default_rng(3)
         path = tmp_path / "huge.txt"
         values = 1e200 * (1.0 + 1e-3 * rng.standard_normal(10))
         path.write_text("".join(f"{float(v)!r}\n" for v in values))
-        with np.errstate(over="ignore", invalid="ignore"):
-            code, out, _ = run(capsys, "test", str(path))
+        return str(path)
+
+    def test_overflowing_statistics_are_undefined(self, capsys, huge_file):
+        code, out, _ = run(capsys, "test", huge_file)
         assert code == 1
         _, header, rows = parse_csv(out)
         assert len(rows) == 4
@@ -134,6 +139,14 @@ class TestTestCommand:
             assert r["defined"] == "false", r["test"]
             assert r["raw_statistic"] == r["z_value"] == r["p_value"] == ""
             assert all(r[h] == "false" for h in header if h.startswith("reject_"))
+
+    def test_overflow_writes_no_numpy_warnings(self, capsys, huge_file):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run(capsys, "test", huge_file)
+        assert code == 1
+        assert [str(w.message) for w in caught] == []
+        assert err == "test: n=10, 4 tests\n"
 
     def test_missing_file_is_io_error(self, capsys):
         code, _, err = run(capsys, "test", "/no/such/file.txt")
@@ -302,8 +315,6 @@ class TestPowerCommand:
         assert "null_reps" in err
 
     def test_warm_cache_output_matches_cold(self, capsys):
-        from pmskew import montecarlo
-
         argv = ["power", "--n", "20,30", "--reps", "300", "--null-reps",
                 "900", "--seed", "8"]
         montecarlo._null_cache.clear()
@@ -487,7 +498,9 @@ class TestDeterminismAndOutput:
         out3 = tmp_path / "t3.csv"
         reps = _chunk_rows(15) + 100  # two chunks
         base = ["calibrate", "--n", "15", "--reps", str(reps), "--seed", "9"]
+        montecarlo._null_cache.clear()  # so each side simulates its own run
         assert main(base + ["--threads", "1", "--out", str(out1)]) == 0
+        montecarlo._null_cache.clear()
         assert main(base + ["--threads", "3", "--out", str(out3)]) == 0
         capsys.readouterr()
         assert out1.read_bytes() == out3.read_bytes()
@@ -496,7 +509,9 @@ class TestDeterminismAndOutput:
         out1 = tmp_path / "a.csv"
         out2 = tmp_path / "b.csv"
         base = ["hist", "--n", "12", "--reps", "900", "--seed", "5"]
+        montecarlo._null_cache.clear()  # so each side simulates its own run
         assert main(base + ["--threads", "1", "--out", str(out1)]) == 0
+        montecarlo._null_cache.clear()
         monkeypatch.setenv("PMSKEW_THREADS", "2")
         assert main(base + ["--out", str(out2)]) == 0
         capsys.readouterr()

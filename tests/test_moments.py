@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from pmskew import (
+    InvalidParamsError,
     NonFiniteError,
     Sample,
     SampleTooSmallError,
@@ -31,9 +32,10 @@ class TestSample:
         with pytest.raises(ValueError):
             s.values[0] = 0.0
 
-    def test_accepts_lists_and_2d_input(self):
+    def test_accepts_lists_and_rejects_2d_input(self):
         assert Sample([1.0, 2.0, 3.0]).n == 3
-        assert Sample(np.arange(6.0).reshape(2, 3)).n == 6
+        with pytest.raises(InvalidParamsError, match="one-dimensional"):
+            Sample(np.arange(6.0).reshape(2, 3))
 
     def test_too_small(self):
         with pytest.raises(SampleTooSmallError):

@@ -75,7 +75,9 @@ class TestCalibrate:
     def test_thread_count_invariance_across_chunk_boundary(self):
         reps = 2 * _chunk_rows(12) + 7
         assert len(_spans(reps, 12)) == 3
+        montecarlo._null_cache.clear()  # so each side simulates its own run
         r1 = calibrate(12, reps, [0.05, 0.1], 3, threads=1)
+        montecarlo._null_cache.clear()
         r3 = calibrate(12, reps, [0.05, 0.1], 3, threads=3)
         assert r1 == r3
 
@@ -182,7 +184,9 @@ class TestPowerStudy:
     def test_thread_count_invariance(self):
         alt = AlternativeSpec.parse("lognormal:0,0.5")
         kw = dict(seed=4, null_reps=1000)
+        montecarlo._null_cache.clear()  # so each side builds its own pools
         c1 = power_study(alt, 20, 4200, 0.05, threads=1, **kw)
+        montecarlo._null_cache.clear()
         c3 = power_study(alt, 20, 4200, 0.05, threads=3, **kw)
         assert c1.powers == c3.powers
         assert c1.undefined_counts == c3.undefined_counts
@@ -253,7 +257,9 @@ class TestNullHistogram:
         reps = _chunk_rows(15) + 100
         assert len(_spans(reps, 15)) == 2
         kw = dict(statistic="z", n=15, reps=reps, bins=9, seed=2)
+        montecarlo._null_cache.clear()  # so each side simulates its own run
         h1 = null_histogram(threads=1, **kw)
+        montecarlo._null_cache.clear()
         h3 = null_histogram(threads=3, **kw)
         assert np.array_equal(h1.counts, h3.counts)
         assert np.array_equal(h1.bin_edges, h3.bin_edges)
@@ -309,7 +315,9 @@ class TestMomentValidation:
     def test_thread_count_invariance(self):
         reps = _chunk_rows(10) + 100
         assert len(_spans(reps, 10)) == 2
+        montecarlo._null_cache.clear()  # so each side simulates its own run
         m1 = moment_validation(10, reps, 5, threads=1)
+        montecarlo._null_cache.clear()
         m3 = moment_validation(10, reps, 5, threads=3)
         assert m1 == m3
 
@@ -435,14 +443,14 @@ class TestNullReferenceCache:
         assert cell.level == 0.01
 
     def test_table_builds_each_pool_once(self, monkeypatch):
-        log = []  # (n, pools) of every lookup
-        orig = montecarlo._null_reference
+        log = []  # (n, null run) of every lookup
+        orig = montecarlo._null_statistics
 
         def recording(n, *args):
             log.append((n, orig(n, *args)))
             return log[-1][1]
 
-        monkeypatch.setattr(montecarlo, "_null_reference", recording)
+        monkeypatch.setattr(montecarlo, "_null_statistics", recording)
         montecarlo._null_cache.clear()
         kw = dict(seed=22, null_reps=600)
         for alt in ("gamma:2", "beta:2,1"):
@@ -469,18 +477,27 @@ class TestNullReferenceCache:
         assert len(montecarlo._null_cache) == 1
         (key,) = montecarlo._null_cache
         assert key[0] == 20
-        assert key[1:] != (23, 600, (TN.SPMS,))
+        assert key[1:] != (600, 23, (TN.SPMS,), CALIBRATION_STREAM_BASE)
 
-    def test_cached_pools_are_read_only(self):
+    @pytest.mark.parametrize(
+        "run, tests",
+        [
+            (lambda: power_study(AlternativeSpec.parse("gamma:3"), 20, 50,
+                                 0.05, seed=25, null_reps=600), set(TN)),
+            (lambda: calibrate(20, 600, [0.05], 25), {TN.SPMS}),
+        ],
+        ids=["power", "calibrate"],
+    )
+    def test_cached_pools_are_read_only(self, run, tests):
         montecarlo._null_cache.clear()
-        power_study(AlternativeSpec.parse("gamma:3"), 20, 50, 0.05, seed=25,
-                    null_reps=600)
-        (pools,) = montecarlo._null_cache.values()
-        assert set(pools) == set(TN)
-        for pool in pools.values():
-            assert not pool.flags.writeable
-            with pytest.raises(ValueError):
-                pool[0] = 0.0
+        run()
+        (null,) = montecarlo._null_cache.values()
+        assert set(null) == tests
+        for raw, z in null.values():
+            for pool in (raw, z):
+                assert not pool.flags.writeable
+                with pytest.raises(ValueError):
+                    pool[0] = 0.0
 
     def test_warm_results_equal_cold(self):
         alt = AlternativeSpec.parse("lognormal:0,0.5")
@@ -500,6 +517,77 @@ class TestNullReferenceCache:
         cell = power_study(alt, 20, 10, 0.05, null_reps=null_reps,
                            critical_values="asymptotic")
         assert cell.reps == 10
+
+
+class TestSharedNullRun:
+    """calibrate, null_histogram and moment_validation at one (n, reps,
+    seed) read one cached null run."""
+
+    SUMMARIES = {
+        "calibrate": lambda t: calibrate(20, 700, [0.05, 0.2], 33, threads=t),
+        "hist_z": lambda t: null_histogram("z", 20, 700, 9, 33, threads=t),
+        "hist_spms": lambda t: null_histogram("spms", 20, 700, 9, 33, threads=t),
+        "moments": lambda t: moment_validation(20, 700, 33, threads=t),
+    }
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        """(n, seed, base) of every chunk drawn, from a fresh cache on."""
+        monkeypatch.setattr(montecarlo, "_null_cache", {})
+        calls = []
+
+        def recording(spec, n, seed, span, base=0):
+            calls.append((n, seed, base))
+            return _draw_chunk(spec, n, seed, span, base)
+
+        monkeypatch.setattr(montecarlo, "_draw_chunk", recording)
+        return calls
+
+    @pytest.mark.parametrize("name", ["hist_z", "hist_spms", "moments"])
+    def test_summary_after_calibrate_draws_nothing(self, name, draws):
+        self.SUMMARIES["calibrate"](1)
+        assert draws
+        draws.clear()
+        self.SUMMARIES[name](1)
+        assert draws == []
+
+    @pytest.mark.parametrize("name", sorted(SUMMARIES))
+    def test_warm_results_equal_cold(self, name, draws):
+        cold = TestChunkRule._fields(self.SUMMARIES[name](1))
+        montecarlo._null_cache.clear()
+        # built by another summary, at another thread count
+        other = "moments" if name == "calibrate" else "calibrate"
+        self.SUMMARIES[other](2)
+        draws.clear()
+        warm = TestChunkRule._fields(self.SUMMARIES[name](1))
+        assert draws == []
+        assert warm == cold
+
+    @pytest.mark.parametrize(
+        "run, rebuilt",
+        [
+            (lambda: moment_validation(20, 800, 33), (20, 33, 0)),
+            (lambda: null_histogram("z", 20, 700, 9, 34), (20, 34, 0)),
+            (
+                lambda: power_study(
+                    AlternativeSpec.parse("gamma:2"), 20, 50, 0.05,
+                    tests=("spms",), seed=33, null_reps=700,
+                ),
+                (20, 33, CALIBRATION_STREAM_BASE),
+            ),
+        ],
+        ids=["reps", "seed", "base"],
+    )
+    def test_another_run_is_rebuilt_and_drops_the_table(self, run, rebuilt, draws):
+        for n in (20, 30):
+            calibrate(n, 700, [0.05], 33)
+        assert len(montecarlo._null_cache) == 2
+        draws.clear()
+        run()
+        assert rebuilt in draws
+        (key,) = montecarlo._null_cache
+        assert key[0] == 20
+        assert key[1:] != (700, 33, (TN.SPMS,), 0)
 
 
 class TestResultScalarTypes:

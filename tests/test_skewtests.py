@@ -347,6 +347,16 @@ class TestLinMudholkar:
         )
         assert not r.reject_at(0.05)
 
+    @pytest.mark.parametrize("scale", [1e100, 1e120, 1e150])
+    def test_overflowing_correlation_is_undefined(self, scale):
+        # sxx * syy overflows to inf, which would read as r = 0
+        x = _seeded(50, seed=9) * scale
+        with np.errstate(over="ignore"):
+            r = lin_mudholkar_test(Sample(x))
+        assert not r.defined
+        assert math.isnan(r.raw_statistic)
+        assert not r.reject_at(0.05)
+
     def test_min_n(self):
         with pytest.raises(SampleTooSmallError):
             lin_mudholkar_test(Sample([1.0, 2.0, 4.0, 5.0]))
