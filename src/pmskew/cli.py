@@ -13,6 +13,7 @@ invocation or configuration, 3 I/O failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -181,7 +182,7 @@ def _read_sample(path: str, col: int | None) -> Sample:
             token = line.strip()
         else:
             fields = line.split(",")
-            if col < 1 or col > len(fields):
+            if col > len(fields):
                 raise ParseError(
                     f"line {lineno}: no column {col} (found {len(fields)})",
                     line=lineno,
@@ -200,6 +201,8 @@ def _read_sample(path: str, col: int | None) -> Sample:
 # tests as undefined, so numpy's warnings would only add noise
 @np.errstate(over="ignore", invalid="ignore")
 def cmd_test(args) -> int:
+    if args.col is not None and args.col < 1:
+        raise InvalidConfigError(f"--col must be >= 1, got {args.col}")
     sample = _read_sample(args.input, args.col)
     rows = []
     failures = []
@@ -360,6 +363,8 @@ def _add_common(sub, *, seed=True):
     )
 
 
+# built once per process: parse_args fills a fresh namespace on every call
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pmskew",

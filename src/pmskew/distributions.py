@@ -16,6 +16,10 @@ SeededStream(seed, stream_id).generator(), without the cost of building
 one; the Monte Carlo harness uses this to draw a whole chunk of
 replications with one generator.
 
+row_filler looks the family up once and writes rows: normal and gamma in
+place, beta, Weibull and lognormal through one copy, as numpy has no out=
+for them. draw_values is the same filler on one new row.
+
 Sampling methods are numpy Generator implementations (ziggurat normals,
 Marsaglia-Tsang gamma, inversion Weibull, exp-of-normal lognormal,
 gamma-ratio beta); population moments below are exact closed forms.
@@ -38,6 +42,7 @@ __all__ = [
     "SeededStream",
     "sample",
     "draw_values",
+    "row_filler",
     "population_moments",
     "POWER_STUDY_ALTERNATIVES",
 ]
@@ -182,22 +187,32 @@ def stream_rekeyer(rng: np.random.Generator):
     return set_stream
 
 
+def row_filler(spec: AlternativeSpec, rng: np.random.Generator):
+    """Return fill(out), which fills the contiguous float64 array out with
+    variates of spec from rng, in C order. gamma(shape, 1.0) is 1.0 *
+    standard_gamma(shape), the same bytes; lognormal and Weibull are not
+    exp or power of other variates, as those ufuncs are not bit-equal to
+    the libm calls inside numpy's samplers."""
+    family, params = spec.family, spec.params
+    if family is Family.NORMAL:
+        return lambda out: rng.standard_normal(out=out)
+    if family is Family.GAMMA:
+        return lambda out: rng.standard_gamma(params[0], out=out)
+    draw = getattr(rng, family.value)  # rng.beta, rng.weibull, rng.lognormal
+
+    def fill(out):
+        out[...] = draw(*params, out.shape)
+
+    return fill
+
+
 def draw_values(spec: AlternativeSpec, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n variates from spec using the given generator."""
     if n < 1:
         raise InvalidParamsError(f"n must be positive, got {n}")
-    family = spec.family
-    if family is Family.NORMAL:
-        return rng.standard_normal(n)
-    if family is Family.BETA:
-        return rng.beta(spec.params[0], spec.params[1], n)
-    if family is Family.GAMMA:
-        return rng.gamma(spec.params[0], 1.0, n)
-    if family is Family.WEIBULL:
-        return rng.weibull(spec.params[0], n)
-    if family is Family.LOGNORMAL:
-        return rng.lognormal(spec.params[0], spec.params[1], n)
-    raise InvalidParamsError(f"unhandled family {family!r}")
+    out = np.empty(n)
+    row_filler(spec, rng)(out)
+    return out
 
 
 def sample(spec: AlternativeSpec, n: int, stream: SeededStream) -> Sample:

@@ -18,12 +18,15 @@ Each chunk builds one Philox generator and, before each replication r,
 re-keys it to (seed, r) with counter 0 (distributions.stream_rekeyer).
 That is the state a generator built for stream (seed, r) starts in, so the
 variates, and every output byte, are those of one generator per
-replication, without the cost of building one per replication. A chunk's
-generator is never shared with another thread. The chunk is then centred
+replication, without the cost of building one per replication; one
+distributions.row_filler per chunk writes each replication straight into
+its chunk row. A chunk's generator is never shared with another thread,
+and a job of one chunk runs on the calling thread. The chunk is then centred
 in place once, and that one block feeds the central moments and the
 Lin-Mudholkar kernel. Every test's kernel gives each chunk the same three
-row-wise arrays, (raw, z, defined) with defined = isfinite(raw); rows
-that are not defined are counted as undefined and never as rejections.
+row-wise arrays, (raw, z, defined) (see skewtests for when a row is
+defined); rows that are not defined are counted as undefined and never as
+rejections.
 
 One null pipeline, _null_statistics (draw normal rows, run the kernels,
 keep the defined rows), serves calibrate, null_histogram,
@@ -56,7 +59,8 @@ from .distributions import (
     Family,
     SeededStream,
     check_u64,
-    draw_values,
+    draw_values,  # no longer called here; bench/tracing.py wraps this name
+    row_filler,
     stream_rekeyer,
 )
 from .errors import (
@@ -204,18 +208,19 @@ def _draw_chunk(spec, n, seed, span, base=0):
     start, stop = span
     rng = SeededStream(seed, base + start).generator()
     set_stream = stream_rekeyer(rng)
+    fill = row_filler(spec, rng)
     x = np.empty((stop - start, n))
-    for j, r in enumerate(range(base + start, base + stop)):
+    for r, row in zip(range(base + start, base + stop), x):
         set_stream(r)
-        x[j] = draw_values(spec, n, rng)
+        fill(row)
     return x
 
 
 def _map_chunks(work, reps: int, n: int, threads: int) -> list:
     spans = _spans(reps, n)
-    if threads <= 1:
+    if threads <= 1 or len(spans) == 1:
         return [work(s) for s in spans]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=min(threads, len(spans))) as pool:
         return list(pool.map(work, spans))
 
 

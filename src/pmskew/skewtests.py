@@ -10,11 +10,12 @@ row), used by the Monte Carlo harness, and every kernel returns the same
 three row-wise arrays: (raw, z, defined), where raw is the test statistic,
 z its normal deviate and defined = isfinite(raw). An undefined row (a
 degenerate spms denominator or Lin-Mudholkar correlation, or moments that
-overflow near the float64 limits) has raw = NaN. The scalar entry points
-take a Sample and are one-row views of the kernels through one adapter,
-so both compute identical values and every test reports an undefined
-statistic the same way: defined=False with NaN fields, never an error and
-never a NaN result marked defined.
+overflow near the float64 limits) has raw = NaN. Lin-Mudholkar alone uses
+defined = isfinite(z): its z = arctanh(r) is infinite at |r| = 1. The
+scalar entry points take a Sample and are one-row views of the kernels
+through one adapter, so both compute identical values and every test
+reports an undefined statistic the same way: defined=False with NaN
+fields, never an error and never a NaN result marked defined.
 
 The spms and sqrt(b1) kernels take the arrays returned by
 central_moment_arrays, so a chunk that needs both computes its moments
@@ -401,7 +402,7 @@ def _batch_lm_z(xc: np.ndarray):
     rows are already centred (x - x.mean(axis=1, keepdims=True)); xc is
     not changed. A row whose centred proxies are all zero (all proxies
     equal) gets r = 0/0 = NaN, and so does a row whose sxx * syy
-    overflows (scales near 1e100 and above).
+    overflows (scales near 1e100 and above). |r| = 1 gives z = +-inf.
 
     Correlates each observation with the cube root of the leave-one-out
     variance proxy sum(x_j^2, j != i) - (sum(x_j, j != i))^2/(n - 1).
@@ -426,7 +427,8 @@ def _batch_lm_z(xc: np.ndarray):
     with np.errstate(divide="ignore", invalid="ignore"):
         r = sxy / np.sqrt(ss)
         np.clip(r, -1.0, 1.0, out=r)
-        return r, np.arctanh(r) * math.sqrt(n / 3.0), np.isfinite(r)
+        z = np.arctanh(r) * math.sqrt(n / 3.0)
+        return r, z, np.isfinite(z)
 
 
 def lin_mudholkar_test(sample: Sample) -> TestResult:

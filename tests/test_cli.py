@@ -1,15 +1,20 @@
 """CLI surface: schemas, formats, exit codes, byte-level determinism."""
 
+import contextlib
 import csv
 import io
 import json
+import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pmskew import montecarlo
-from pmskew.cli import main
+from pmskew.cli import build_parser, main
 from pmskew.montecarlo import _chunk_rows
 
 
@@ -108,6 +113,23 @@ class TestTestCommand:
         assert code == 1
         assert "line 1" in err
 
+    @pytest.mark.parametrize("col", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "text", ["1.0,2.0\n3.0,4.0\n", "\n\n"], ids=["csv", "blank_lines"]
+    )
+    def test_column_below_1_is_config_error(self, capsys, tmp_path, col, text):
+        path = tmp_path / "two_col.csv"
+        path.write_text(text)
+        code, out, err = run(capsys, "test", str(path), "--col=" + col)
+        assert code == 2
+        assert out == ""
+        assert err == f"pmskew: error: --col must be >= 1, got {col}\n"
+
+    def test_column_checked_before_input_is_read(self, capsys):
+        code, _, err = run(capsys, "test", "/no/such/file.txt", "--col", "0")
+        assert code == 2
+        assert "--col" in err
+
     def test_too_small_sample(self, capsys, tmp_path):
         path = tmp_path / "tiny.txt"
         path.write_text("1\n2\n3\n")
@@ -116,7 +138,7 @@ class TestTestCommand:
         assert "n >= 8" in err
 
     def test_stdin(self, capsys, monkeypatch, normal_file):
-        data = open(normal_file).read()
+        data = Path(normal_file).read_text()
         monkeypatch.setattr("sys.stdin", io.StringIO(data))
         code, out, _ = run(capsys, "test", "-")
         assert code == 0
@@ -531,6 +553,26 @@ class TestDeterminismAndOutput:
         assert code == code_b == 0
         assert out_a == out_b
 
+    def test_back_to_back_calls_match_solo_calls(self, capsys, normal_file):
+        # the parser is built once per process: no call's options or
+        # defaults may reach a later call
+        argvs = [
+            ["test", normal_file, "--format", "json"],
+            ["test", normal_file],
+            ["hist", "--n", "12", "--reps", "300", "--range=-1,1", "--seed", "5"],
+            ["hist", "--n", "12", "--reps", "300", "--format", "json"],
+            ["hist", "--n", "12", "--reps", "300"],
+            ["calibrate", "--n", "12", "--reps", "300", "--levels", "0.1"],
+            ["calibrate", "--n", "12", "--reps", "300", "--format", "json"],
+        ]
+        solo = []
+        for argv in argvs:
+            build_parser.cache_clear()
+            solo.append(run(capsys, *argv))
+        assert [r[0] for r in solo] == [0] * len(argvs)
+        assert [run(capsys, *argv) for argv in argvs] == solo
+        assert build_parser() is build_parser()
+
     def test_unwritable_out_is_io_error(self, capsys):
         code, _, err = run(
             capsys,
@@ -559,3 +601,59 @@ class TestDeterminismAndOutput:
         for r in rows:
             for field in ("bin_left", "bin_right"):
                 assert format(float(r[field]), ".6g") == r[field]
+
+
+_AWKWARD = [math.nan, math.inf, -math.inf, 1e300, -1e300, 1e-300, -1e-300, 0.0]
+
+
+class TestTestCommandProperty:
+    """Over awkward data, `pmskew test` exits with a code in 0-3 and never
+    reports a non-finite number in a defined row."""
+
+    values = st.one_of(st.sampled_from(_AWKWARD), st.floats(-10.0, 10.0))
+    column = st.one_of(
+        st.lists(values, max_size=20),
+        st.builds(lambda v, k: [v] * k, values, st.integers(0, 20)),  # constant
+        st.builds(  # a genuine spread at an extreme scale
+            lambda xs, scale: [x * scale for x in xs],
+            st.lists(st.floats(-10.0, 10.0), min_size=8, max_size=30),
+            st.sampled_from([1.0, 1e-300, 1e-150, 1e150, 1e300]),
+        ),
+    )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        first=column,
+        second=column,
+        col=st.sampled_from([None, 1, 2]),
+        fmt=st.sampled_from(["csv", "json"]),
+    )
+    def test_exit_code_and_defined_rows(
+        self, tmp_path_factory, first, second, col, fmt
+    ):
+        if col is None:
+            text = "".join(f"{v!r}\n" for v in first)
+        else:
+            pad = max(len(first), len(second))
+            cells = [[repr(v) for v in c] + [""] * (pad - len(c))
+                     for c in (first, second)]
+            text = "".join(f"{a},{b}\n" for a, b in zip(*cells))
+        path = tmp_path_factory.getbasetemp() / "awkward.csv"
+        path.write_text(text)
+        argv = ["test", str(path), "--format", fmt]
+        if col is not None:
+            argv += ["--col", str(col)]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 1, 2, 3)
+        if not out.getvalue():
+            return
+        if fmt == "json":
+            rows = json.loads(out.getvalue())["rows"]
+        else:
+            rows = parse_csv(out.getvalue())[2]
+        for r in rows:
+            if r["defined"] in (True, "true"):
+                for field in ("raw_statistic", "z_value", "p_value"):
+                    assert math.isfinite(float(r[field])), (r["test"], field)

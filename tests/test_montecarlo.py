@@ -191,6 +191,34 @@ class TestPowerStudy:
         assert c1.powers == c3.powers
         assert c1.undefined_counts == c3.undefined_counts
 
+    def test_one_chunk_starts_no_thread_pool(self, monkeypatch):
+        # 1024 reps and a 500-rep null pool at n=20 are one chunk each
+        alt = AlternativeSpec.parse("gamma:2")
+        kw = dict(seed=4, null_reps=500)
+        assert len(_spans(1024, 20)) == len(_spans(500, 20)) == 1
+        monkeypatch.setattr(montecarlo, "_null_cache", {})
+        c1 = power_study(alt, 20, 1024, 0.05, threads=1, **kw)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was started for one chunk")
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(montecarlo, "_null_cache", {})
+        assert power_study(alt, 20, 1024, 0.05, threads=4, **kw) == c1
+
+    def test_at_most_one_worker_per_chunk(self, monkeypatch):
+        workers = []
+
+        class Recording(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(montecarlo, "_null_cache", {})
+        calibrate(20, 2 * _chunk_rows(20), [0.05], 3, threads=4)  # two chunks
+        assert workers == [2]
+
     def test_null_alternative_power_is_level(self):
         cell = power_study(NORMAL, 50, 3000, 0.1, seed=11, null_reps=20000)
         for t, p in cell.powers.items():
@@ -664,22 +692,40 @@ class TestStreamContract:
     stream (seed, base + start + j), byte for byte."""
 
     SEED = 2**64 - 1
+    # numpy's samplers called directly, one fresh generator per row: the
+    # oracle shares no code with the in-place row fill
+    SAMPLERS = {
+        Family.NORMAL: lambda g, p, n: g.standard_normal(n),
+        Family.BETA: lambda g, p, n: g.beta(p[0], p[1], n),
+        Family.GAMMA: lambda g, p, n: g.gamma(p[0], 1.0, n),
+        Family.WEIBULL: lambda g, p, n: g.weibull(p[0], n),
+        Family.LOGNORMAL: lambda g, p, n: g.lognormal(p[0], p[1], n),
+    }
+    # gamma:0.5 and gamma:1 take numpy's shape < 1 and shape == 1 branches
+    SPECS = (NORMAL,) + POWER_STUDY_ALTERNATIVES + tuple(
+        AlternativeSpec.parse(s) for s in ("gamma:0.5", "gamma:1")
+    )
 
-    @staticmethod
-    def _per_row(spec, n, seed, span, base):
+    @classmethod
+    def _per_row(cls, spec, n, seed, span, base):
+        draw = cls.SAMPLERS[spec.family]
         return np.vstack(
             [
-                draw_values(spec, n, SeededStream(seed, base + r).generator())
+                draw(SeededStream(seed, base + r).generator(), spec.params, n)
                 for r in range(*span)
             ]
         )
 
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.label)
+    def test_draw_values_equals_numpy_sampler(self, spec):
+        got = draw_values(spec, 50, SeededStream(self.SEED, 7).generator())
+        want = self._per_row(spec, 50, self.SEED, (7, 8), 0)
+        assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("base", [0, CALIBRATION_STREAM_BASE])
     @pytest.mark.parametrize("span", [(4096, 8192), (8192, 8197)])
-    @pytest.mark.parametrize("n", [8, 1000])
-    @pytest.mark.parametrize(
-        "spec", (NORMAL,) + POWER_STUDY_ALTERNATIVES, ids=lambda s: s.label
-    )
+    @pytest.mark.parametrize("n", [8, 20, 50, 1000])
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.label)
     def test_chunk_rows_equal_per_row_streams(self, spec, n, span, base):
         got = _draw_chunk(spec, n, self.SEED, span, base=base)
         want = self._per_row(spec, n, self.SEED, span, base)

@@ -338,9 +338,14 @@ class TestLinMudholkar:
         r = lin_mudholkar_test(Sample(x))
         assert r.p_value < 1e-4
 
-    def test_degenerate_correlation(self):
-        # equal leave-one-out proxies: r is undefined, reported, not raised
-        r = lin_mudholkar_test(Sample(np.array([1.0, -1.0] * 4)))
+    # equal leave-one-out proxies: r is undefined; two distinct values
+    # (seven zeros and a one): |r| = 1, where z = arctanh(r) is infinite;
+    # either is reported, not raised
+    @pytest.mark.parametrize(
+        "x", [[1.0, -1.0] * 4, [0.0] * 7 + [1.0]], ids=["equal", "two_valued"]
+    )
+    def test_degenerate_correlation(self, x):
+        r = lin_mudholkar_test(Sample(np.array(x)))
         assert not r.defined
         assert all(
             math.isnan(v) for v in (r.raw_statistic, r.z_value, r.p_value)
