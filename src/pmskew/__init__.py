@@ -21,7 +21,6 @@ from .distributions import (
     sample,
 )
 from .errors import (
-    DegenerateDenominatorError,
     InvalidConfigError,
     InvalidLevelError,
     InvalidParamsError,
@@ -30,10 +29,9 @@ from .errors import (
     PmskewError,
     SampleTooLargeError,
     SampleTooSmallError,
-    ZeroScaleError,
     ZeroVarianceError,
 )
-from .moments import MomentSummary, Sample, central_moments, shift_scale
+from .moments import MomentSummary, Sample, central_moments
 from .montecarlo import (
     ALL_TESTS,
     CalibrationRow,
@@ -66,7 +64,6 @@ from .su_transform import (
     lambda2,
     lambda4,
     su_params,
-    z_transform,
 )
 
 __version__ = "0.1.0"
@@ -77,7 +74,6 @@ __all__ = [
     "Sample",
     "MomentSummary",
     "central_moments",
-    "shift_scale",
     # statistic and tests
     "TestName",
     "TestResult",
@@ -96,7 +92,6 @@ __all__ = [
     "lambda4",
     "beta2_spms",
     "su_params",
-    "z_transform",
     # distributions
     "Family",
     "AlternativeSpec",
@@ -121,10 +116,8 @@ __all__ = [
     "PmskewError",
     "NonFiniteError",
     "ZeroVarianceError",
-    "ZeroScaleError",
     "SampleTooSmallError",
     "SampleTooLargeError",
-    "DegenerateDenominatorError",
     "InvalidParamsError",
     "InvalidLevelError",
     "InvalidConfigError",

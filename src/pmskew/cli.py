@@ -23,7 +23,6 @@ import numpy as np
 
 from .distributions import AlternativeSpec
 from .errors import (
-    DegenerateDenominatorError,
     InvalidConfigError,
     InvalidLevelError,
     InvalidParamsError,
@@ -61,7 +60,6 @@ _DATA_ERRORS = (
     ZeroVarianceError,
     SampleTooSmallError,
     SampleTooLargeError,
-    DegenerateDenominatorError,
 )
 _CONFIG_ERRORS = (InvalidConfigError, InvalidParamsError, InvalidLevelError)
 
@@ -172,7 +170,8 @@ def _read_sample(path: str, col: int | None) -> Sample:
     if path == "-":
         raw_lines = sys.stdin.read().splitlines()
     else:
-        with open(path, "r", encoding="utf-8") as fh:
+        # undecodable bytes fail as a ParseError naming their line, as on stdin
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
             raw_lines = fh.read().splitlines()
     values = []
     for lineno, line in enumerate(raw_lines, start=1):

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+An undefined statistic is not an error: it is NaN, with defined=False."""
 
 
 class PmskewError(Exception):
@@ -13,20 +15,12 @@ class ZeroVarianceError(PmskewError):
     """All sample values are equal; central moments are degenerate."""
 
 
-class ZeroScaleError(PmskewError):
-    """A scale factor of zero was supplied."""
-
-
 class SampleTooSmallError(PmskewError):
     """The sample has fewer observations than the operation requires."""
 
 
 class SampleTooLargeError(PmskewError):
     """The sample exceeds the validity range of the requested procedure."""
-
-
-class DegenerateDenominatorError(PmskewError):
-    """The denominator 5*b2 - 6*b1 - 9 is numerically zero."""
 
 
 class InvalidParamsError(PmskewError):

@@ -18,7 +18,6 @@ from .errors import (
     InvalidParamsError,
     NonFiniteError,
     SampleTooSmallError,
-    ZeroScaleError,
     ZeroVarianceError,
 )
 
@@ -27,7 +26,6 @@ __all__ = [
     "MomentSummary",
     "central_moments",
     "central_moment_arrays",
-    "shift_scale",
 ]
 
 
@@ -181,24 +179,3 @@ def centred_moment_arrays(d: np.ndarray):
         sqrt_b1 = m3 / m2**1.5
         b2 = m4 / (m2 * m2)
     return m2, m3, m4, sqrt_b1, b2
-
-
-def shift_scale(sample: Sample, a: float, b: float) -> Sample:
-    """Return the sample transformed to a + b*x elementwise.
-
-    Parameters
-    ----------
-    sample : Sample
-    a : float
-        Shift.
-    b : float
-        Scale; must be nonzero.
-
-    Raises
-    ------
-    ZeroScaleError
-        If b == 0.
-    """
-    if b == 0:
-        raise ZeroScaleError("scale factor b must be nonzero")
-    return Sample(a + b * sample.values)

@@ -78,7 +78,7 @@ from .skewtests import (
     _batch_sqrt_b1_z,
     _batch_sw,
 )
-from .su_transform import beta2_spms, lambda2, su_params
+from .su_transform import MIN_N, beta2_spms, lambda2, su_params
 
 __all__ = [
     "Statistic",
@@ -179,8 +179,8 @@ class MomentValidation:
 
 def _check_common(n: int, reps: int, seed) -> tuple[int, int, int]:
     n, reps = int(n), int(reps)
-    if n < 8:
-        raise SampleTooSmallError(f"experiments require n >= 8, got {n}")
+    if n < MIN_N:
+        raise SampleTooSmallError(f"experiments require n >= {MIN_N}, got {n}")
     if reps < 1:
         raise InvalidParamsError(f"reps must be positive, got {reps}")
     return n, reps, check_u64("seed", seed)

@@ -17,6 +17,9 @@ through one adapter, so both compute identical values and every test
 reports an undefined statistic the same way: defined=False with NaN
 fields, never an error and never a NaN result marked defined.
 
+The spms expression and its degenerate-denominator guard live in _spms
+alone, which the kernel and population_pms share.
+
 The spms and sqrt(b1) kernels take the arrays returned by
 central_moment_arrays, so a chunk that needs both computes its moments
 once; the Lin-Mudholkar kernel takes rows already centred, so a chunk
@@ -39,7 +42,6 @@ from scipy.special import ndtr, ndtri
 
 from . import su_transform
 from .errors import (
-    DegenerateDenominatorError,
     InvalidLevelError,
     SampleTooLargeError,
     SampleTooSmallError,
@@ -59,12 +61,9 @@ __all__ = [
     "sqrt_b1_test",
     "shapiro_wilk_test",
     "lin_mudholkar_test",
-    "SW_MIN_N",
     "SW_MAX_N",
 ]
 
-MIN_TEST_N = 8
-SW_MIN_N = 8
 SW_MAX_N = 5000
 
 
@@ -132,41 +131,31 @@ class SeriesState:
         )
 
 
-def _den_eps(b1, b2):
-    # relative-scale guard for the denominator 5*b2 - 6*b1 - 9
-    return 1e-12 * (1.0 + np.abs(5.0 * b2) + np.abs(6.0 * b1) + 9.0)
+def _spms(sqrt_b1, b2):
+    """sqrt(b1)*(b2 + 3) / (2*(5*b2 - 6*b1 - 9)) elementwise, b1 = sqrt_b1**2.
 
-
-def spms_statistic(summary: MomentSummary) -> float:
-    """Sample Pearson measure of skewness.
-
-    spms = sqrt(b1)*(b2 + 3) / (2*(5*b2 - 6*b1 - 9)) with b1 = sqrt_b1**2.
-    The denominator may legitimately be negative for small skewed samples;
-    the sign is reported as-is.
-
-    Raises
-    ------
-    DegenerateDenominatorError
-        If |5*b2 - 6*b1 - 9| is below the relative-scale guard.
+    NaN where |5*b2 - 6*b1 - 9| is below a relative-scale guard. The
+    denominator may legitimately be negative for small skewed samples;
+    the sign is kept as-is.
     """
-    return population_pms(summary.sqrt_b1, summary.b2)
+    b1 = sqrt_b1 * sqrt_b1
+    den = 5.0 * b2 - 6.0 * b1 - 9.0
+    eps = 1e-12 * (1.0 + np.abs(5.0 * b2) + np.abs(6.0 * b1) + 9.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        den = np.where(np.abs(den) <= eps, np.nan, den)
+        return sqrt_b1 * (b2 + 3.0) / (2.0 * den)
 
 
 def population_pms(sqrt_beta1: float, beta2: float) -> float:
-    """Population Pearson measure of skewness from sqrt(beta1) and beta2.
+    """Population Pearson measure of skewness from sqrt(beta1) and beta2;
+    NaN on a degenerate denominator 5*beta2 - 6*beta1 - 9."""
+    return float(_spms(sqrt_beta1, beta2))
 
-    Raises
-    ------
-    DegenerateDenominatorError
-        If |5*beta2 - 6*beta1 - 9| is below the relative-scale guard.
-    """
-    beta1 = sqrt_beta1 * sqrt_beta1
-    den = 5.0 * beta2 - 6.0 * beta1 - 9.0
-    if abs(den) <= _den_eps(beta1, beta2):
-        raise DegenerateDenominatorError(
-            f"5*beta2 - 6*beta1 - 9 = {den:.3e} is numerically zero"
-        )
-    return sqrt_beta1 * (beta2 + 3.0) / (2.0 * den)
+
+def spms_statistic(summary: MomentSummary) -> float:
+    """Sample Pearson measure of skewness: population_pms of the sample's
+    sqrt(b1) and b2."""
+    return population_pms(summary.sqrt_b1, summary.b2)
 
 
 # coefficients of the 1/sqrt(n) expansion of spms, by half-integer order
@@ -211,10 +200,10 @@ def spms_series(state: SeriesState) -> float:
     return o1 / rn + o2 / n + o3 / (n * rn) + o4 / (n * n)
 
 
-def _require_n(sample: Sample, min_n: int) -> None:
-    if sample.n < min_n:
+def _require_n(sample: Sample) -> None:
+    if sample.n < su_transform.MIN_N:
         raise SampleTooSmallError(
-            f"test requires n >= {min_n}, got {sample.n}"
+            f"test requires n >= {su_transform.MIN_N}, got {sample.n}"
         )
 
 
@@ -239,23 +228,19 @@ def _batch_spms(moments, su):
     """Row-wise (spms, z, defined) from central_moment_arrays, z through
     the S_U transform su; a degenerate denominator gives spms = NaN."""
     _, _, _, sqrt_b1, b2 = moments
-    b1 = sqrt_b1 * sqrt_b1
-    den = 5.0 * b2 - 6.0 * b1 - 9.0
-    den[np.abs(den) <= _den_eps(b1, b2)] = np.nan
-    with np.errstate(divide="ignore", invalid="ignore"):
-        raw = sqrt_b1 * (b2 + 3.0) / (2.0 * den)
-        return raw, su.z(raw), np.isfinite(raw)
+    raw = _spms(sqrt_b1, b2)
+    return raw, su.z(raw), np.isfinite(raw)
 
 
-def spms_test(sample: Sample, series: str = "calibrated") -> TestResult:
-    """Two-sided spms normality test via the S_U normalizing transform.
+def spms_test(sample: Sample) -> TestResult:
+    """Two-sided spms normality test via the calibrated S_U transform.
 
     A degenerate denominator or a non-finite statistic yields
     defined=False rather than an error so that replication harnesses can
     count such samples separately.
     """
-    _require_n(sample, MIN_TEST_N)
-    su = su_transform.su_params(sample.n, series=series)
+    _require_n(sample)
+    su = su_transform.su_params(sample.n)
     return _one_row(TestName.SPMS, _batch_spms(sample._moment_arrays(), su))
 
 
@@ -293,7 +278,7 @@ def _batch_sqrt_b1_z(moments, n: int):
 def sqrt_b1_test(sample: Sample) -> TestResult:
     """Two-sided skewness test normalizing sqrt(b1) by its exact null
     moments through the same asinh-form transform as the spms test."""
-    _require_n(sample, MIN_TEST_N)
+    _require_n(sample)
     kernel_out = _batch_sqrt_b1_z(sample._moment_arrays(), sample.n)
     return _one_row(TestName.SQRT_B1, kernel_out)
 
@@ -388,7 +373,7 @@ def shapiro_wilk_test(sample: Sample) -> TestResult:
         raise SampleTooLargeError(
             f"Shapiro-Wilk approximation requires n <= {SW_MAX_N}, got {sample.n}"
         )
-    _require_n(sample, SW_MIN_N)
+    _require_n(sample)
     kernel_out = _batch_sw(sample.values[None, :])
     return _one_row(TestName.SHAPIRO_WILK, kernel_out, lambda z: ndtr(-z))
 
@@ -438,6 +423,6 @@ def lin_mudholkar_test(sample: Sample) -> TestResult:
     leave-one-out variance proxies are all equal, r is undefined and the
     result has defined=False.
     """
-    _require_n(sample, MIN_TEST_N)
+    _require_n(sample)
     kernel_out = _batch_lm_z(sample._centred[None, :])
     return _one_row(TestName.LIN_MUDHOLKAR, kernel_out)

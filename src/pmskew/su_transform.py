@@ -48,9 +48,9 @@ __all__ = [
     "lambda4",
     "beta2_spms",
     "su_params",
-    "z_transform",
 ]
 
+# the smallest sample size the series, the tests and the experiments accept
 MIN_N = 8
 
 # Number of series terms (powers of 1/n) retained by the calibrated
@@ -208,11 +208,3 @@ def su_params(n: int, series: str = "calibrated") -> SuTransform:
     return SuTransform(
         n=n, lambda2=lam2, beta2_spms=bet2, W2=w2, delta=delta, alpha=alpha
     )
-
-
-def z_transform(spms_value, n: int, series: str = "calibrated"):
-    """Normalize an spms value (or array of values) at sample size n.
-
-    Equivalent to su_params(n, series).z(spms_value).
-    """
-    return su_params(n, series=series).z(spms_value)

@@ -23,10 +23,12 @@ from pmskew import (
     POWER_STUDY_ALTERNATIVES,
     AlternativeSpec,
     SeededStream,
+    central_moments,
     lin_mudholkar_test,
     montecarlo,
     sample,
     shapiro_wilk_test,
+    spms_statistic,
     spms_test,
     sqrt_b1_test,
 )
@@ -106,16 +108,28 @@ def _result_line(result):
     )
 
 
-def test_scalar_results_digest():
-    lines = []
+def _scalar_samples():
+    """(label, n, Sample) for every alternative and size, seeded."""
     for i, spec in enumerate(SCALAR_SPECS):
         for n in SCALAR_SIZES:
-            s = sample(spec, n, SeededStream(11, 1000 * i + n))
-            for test in (spms_test, sqrt_b1_test, shapiro_wilk_test,
-                         lin_mudholkar_test):
-                lines.append(f"{spec.label} {n} {_result_line(test(s))}")
+            yield spec.label, n, sample(spec, n, SeededStream(11, 1000 * i + n))
+
+
+def test_scalar_results_digest():
+    lines = []
+    for label, n, s in _scalar_samples():
+        for test in (spms_test, sqrt_b1_test, shapiro_wilk_test,
+                     lin_mudholkar_test):
+            lines.append(f"{label} {n} {_result_line(test(s))}")
     text = "\n".join(lines) + "\n"
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SCALAR_DIGEST
+
+
+def test_spms_statistic_is_the_test_statistic():
+    # one formula: the public statistic and the test's raw value share bits
+    for label, n, s in _scalar_samples():
+        value = spms_statistic(central_moments(s))
+        assert value.hex() == spms_test(s).raw_statistic.hex(), (label, n)
 
 
 def test_cli_test_stdout_digest(tmp_path, capsys):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pmskew import montecarlo
+from pmskew import errors, montecarlo
 from pmskew.cli import build_parser, main
 from pmskew.montecarlo import _chunk_rows
 
@@ -105,6 +105,15 @@ class TestTestCommand:
         assert code == 1
         assert "line 3" in err and "abc" in err
         assert out == ""
+
+    def test_non_utf8_file_is_parse_error(self, capsys, tmp_path):
+        # read as stdin is: the undecodable byte fails as its line's number
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"1\n2\n\xff\n")
+        code, out, err = run(capsys, "test", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == "pmskew: error: line 3: not a number: '\\udcff'\n"
 
     def test_missing_column_is_parse_error(self, capsys, tmp_path):
         path = tmp_path / "one_col.csv"
@@ -603,6 +612,29 @@ class TestDeterminismAndOutput:
                 assert format(float(r[field]), ".6g") == r[field]
 
 
+_ERROR_TYPES = sorted(
+    (c for c in vars(errors).values()
+     if isinstance(c, type) and issubclass(c, errors.PmskewError)
+     and c is not errors.PmskewError),
+    key=lambda c: c.__name__,
+)
+
+
+class TestErrorExitCodes:
+    @pytest.mark.parametrize("error", _ERROR_TYPES, ids=lambda c: c.__name__)
+    def test_every_error_type_exits_1_or_2(self, capsys, monkeypatch, error):
+        # the CLI exits only through 0-3: each error type the package can
+        # raise is a data error (1) or a configuration error (2)
+        def fail(*args, **kwargs):
+            raise error("boom")
+
+        monkeypatch.setattr("pmskew.cli.calibrate", fail)
+        code, out, err = run(capsys, "calibrate", "--n", "20")
+        assert code in (1, 2)
+        assert out == ""
+        assert err == "pmskew: error: boom\n"
+
+
 _AWKWARD = [math.nan, math.inf, -math.inf, 1e300, -1e300, 1e-300, -1e-300, 0.0]
 
 
@@ -621,15 +653,23 @@ class TestTestCommandProperty:
         ),
     )
 
+    # lines that are not valid UTF-8
+    raw_lines = st.lists(
+        st.sampled_from([b"\xff\n", b"1\xfe5\n", b"\xc3\x28,2\n", b"3,\x80\n"]),
+        max_size=2,
+    )
+
     @settings(max_examples=60, deadline=None)
     @given(
         first=column,
         second=column,
         col=st.sampled_from([None, 1, 2]),
         fmt=st.sampled_from(["csv", "json"]),
+        raw=raw_lines,
+        at=st.integers(0, 30),
     )
     def test_exit_code_and_defined_rows(
-        self, tmp_path_factory, first, second, col, fmt
+        self, tmp_path_factory, first, second, col, fmt, raw, at
     ):
         if col is None:
             text = "".join(f"{v!r}\n" for v in first)
@@ -638,8 +678,10 @@ class TestTestCommandProperty:
             cells = [[repr(v) for v in c] + [""] * (pad - len(c))
                      for c in (first, second)]
             text = "".join(f"{a},{b}\n" for a, b in zip(*cells))
+        lines = text.encode().splitlines(keepends=True)
+        lines[at:at] = raw
         path = tmp_path_factory.getbasetemp() / "awkward.csv"
-        path.write_text(text)
+        path.write_bytes(b"".join(lines))
         argv = ["test", str(path), "--format", fmt]
         if col is not None:
             argv += ["--col", str(col)]

@@ -13,10 +13,8 @@ from pmskew import (
     NonFiniteError,
     Sample,
     SampleTooSmallError,
-    ZeroScaleError,
     ZeroVarianceError,
     central_moments,
-    shift_scale,
 )
 from pmskew.moments import central_moment_arrays
 
@@ -120,18 +118,14 @@ class TestShiftScale:
     def test_moment_transformation(self):
         base = Sample([1.0, 2.0, 3.0, 4.0, 10.0])
         s0 = central_moments(base)
-        s1 = central_moments(shift_scale(base, 7.0, -2.5))
         b = -2.5
+        s1 = central_moments(Sample(7.0 + b * base.values))
         assert s1.mean == pytest.approx(7.0 + b * s0.mean, rel=1e-14)
         assert s1.m2 == pytest.approx(b**2 * s0.m2, rel=1e-13)
         assert s1.m3 == pytest.approx(b**3 * s0.m3, rel=1e-13)
         assert s1.m4 == pytest.approx(b**4 * s0.m4, rel=1e-13)
         assert s1.sqrt_b1 == pytest.approx(-s0.sqrt_b1, rel=1e-12)
         assert s1.b2 == pytest.approx(s0.b2, rel=1e-12)
-
-    def test_zero_scale_rejected(self):
-        with pytest.raises(ZeroScaleError):
-            shift_scale(Sample([1.0, 2.0, 3.0]), 0.0, 0.0)
 
 
 finite_samples = arrays(
@@ -156,7 +150,7 @@ class TestProperties:
     )
     def test_location_invariance(self, a, shift):
         s0 = central_moments(Sample(a))
-        s1 = central_moments(shift_scale(Sample(a), shift, 1.0))
+        s1 = central_moments(Sample(shift + a))
         scale = max(abs(s0.m2), 1.0)
         assert s1.m2 == pytest.approx(s0.m2, abs=1e-6 * scale)
 

@@ -12,7 +12,6 @@ from pmskew import (
     lambda2,
     lambda4,
     su_params,
-    z_transform,
 )
 from pmskew.su_transform import NULL_MOMENT_SERIES
 
@@ -152,7 +151,7 @@ class TestSuParams:
 
 class TestZTransform:
     def test_zero_maps_to_zero(self):
-        assert z_transform(0.0, 100) == 0.0
+        assert su_params(100).z(0.0) == 0.0
 
     def test_odd_and_monotone(self):
         su = su_params(150)
