@@ -165,14 +165,16 @@ def _read_sample(path: str, col: int | None) -> Sample:
     """Parse one number per line, or column `col` (1-based) of a CSV.
 
     Blank lines are ignored. Any other non-numeric content is a ParseError
-    naming the offending line; there is no header detection.
+    naming the offending line; there is no header detection. A file and
+    stdin are read alike, as UTF-8 bytes: a leading byte-order mark is
+    dropped, and an undecodable byte fails as its line's number.
     """
     if path == "-":
-        raw_lines = sys.stdin.read().splitlines()
+        data = sys.stdin.buffer.read()
     else:
-        # undecodable bytes fail as a ParseError naming their line, as on stdin
-        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-            raw_lines = fh.read().splitlines()
+        with open(path, "rb") as fh:
+            data = fh.read()
+    raw_lines = data.decode("utf-8-sig", "surrogateescape").splitlines()
     values = []
     for lineno, line in enumerate(raw_lines, start=1):
         if not line.strip():

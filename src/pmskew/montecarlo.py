@@ -30,8 +30,9 @@ rejections.
 
 One null pipeline, _null_statistics (draw normal rows, run the kernels,
 keep the defined rows), serves calibrate, null_histogram,
-moment_validation and the null pools of power_study, and caches its runs,
-so these summaries of one (n, reps, seed) simulate the null once.
+moment_validation and the null pools of power_study. Runs are kept by
+their own arguments, every n of the two latest configurations, so these
+summaries of one (n, reps, seed, threads) simulate the null once.
 
 Power experiments default to simulated critical values: each test's
 rejection threshold is the appropriate empirical quantile of the test
@@ -47,7 +48,7 @@ tail rule, _rejects.
 from __future__ import annotations
 
 import enum
-import threading
+import functools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -224,23 +225,21 @@ def _map_chunks(work, reps: int, n: int, threads: int) -> list:
         return list(pool.map(work, spans))
 
 
-_null_cache: dict = {}
-_null_cache_lock = threading.Lock()
+@functools.lru_cache(maxsize=2)
+def _null_runs(reps, seed, tests, threads, base):
+    """Every n's null run of one configuration, as _null_statistics adds it."""
+    return {}
 
 
 def _null_statistics(n, reps, seed, tests, threads, base=0):
     """The null pipeline: per test, read-only (raw, z) arrays of the
     defined rows among the standard normal replications base..base+reps-1,
-    in order. Runs are cached under (n, reps, seed, tests, base); threads
-    changes no result. The cache holds one table, the runs of every n for
-    the latest (reps, seed, tests, base): a run for another configuration
-    drops it, so memory stays at one table's worth.
+    in order. A run is kept under its own arguments, so a later call with
+    the same ones reads it and a call at another thread count runs its own.
     """
-    key = (n, reps, seed, tests, base)
-    with _null_cache_lock:
-        hit = _null_cache.get(key)
-    if hit is not None:
-        return hit
+    runs = _null_runs(reps, seed, tests, threads, base)
+    if n in runs:
+        return runs[n]
     su = su_params(n)
 
     def work(span):
@@ -254,10 +253,7 @@ def _null_statistics(n, reps, seed, tests, threads, base=0):
         raw, z = (np.concatenate(col) for col in zip(*(p[t] for p in parts)))
         raw.flags.writeable = z.flags.writeable = False  # shared by later hits
         null[t] = raw, z
-    with _null_cache_lock:
-        if any(k[1:] != key[1:] for k in _null_cache):
-            _null_cache.clear()
-        _null_cache[key] = null
+    runs[n] = null  # no lock: threads racing on one run build equal bytes
     return null
 
 
@@ -383,8 +379,8 @@ def power_study(
     Every requested test is applied to the same sample in each replication
     (common random numbers). critical_values="simulated" (default) rejects
     beyond empirical null quantiles at the same n, taken over null_reps
-    (>= 1) null replications that later calls with the same seed, null_reps
-    and tests reuse; "asymptotic" uses each test's nominal normal
+    (>= 1) null replications that later calls with the same seed, null_reps,
+    tests and threads reuse; "asymptotic" uses each test's nominal normal
     approximation directly and ignores null_reps.
     """
     n, reps, seed = _check_common(n, reps, seed)
@@ -482,7 +478,9 @@ def moment_validation(
     threads: int = 1,
 ) -> MomentValidation:
     """Empirical null mean/variance/third moment/kurtosis of spms versus
-    the asymptotic series values, with Monte Carlo standard errors.
+    the asymptotic series values, with Monte Carlo standard errors. The
+    series moments are formal (see su_transform): at finite n, spms has no
+    finite variance, so its empirical moments need not approach them.
 
     SEs use the normal approximation of the null distribution: se(mean) =
     sqrt(lambda2/reps), se(var) = lambda2*sqrt(2/reps), se(m3) =

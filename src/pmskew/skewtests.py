@@ -21,7 +21,7 @@ The spms expression and its degenerate-denominator guard live in _spms
 alone, which the kernel and population_pms share.
 
 The spms and sqrt(b1) kernels take the arrays returned by
-central_moment_arrays, so a chunk that needs both computes its moments
+centred_moment_arrays, so a chunk that needs both computes its moments
 once; the Lin-Mudholkar kernel takes rows already centred, so a chunk
 centres its samples once for the moments and for it. The scalar entry
 points share work the same way: a Sample keeps the centred row its
@@ -225,7 +225,7 @@ def _one_row(name: TestName, kernel_out, p_value=_two_sided_p) -> TestResult:
 
 
 def _batch_spms(moments, su):
-    """Row-wise (spms, z, defined) from central_moment_arrays, z through
+    """Row-wise (spms, z, defined) from centred_moment_arrays, z through
     the S_U transform su; a degenerate denominator gives spms = NaN."""
     _, _, _, sqrt_b1, b2 = moments
     raw = _spms(sqrt_b1, b2)
@@ -266,7 +266,7 @@ def _sqrt_b1_constants(n: int):
 
 
 def _batch_sqrt_b1_z(moments, n: int):
-    """Row-wise (sqrt(b1), z, defined) from central_moment_arrays at
+    """Row-wise (sqrt(b1), z, defined) from centred_moment_arrays at
     sample size n."""
     var, delta, alpha = _sqrt_b1_constants(n)
     _, _, _, sqrt_b1, _ = moments

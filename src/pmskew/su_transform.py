@@ -28,6 +28,12 @@ noise at every n and level, while the full-series transform under-rejects
 by up to 3x at n = 100. The transform therefore defaults to the truncated
 evaluation (series="calibrated"); series="full" uses every printed term.
 The standalone series evaluators default to all known terms.
+
+The series moments are formal: they are the moments of the expansion, not
+of spms at finite n. The spms denominator 5*b2 - 6*b1 - 9 crosses zero
+with positive probability at every finite n, so spms itself has no finite
+variance there. At n = 50, 10^5 null replications (seed 1) give an
+empirical variance of 3.92 against the series value 0.0724.
 """
 
 from __future__ import annotations

@@ -342,7 +342,7 @@ def test_criterion_7_thread_determinism(tmp_path):
     for i, args in enumerate(runs):
         blobs = []
         for threads in ("1", "3"):
-            mc._null_cache.clear()  # force the pools to be rebuilt per run
+            mc._null_runs.cache_clear()  # force the pools to be rebuilt per run
             out = tmp_path / f"run{i}-t{threads}.csv"
             code = cli.main(args + ["--seed", str(SEED), "--threads", threads,
                                     "--out", str(out)])

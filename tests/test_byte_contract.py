@@ -82,9 +82,10 @@ GOLDEN = {
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_stdout_digest(name, threads, capsys, monkeypatch):
-    # a fresh null-pool cache, so threads=2 builds its own pools
-    monkeypatch.setattr(montecarlo, "_null_cache", {})
+def test_stdout_digest(name, threads, capsys):
+    # an empty memo, so the run simulates its null rather than reading
+    # one an earlier test kept
+    montecarlo._null_runs.cache_clear()
     argv, digest = GOLDEN[name]
     assert main(argv + ["--threads", threads]) == 0
     out = capsys.readouterr().out

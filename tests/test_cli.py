@@ -33,6 +33,18 @@ def parse_csv(text):
     return comments, header, rows
 
 
+def _input_arg(data: bytes, source, tmp_path, monkeypatch):
+    """The `pmskew test` input argument that reads `data` from `source`:
+    a file, or a stdin that decodes strictly as UTF-8."""
+    if source == "stdin":
+        stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", stdin)
+        return "-"
+    path = tmp_path / "input.txt"
+    path.write_bytes(data)
+    return str(path)
+
+
 @pytest.fixture
 def normal_file(tmp_path):
     rng = np.random.Generator(np.random.Philox(key=np.array([42, 0], np.uint64)))
@@ -106,14 +118,29 @@ class TestTestCommand:
         assert "line 3" in err and "abc" in err
         assert out == ""
 
-    def test_non_utf8_file_is_parse_error(self, capsys, tmp_path):
-        # read as stdin is: the undecodable byte fails as its line's number
-        path = tmp_path / "latin1.txt"
-        path.write_bytes(b"1\n2\n\xff\n")
-        code, out, err = run(capsys, "test", str(path))
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_non_utf8_input_is_parse_error(
+        self, capsys, tmp_path, monkeypatch, source
+    ):
+        # the undecodable byte fails as its line's number, even where
+        # stdin itself decodes strictly
+        arg = _input_arg(b"1\n2\n\xff\n", source, tmp_path, monkeypatch)
+        code, out, err = run(capsys, "test", arg)
         assert code == 1
         assert out == ""
         assert err == "pmskew: error: line 3: not a number: '\\udcff'\n"
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_byte_order_mark_is_dropped(
+        self, capsys, tmp_path, monkeypatch, normal_file, source
+    ):
+        data = Path(normal_file).read_bytes()
+        code, plain, _ = run(capsys, "test", normal_file)
+        assert code == 0
+        arg = _input_arg(b"\xef\xbb\xbf" + data, source, tmp_path, monkeypatch)
+        code, out, _ = run(capsys, "test", arg)
+        assert code == 0
+        assert out == plain
 
     def test_missing_column_is_parse_error(self, capsys, tmp_path):
         path = tmp_path / "one_col.csv"
@@ -146,10 +173,11 @@ class TestTestCommand:
         assert code == 1
         assert "n >= 8" in err
 
-    def test_stdin(self, capsys, monkeypatch, normal_file):
-        data = Path(normal_file).read_text()
-        monkeypatch.setattr("sys.stdin", io.StringIO(data))
-        code, out, _ = run(capsys, "test", "-")
+    def test_stdin(self, capsys, monkeypatch, normal_file, tmp_path):
+        data = Path(normal_file).read_bytes()
+        code, out, _ = run(
+            capsys, "test", _input_arg(data, "stdin", tmp_path, monkeypatch)
+        )
         assert code == 0
         assert "# n=200" in out
 
@@ -348,14 +376,18 @@ class TestPowerCommand:
     def test_warm_cache_output_matches_cold(self, capsys):
         argv = ["power", "--n", "20,30", "--reps", "300", "--null-reps",
                 "900", "--seed", "8"]
-        montecarlo._null_cache.clear()
+        montecarlo._null_runs.cache_clear()
         code, cold, _ = run(capsys, *argv, "--alt", "gamma:2")
         assert code == 0
         code, _, _ = run(capsys, *argv, "--alt", "beta:3,2", "--threads", "2")
         assert code == 0
-        assert sorted(k[0] for k in montecarlo._null_cache) == [20, 30]
+        assert montecarlo._null_runs.cache_info().currsize == 2
         code, warm, _ = run(capsys, *argv, "--alt", "gamma:2")
         assert code == 0
+        runs = montecarlo._null_runs(
+            900, 8, montecarlo.ALL_TESTS, 1, montecarlo.CALIBRATION_STREAM_BASE
+        )
+        assert sorted(runs) == [20, 30]
         assert warm == cold
 
 
@@ -529,9 +561,7 @@ class TestDeterminismAndOutput:
         out3 = tmp_path / "t3.csv"
         reps = _chunk_rows(15) + 100  # two chunks
         base = ["calibrate", "--n", "15", "--reps", str(reps), "--seed", "9"]
-        montecarlo._null_cache.clear()  # so each side simulates its own run
         assert main(base + ["--threads", "1", "--out", str(out1)]) == 0
-        montecarlo._null_cache.clear()
         assert main(base + ["--threads", "3", "--out", str(out3)]) == 0
         capsys.readouterr()
         assert out1.read_bytes() == out3.read_bytes()
@@ -540,9 +570,7 @@ class TestDeterminismAndOutput:
         out1 = tmp_path / "a.csv"
         out2 = tmp_path / "b.csv"
         base = ["hist", "--n", "12", "--reps", "900", "--seed", "5"]
-        montecarlo._null_cache.clear()  # so each side simulates its own run
         assert main(base + ["--threads", "1", "--out", str(out1)]) == 0
-        montecarlo._null_cache.clear()
         monkeypatch.setenv("PMSKEW_THREADS", "2")
         assert main(base + ["--out", str(out2)]) == 0
         capsys.readouterr()

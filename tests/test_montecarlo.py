@@ -1,5 +1,6 @@
 """Replication engine: brute-force oracles, determinism, conservation."""
 
+import sys
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -34,6 +35,7 @@ from pmskew import (
 from pmskew import TestName as TN
 from pmskew import montecarlo
 from pmskew.montecarlo import (
+    ALL_TESTS,
     CALIBRATION_STREAM_BASE,
     _chunk_rows,
     _draw_chunk,
@@ -75,9 +77,7 @@ class TestCalibrate:
     def test_thread_count_invariance_across_chunk_boundary(self):
         reps = 2 * _chunk_rows(12) + 7
         assert len(_spans(reps, 12)) == 3
-        montecarlo._null_cache.clear()  # so each side simulates its own run
         r1 = calibrate(12, reps, [0.05, 0.1], 3, threads=1)
-        montecarlo._null_cache.clear()
         r3 = calibrate(12, reps, [0.05, 0.1], 3, threads=3)
         assert r1 == r3
 
@@ -184,9 +184,7 @@ class TestPowerStudy:
     def test_thread_count_invariance(self):
         alt = AlternativeSpec.parse("lognormal:0,0.5")
         kw = dict(seed=4, null_reps=1000)
-        montecarlo._null_cache.clear()  # so each side builds its own pools
         c1 = power_study(alt, 20, 4200, 0.05, threads=1, **kw)
-        montecarlo._null_cache.clear()
         c3 = power_study(alt, 20, 4200, 0.05, threads=3, **kw)
         assert c1.powers == c3.powers
         assert c1.undefined_counts == c3.undefined_counts
@@ -196,14 +194,12 @@ class TestPowerStudy:
         alt = AlternativeSpec.parse("gamma:2")
         kw = dict(seed=4, null_reps=500)
         assert len(_spans(1024, 20)) == len(_spans(500, 20)) == 1
-        monkeypatch.setattr(montecarlo, "_null_cache", {})
         c1 = power_study(alt, 20, 1024, 0.05, threads=1, **kw)
 
         def no_pool(*args, **kwargs):
             raise AssertionError("a thread pool was started for one chunk")
 
         monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", no_pool)
-        monkeypatch.setattr(montecarlo, "_null_cache", {})
         assert power_study(alt, 20, 1024, 0.05, threads=4, **kw) == c1
 
     def test_at_most_one_worker_per_chunk(self, monkeypatch):
@@ -215,7 +211,7 @@ class TestPowerStudy:
                 super().__init__(max_workers)
 
         monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Recording)
-        monkeypatch.setattr(montecarlo, "_null_cache", {})
+        montecarlo._null_runs.cache_clear()
         calibrate(20, 2 * _chunk_rows(20), [0.05], 3, threads=4)  # two chunks
         assert workers == [2]
 
@@ -285,9 +281,7 @@ class TestNullHistogram:
         reps = _chunk_rows(15) + 100
         assert len(_spans(reps, 15)) == 2
         kw = dict(statistic="z", n=15, reps=reps, bins=9, seed=2)
-        montecarlo._null_cache.clear()  # so each side simulates its own run
         h1 = null_histogram(threads=1, **kw)
-        montecarlo._null_cache.clear()
         h3 = null_histogram(threads=3, **kw)
         assert np.array_equal(h1.counts, h3.counts)
         assert np.array_equal(h1.bin_edges, h3.bin_edges)
@@ -343,9 +337,7 @@ class TestMomentValidation:
     def test_thread_count_invariance(self):
         reps = _chunk_rows(10) + 100
         assert len(_spans(reps, 10)) == 2
-        montecarlo._null_cache.clear()  # so each side simulates its own run
         m1 = moment_validation(10, reps, 5, threads=1)
-        montecarlo._null_cache.clear()
         m3 = moment_validation(10, reps, 5, threads=3)
         assert m1 == m3
 
@@ -437,9 +429,9 @@ class TestChunkRule:
     @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
     def test_budget_chunks_equal_fixed_chunks(self, name, threads, monkeypatch):
         run = self.EXPERIMENTS[name]
-        monkeypatch.setattr(montecarlo, "_null_cache", {})
+        montecarlo._null_runs.cache_clear()
         budget = self._fields(run(threads))
-        monkeypatch.setattr(montecarlo, "_null_cache", {})
+        montecarlo._null_runs.cache_clear()
         monkeypatch.setattr(montecarlo, "_chunk_rows", lambda n: 4096)
         fixed = self._fields(run(threads))
         assert budget == fixed
@@ -457,17 +449,35 @@ class TestChunkRule:
         assert peak < 16 * 2**20
 
 
+@pytest.fixture
+def draws(monkeypatch):
+    """(n, seed, base) of every chunk drawn, from an empty memo on."""
+    montecarlo._null_runs.cache_clear()
+    calls = []
+
+    def recording(spec, n, seed, span, base=0):
+        calls.append((n, seed, base))
+        return _draw_chunk(spec, n, seed, span, base)
+
+    monkeypatch.setattr(montecarlo, "_draw_chunk", recording)
+    return calls
+
+
+def _pool_draws(draws):
+    return [d for d in draws if d[2] == CALIBRATION_STREAM_BASE]
+
+
 class TestNullReferenceCache:
     def test_repeat_call_reuses_null_run(self):
-        from pmskew import montecarlo
-
         alt = AlternativeSpec.parse("gamma:2")
         kw = dict(seed=21, null_reps=1000)
         power_study(alt, 25, 100, 0.05, **kw)
-        key = list(montecarlo._null_cache)[0]
-        pools = montecarlo._null_cache[key]
+        runs = montecarlo._null_runs(
+            1000, 21, ALL_TESTS, 1, CALIBRATION_STREAM_BASE
+        )
+        pools = runs[25]
         cell = power_study(alt, 25, 100, 0.01, **kw)
-        assert montecarlo._null_cache[key] is pools
+        assert runs[25] is pools
         assert cell.level == 0.01
 
     def test_table_builds_each_pool_once(self, monkeypatch):
@@ -479,7 +489,7 @@ class TestNullReferenceCache:
             return log[-1][1]
 
         monkeypatch.setattr(montecarlo, "_null_statistics", recording)
-        montecarlo._null_cache.clear()
+        montecarlo._null_runs.cache_clear()
         kw = dict(seed=22, null_reps=600)
         for alt in ("gamma:2", "beta:2,1"):
             for n in (20, 50):
@@ -487,40 +497,53 @@ class TestNullReferenceCache:
         assert [n for n, _ in log] == [20, 50, 20, 50]
         assert log[2][1] is log[0][1]
         assert log[3][1] is log[1][1]
-        assert sorted(k[0] for k in montecarlo._null_cache) == [20, 50]
+        assert montecarlo._null_runs.cache_info().currsize == 1
 
     @pytest.mark.parametrize(
         "change",
-        [dict(seed=24), dict(null_reps=700), dict(tests=("spms", "sqrt_b1"))],
-        ids=["seed", "null_reps", "tests"],
+        [dict(seed=24), dict(null_reps=700), dict(tests=("spms", "sqrt_b1")),
+         dict(threads=2)],
+        ids=["seed", "null_reps", "tests", "threads"],
     )
-    def test_new_configuration_drops_previous_table(self, change):
-        montecarlo._null_cache.clear()
+    def test_two_latest_configurations_are_kept(self, change, draws):
         alt = AlternativeSpec.parse("weibull:2")
         kw = dict(seed=23, null_reps=600, tests=("spms",))
-        for n in (20, 50):
-            power_study(alt, n, 50, 0.05, **kw)
-        assert len(montecarlo._null_cache) == 2
-        power_study(alt, 20, 50, 0.05, **{**kw, **change})
-        assert len(montecarlo._null_cache) == 1
-        (key,) = montecarlo._null_cache
-        assert key[0] == 20
-        assert key[1:] != (600, 23, (TN.SPMS,), CALIBRATION_STREAM_BASE)
+
+        def table(**other):
+            for n in (20, 50):
+                power_study(alt, n, 50, 0.05, **{**kw, **other})
+
+        table()
+        table(**change)
+        assert len(_pool_draws(draws)) == 4
+        draws.clear()
+        table()
+        table(**change)
+        assert _pool_draws(draws) == []
+        # a third configuration drops the least recently used one
+        table(seed=99)
+        assert montecarlo._null_runs.cache_info().currsize == 2
+        draws.clear()
+        table(**change)
+        assert _pool_draws(draws) == []
+        table()
+        assert len(_pool_draws(draws)) == 2
 
     @pytest.mark.parametrize(
-        "run, tests",
+        "run, key",
         [
             (lambda: power_study(AlternativeSpec.parse("gamma:3"), 20, 50,
-                                 0.05, seed=25, null_reps=600), set(TN)),
-            (lambda: calibrate(20, 600, [0.05], 25), {TN.SPMS}),
+                                 0.05, seed=25, null_reps=600),
+             (600, 25, ALL_TESTS, 1, CALIBRATION_STREAM_BASE)),
+            (lambda: calibrate(20, 600, [0.05], 25), (600, 25, (TN.SPMS,), 1, 0)),
         ],
         ids=["power", "calibrate"],
     )
-    def test_cached_pools_are_read_only(self, run, tests):
-        montecarlo._null_cache.clear()
+    def test_cached_pools_are_read_only(self, run, key):
+        montecarlo._null_runs.cache_clear()
         run()
-        (null,) = montecarlo._null_cache.values()
-        assert set(null) == tests
+        (null,) = montecarlo._null_runs(*key).values()
+        assert tuple(null) == key[2]
         for raw, z in null.values():
             for pool in (raw, z):
                 assert not pool.flags.writeable
@@ -530,11 +553,12 @@ class TestNullReferenceCache:
     def test_warm_results_equal_cold(self):
         alt = AlternativeSpec.parse("lognormal:0,0.5")
         kw = dict(seed=26, null_reps=600, threads=2)
-        montecarlo._null_cache.clear()
+        montecarlo._null_runs.cache_clear()
         cold = power_study(alt, 20, 300, 0.05, **kw)
         power_study(AlternativeSpec.parse("beta:3,2"), 50, 300, 0.05, **kw)
         warm = power_study(alt, 20, 300, 0.05, **kw)
-        assert len(montecarlo._null_cache) == 2
+        runs = montecarlo._null_runs(600, 26, ALL_TESTS, 2, CALIBRATION_STREAM_BASE)
+        assert sorted(runs) == [20, 50]
         assert warm == cold
 
     @pytest.mark.parametrize("null_reps", [0, -5])
@@ -549,7 +573,7 @@ class TestNullReferenceCache:
 
 class TestSharedNullRun:
     """calibrate, null_histogram and moment_validation at one (n, reps,
-    seed) read one cached null run."""
+    seed, threads) read one kept null run."""
 
     SUMMARIES = {
         "calibrate": lambda t: calibrate(20, 700, [0.05, 0.2], 33, threads=t),
@@ -557,19 +581,6 @@ class TestSharedNullRun:
         "hist_spms": lambda t: null_histogram("spms", 20, 700, 9, 33, threads=t),
         "moments": lambda t: moment_validation(20, 700, 33, threads=t),
     }
-
-    @pytest.fixture
-    def draws(self, monkeypatch):
-        """(n, seed, base) of every chunk drawn, from a fresh cache on."""
-        monkeypatch.setattr(montecarlo, "_null_cache", {})
-        calls = []
-
-        def recording(spec, n, seed, span, base=0):
-            calls.append((n, seed, base))
-            return _draw_chunk(spec, n, seed, span, base)
-
-        monkeypatch.setattr(montecarlo, "_draw_chunk", recording)
-        return calls
 
     @pytest.mark.parametrize("name", ["hist_z", "hist_spms", "moments"])
     def test_summary_after_calibrate_draws_nothing(self, name, draws):
@@ -582,14 +593,32 @@ class TestSharedNullRun:
     @pytest.mark.parametrize("name", sorted(SUMMARIES))
     def test_warm_results_equal_cold(self, name, draws):
         cold = TestChunkRule._fields(self.SUMMARIES[name](1))
-        montecarlo._null_cache.clear()
-        # built by another summary, at another thread count
+        montecarlo._null_runs.cache_clear()
         other = "moments" if name == "calibrate" else "calibrate"
-        self.SUMMARIES[other](2)
+        self.SUMMARIES[other](1)  # builds the run the warm call reads
         draws.clear()
         warm = TestChunkRule._fields(self.SUMMARIES[name](1))
         assert draws == []
         assert warm == cold
+
+    def test_threads_2_after_threads_1_draws_its_own_chunks(
+        self, draws, monkeypatch
+    ):
+        workers = []
+
+        class Recording(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Recording)
+        reps = 2 * _chunk_rows(20)  # two chunks
+        one = calibrate(20, reps, [0.05], 35, threads=1)
+        assert draws == [(20, 35, 0)] * 2 and workers == []
+        draws.clear()
+        two = calibrate(20, reps, [0.05], 35, threads=2)
+        assert draws == [(20, 35, 0)] * 2 and workers == [2]
+        assert two == one
 
     @pytest.mark.parametrize(
         "run, rebuilt",
@@ -606,16 +635,41 @@ class TestSharedNullRun:
         ],
         ids=["reps", "seed", "base"],
     )
-    def test_another_run_is_rebuilt_and_drops_the_table(self, run, rebuilt, draws):
+    def test_another_run_is_rebuilt_and_keeps_the_table(self, run, rebuilt, draws):
         for n in (20, 30):
             calibrate(n, 700, [0.05], 33)
-        assert len(montecarlo._null_cache) == 2
         draws.clear()
         run()
         assert rebuilt in draws
-        (key,) = montecarlo._null_cache
-        assert key[0] == 20
-        assert key[1:] != (700, 33, (TN.SPMS,), 0)
+        draws.clear()
+        for n in (20, 30):
+            calibrate(n, 700, [0.05], 33)
+        assert draws == []
+        assert montecarlo._null_runs.cache_info().currsize == 2
+
+    def test_concurrent_summaries_equal_serial(self):
+        # no lock: racing threads may each build the run, with equal bytes
+        names = sorted(self.SUMMARIES)
+        montecarlo._null_runs.cache_clear()
+        serial = {name: TestChunkRule._fields(self.SUMMARIES[name](1))
+                  for name in names}
+        montecarlo._null_runs.cache_clear()
+        jobs = [names[i % len(names)] for i in range(8)]
+        start = threading.Barrier(len(jobs), timeout=60)
+
+        def call(name):
+            start.wait()
+            return TestChunkRule._fields(self.SUMMARIES[name](1))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
+                results = list(pool.map(call, jobs))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [serial[name] for name in jobs]
+        assert montecarlo._null_runs.cache_info().currsize <= 2
 
 
 class TestResultScalarTypes:
