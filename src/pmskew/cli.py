@@ -148,17 +148,14 @@ def _float_list(text: str) -> list[float]:
 
 
 def _resolve_threads(value) -> int:
+    """--threads, else PMSKEW_THREADS, else 1; the experiments check it."""
     if value is not None:
-        threads = int(value)
-    else:
-        raw = os.environ.get("PMSKEW_THREADS", "1")
-        try:
-            threads = int(raw)
-        except ValueError:
-            raise InvalidConfigError(f"PMSKEW_THREADS must be an integer: {raw!r}")
-    if threads < 1:
-        raise InvalidConfigError(f"threads must be >= 1, got {threads}")
-    return threads
+        return value
+    raw = os.environ.get("PMSKEW_THREADS", "1")
+    try:
+        return int(raw)
+    except ValueError:
+        raise InvalidConfigError(f"PMSKEW_THREADS must be an integer: {raw!r}")
 
 
 def _read_sample(path: str, col: int | None) -> Sample:
@@ -349,19 +346,23 @@ def cmd_moments(args) -> int:
     return 0
 
 
-def _add_common(sub, *, seed=True):
-    if seed:
-        sub.add_argument("--seed", type=int, default=0, help="RNG seed")
+def _add_output(sub):
+    sub.add_argument("--out", default="-", help="output path, - for stdout")
+    sub.add_argument(
+        "--format", choices=["csv", "json"], default="csv", help="output format"
+    )
+
+
+def _add_common(sub):
+    """The flags every experiment takes."""
+    sub.add_argument("--seed", type=int, default=0, help="RNG seed")
     sub.add_argument(
         "--threads",
         type=int,
         default=None,
         help="worker threads (default: PMSKEW_THREADS or 1; never changes output)",
     )
-    sub.add_argument("--out", default="-", help="output path, - for stdout")
-    sub.add_argument(
-        "--format", choices=["csv", "json"], default="csv", help="output format"
-    )
+    _add_output(sub)
 
 
 # built once per process: parse_args fills a fresh namespace on every call
@@ -381,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--col", type=int, default=None, help="read this 1-based CSV column"
     )
-    _add_common(p, seed=False)
+    _add_output(p)
     p.set_defaults(func=cmd_test)
 
     p = sub.add_parser("calibrate", help="null rejection rates of the spms test")

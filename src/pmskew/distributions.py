@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,12 +135,19 @@ POWER_STUDY_ALTERNATIVES = (
 )
 
 
-def check_u64(name: str, v) -> int:
-    """v as an int, or InvalidParamsError naming it if it does not fit in
-    64 bits (a Philox key word)."""
-    if not 0 <= int(v) < 2**64:
-        raise InvalidParamsError(f"{name} must fit in 64 bits, got {v}")
-    return int(v)
+def check_int(name: str, v, lo=0, hi=2**64) -> int:
+    """v as an int, or InvalidParamsError naming it unless v is an integer
+    (Python or numpy; never a float or a string) with lo <= v < hi. The
+    default range is a 64-bit Philox key word."""
+    try:
+        i = operator.index(v)
+    except TypeError:
+        raise InvalidParamsError(f"{name} must be an integer, got {v!r}") from None
+    if i < lo:
+        raise InvalidParamsError(f"{name} must be >= {lo}, got {i}")
+    if i >= hi:
+        raise InvalidParamsError(f"{name} must be <= {hi - 1}, got {i}")
+    return i
 
 
 @dataclass(frozen=True)
@@ -151,7 +159,7 @@ class SeededStream:
 
     def __post_init__(self):
         for name in ("seed", "stream_id"):
-            object.__setattr__(self, name, check_u64(name, getattr(self, name)))
+            object.__setattr__(self, name, check_int(name, getattr(self, name)))
 
     def generator(self) -> np.random.Generator:
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)
@@ -208,9 +216,7 @@ def row_filler(spec: AlternativeSpec, rng: np.random.Generator):
 
 def draw_values(spec: AlternativeSpec, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n variates from spec using the given generator."""
-    if n < 1:
-        raise InvalidParamsError(f"n must be positive, got {n}")
-    out = np.empty(n)
+    out = np.empty(check_int("n", n, lo=1))
     row_filler(spec, rng)(out)
     return out
 

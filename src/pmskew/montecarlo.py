@@ -41,8 +41,8 @@ disjoint from the experiment streams). This is the protocol that
 reproduces the reference power table; the spms and Lin-Mudholkar z
 approximations are visibly miscalibrated at n <= 100, where asymptotic
 thresholds distort power by up to 0.11. critical_values="asymptotic"
-selects plain |z| > z_{1-level/2} rejection instead. Both go through one
-tail rule, _rejects.
+selects plain |z| > z_{1-level/2} rejection instead. Both, and calibrate's
+counts, go through one tail rule, _rejects.
 """
 
 from __future__ import annotations
@@ -59,27 +59,23 @@ from .distributions import (
     AlternativeSpec,
     Family,
     SeededStream,
-    check_u64,
+    check_int,
     draw_values,  # no longer called here; bench/tracing.py wraps this name
     row_filler,
     stream_rekeyer,
 )
-from .errors import (
-    InvalidLevelError,
-    InvalidParamsError,
-    SampleTooLargeError,
-    SampleTooSmallError,
-)
+from .errors import InvalidParamsError
 from .moments import centred_moment_arrays
 from .skewtests import (
-    SW_MAX_N,
     TestName,
     _batch_lm_z,
     _batch_spms,
     _batch_sqrt_b1_z,
     _batch_sw,
+    check_level,
+    check_sw_n,
 )
-from .su_transform import MIN_N, beta2_spms, lambda2, su_params
+from .su_transform import beta2_spms, check_n, lambda2, su_params
 
 __all__ = [
     "Statistic",
@@ -178,20 +174,15 @@ class MomentValidation:
     undefined_count: int
 
 
-def _check_common(n: int, reps: int, seed) -> tuple[int, int, int]:
-    n, reps = int(n), int(reps)
-    if n < MIN_N:
-        raise SampleTooSmallError(f"experiments require n >= {MIN_N}, got {n}")
-    if reps < 1:
-        raise InvalidParamsError(f"reps must be positive, got {reps}")
-    return n, reps, check_u64("seed", seed)
-
-
-def _check_level(level: float) -> float:
-    level = float(level)
-    if not 0.0 < level < 1.0:
-        raise InvalidLevelError(f"level must be in (0, 1), got {level}")
-    return level
+def _check_common(n, reps, seed, threads, min_reps=1):
+    """(n, reps, seed, threads) as ints, each checked, before any null run
+    is looked up or drawn."""
+    return (
+        check_n(n),
+        check_int("reps", reps, lo=min_reps),
+        check_int("seed", seed),
+        check_int("threads", threads, lo=1),
+    )
 
 
 def _chunk_rows(n: int) -> int:
@@ -271,21 +262,20 @@ def calibrate(
     for each level. Undefined replications are counted separately, never
     as rejections.
     """
-    n, reps, seed = _check_common(n, reps, seed)
-    levels = tuple(_check_level(l) for l in levels)
+    n, reps, seed, threads = _check_common(n, reps, seed, threads)
+    levels = tuple(check_level(l) for l in levels)
     if not levels:
         raise InvalidParamsError("levels must be nonempty")
-    _, z = _null_statistics(n, reps, seed, _SPMS, threads)[TestName.SPMS]
-    az = np.abs(z)  # |z| of the defined replications
+    raw, z = _null_statistics(n, reps, seed, _SPMS, threads)[TestName.SPMS]
     counts = [
-        np.count_nonzero(az > t) for t in ndtri(1.0 - np.array(levels) / 2.0)
+        np.count_nonzero(_rejects(TestName.SPMS, l)(raw, z, True)) for l in levels
     ]
     return CalibrationRow(
         n=n,
         reps=reps,
         levels=levels,
         rejection_rates=tuple(float(c) / reps for c in counts),
-        undefined_count=int(reps - az.size),
+        undefined_count=int(reps - z.size),
     )
 
 
@@ -383,20 +373,14 @@ def power_study(
     tests and threads reuse; "asymptotic" uses each test's nominal normal
     approximation directly and ignores null_reps.
     """
-    n, reps, seed = _check_common(n, reps, seed)
-    level = _check_level(level)
+    n, reps, seed, threads = _check_common(n, reps, seed, threads)
+    level = check_level(level)
     tests = _normalize_tests(tests)
     simulated = critical_values == "simulated"
     if simulated:
-        null_reps = int(null_reps)
-        if null_reps < 1:
-            raise InvalidParamsError(
-                f"null_reps must be positive, got {null_reps}"
-            )
-    if TestName.SHAPIRO_WILK in tests and n > SW_MAX_N:
-        raise SampleTooLargeError(
-            f"Shapiro-Wilk requires n <= {SW_MAX_N}, got {n}"
-        )
+        null_reps = check_int("null_reps", null_reps, lo=1)
+    if TestName.SHAPIRO_WILK in tests:
+        check_sw_n(n)
     if not simulated and critical_values != "asymptotic":
         raise InvalidParamsError(
             f'critical_values must be "simulated" or "asymptotic", '
@@ -440,14 +424,12 @@ def null_histogram(
     Bin edges span the empirical mean +- 5 standard deviations unless
     value_range overrides them.
     """
-    n, reps, seed = _check_common(n, reps, seed)
+    n, reps, seed, threads = _check_common(n, reps, seed, threads)
     try:
         statistic = Statistic(statistic)
     except ValueError:
         raise InvalidParamsError(f"unknown statistic {statistic!r}")
-    bins = int(bins)
-    if bins < 2:
-        raise InvalidParamsError(f"bins must be at least 2, got {bins}")
+    bins = check_int("bins", bins, lo=2)
     if value_range is not None:
         lo, hi = map(float, value_range)
         if not -np.inf < lo < hi < np.inf:
@@ -486,9 +468,7 @@ def moment_validation(
     sqrt(lambda2/reps), se(var) = lambda2*sqrt(2/reps), se(m3) =
     sqrt(6*lambda2^3/reps), se(b2) = sqrt(24/reps).
     """
-    n, reps, seed = _check_common(n, reps, seed)
-    if reps < 2:
-        raise InvalidParamsError(f"moment validation needs reps >= 2, got {reps}")
+    n, reps, seed, threads = _check_common(n, reps, seed, threads, min_reps=2)
     values, _ = _null_statistics(n, reps, seed, _SPMS, threads)[TestName.SPMS]
     lam2 = lambda2(n)
     bet2 = beta2_spms(n)

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -41,11 +42,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from . import su_transform
-from .errors import (
-    InvalidLevelError,
-    SampleTooLargeError,
-    SampleTooSmallError,
-)
+from .errors import InvalidLevelError, SampleTooLargeError
 # central_moment_arrays is no longer called here; the benchmark's tracer
 # (bench/tracing.py) times the moments layer through this name
 from .moments import MomentSummary, Sample, central_moment_arrays, central_moments
@@ -65,6 +62,22 @@ __all__ = [
 ]
 
 SW_MAX_N = 5000
+
+
+def check_level(level) -> float:
+    """The one significance-level rule: level as a float, or
+    InvalidLevelError unless it is a number in the open interval (0, 1)."""
+    if isinstance(level, numbers.Real) and 0.0 < level < 1.0:
+        return float(level)
+    raise InvalidLevelError(f"level must be in (0, 1), got {level!r}")
+
+
+def check_sw_n(n: int) -> int:
+    """n, or SampleTooLargeError above SW_MAX_N, the end of the range the
+    AS R94 approximation was fitted over."""
+    if n > SW_MAX_N:
+        raise SampleTooLargeError(f"Shapiro-Wilk requires n <= {SW_MAX_N}, got {n}")
+    return n
 
 
 class TestName(str, enum.Enum):
@@ -99,8 +112,7 @@ class TestResult:
         for spms, sqrt(b1) and Lin-Mudholkar, one-tailed (small W
         rejects) for Shapiro-Wilk.
         """
-        if not 0.0 < level < 1.0:
-            raise InvalidLevelError(f"level must be in (0, 1), got {level}")
+        level = check_level(level)
         if not self.defined:
             return False
         return self.p_value < level
@@ -200,13 +212,6 @@ def spms_series(state: SeriesState) -> float:
     return o1 / rn + o2 / n + o3 / (n * rn) + o4 / (n * n)
 
 
-def _require_n(sample: Sample) -> None:
-    if sample.n < su_transform.MIN_N:
-        raise SampleTooSmallError(
-            f"test requires n >= {su_transform.MIN_N}, got {sample.n}"
-        )
-
-
 def _two_sided_p(z):
     return 2.0 * ndtr(-np.abs(z))
 
@@ -238,8 +243,14 @@ def spms_test(sample: Sample) -> TestResult:
     A degenerate denominator or a non-finite statistic yields
     defined=False rather than an error so that replication harnesses can
     count such samples separately.
+
+    The p-value is close to nominal from about n = 100 on, and too small
+    below that: 20,000 null samples (calibrate, seed 1) reject at levels
+    0.01/0.05 in 0.1467/0.29195 of cases at n = 8, 0.11055/0.21855 at
+    n = 20, 0.0264/0.08775 at n = 50 and 0.0115/0.0594 at n = 100. For
+    small n, compare against simulated critical values instead
+    (power_study's default).
     """
-    _require_n(sample)
     su = su_transform.su_params(sample.n)
     return _one_row(TestName.SPMS, _batch_spms(sample._moment_arrays(), su))
 
@@ -278,7 +289,7 @@ def _batch_sqrt_b1_z(moments, n: int):
 def sqrt_b1_test(sample: Sample) -> TestResult:
     """Two-sided skewness test normalizing sqrt(b1) by its exact null
     moments through the same asinh-form transform as the spms test."""
-    _require_n(sample)
+    su_transform.check_n(sample.n)
     kernel_out = _batch_sqrt_b1_z(sample._moment_arrays(), sample.n)
     return _one_row(TestName.SQRT_B1, kernel_out)
 
@@ -369,11 +380,7 @@ def shapiro_wilk_test(sample: Sample) -> TestResult:
     8 <= n <= 5000, the approximation's published range. A non-finite W
     yields defined=False.
     """
-    if sample.n > SW_MAX_N:
-        raise SampleTooLargeError(
-            f"Shapiro-Wilk approximation requires n <= {SW_MAX_N}, got {sample.n}"
-        )
-    _require_n(sample)
+    check_sw_n(su_transform.check_n(sample.n))
     kernel_out = _batch_sw(sample.values[None, :])
     return _one_row(TestName.SHAPIRO_WILK, kernel_out, lambda z: ndtr(-z))
 
@@ -423,6 +430,6 @@ def lin_mudholkar_test(sample: Sample) -> TestResult:
     leave-one-out variance proxies are all equal, r is undefined and the
     result has defined=False.
     """
-    _require_n(sample)
+    su_transform.check_n(sample.n)
     kernel_out = _batch_lm_z(sample._centred[None, :])
     return _one_row(TestName.LIN_MUDHOLKAR, kernel_out)

@@ -44,6 +44,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .distributions import check_int
 from .errors import InvalidParamsError, SampleTooSmallError
 
 __all__ = [
@@ -98,10 +99,13 @@ _LAMBDA4 = tuple(map(float, NULL_MOMENT_SERIES.lambda4_coeffs))
 _BETA2 = tuple(map(float, NULL_MOMENT_SERIES.beta2_coeffs))
 
 
-def _check_n(n: int) -> int:
-    n = int(n)
+def check_n(n) -> int:
+    """The one sample-size rule of the series, the tests and the
+    experiments: n as an int, InvalidParamsError if it is not an integer,
+    SampleTooSmallError if it is below MIN_N."""
+    n = check_int("n", n, lo=-math.inf)  # too small is the error below
     if n < MIN_N:
-        raise SampleTooSmallError(f"series require n >= {MIN_N}, got {n}")
+        raise SampleTooSmallError(f"need n >= {MIN_N}, got {n}")
     return n
 
 
@@ -115,9 +119,8 @@ def lambda2(n: int, terms: int = 3) -> float:
     terms : int, optional
         Number of series terms to include (1..3); default all known.
     """
-    n = _check_n(n)
-    if not 1 <= terms <= 3:
-        raise InvalidParamsError("lambda2 has 1 to 3 series terms")
+    n = check_n(n)
+    terms = check_int("terms", terms, lo=1, hi=4)
     return float(sum(c / n ** (k + 1) for k, c in enumerate(_LAMBDA2[:terms])))
 
 
@@ -131,9 +134,8 @@ def lambda4(n: int, terms: int = 2) -> float:
     terms : int, optional
         Number of series terms to include (1..2); default all known.
     """
-    n = _check_n(n)
-    if not 1 <= terms <= 2:
-        raise InvalidParamsError("lambda4 has 1 to 2 series terms")
+    n = check_n(n)
+    terms = check_int("terms", terms, lo=1, hi=3)
     return float(sum(c / n ** (k + 2) for k, c in enumerate(_LAMBDA4[:terms])))
 
 
@@ -148,9 +150,8 @@ def beta2_spms(n: int, terms: int = 3) -> float:
         Number of 1/n correction terms beyond the constant 3 (1..3);
         default all known.
     """
-    n = _check_n(n)
-    if not 1 <= terms <= 3:
-        raise InvalidParamsError("beta2_spms has 1 to 3 correction terms")
+    n = check_n(n)
+    terms = check_int("terms", terms, lo=1, hi=4)
     return float(sum(c / n**k for k, c in enumerate(_BETA2[: terms + 1])))
 
 
@@ -197,7 +198,7 @@ def su_params(n: int, series: str = "calibrated") -> SuTransform:
         their n^-2 terms, the evaluation whose finite-n null rejection
         rates match large-scale simulation; "full" uses every known term.
     """
-    n = _check_n(n)
+    n = check_n(n)
     if series == "calibrated":
         lam2 = lambda2(n, terms=CALIBRATED_LAMBDA2_TERMS)
         bet2 = beta2_spms(n, terms=CALIBRATED_BETA2_TERMS)

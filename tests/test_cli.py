@@ -582,6 +582,31 @@ class TestDeterminismAndOutput:
         assert code == 2
         assert "PMSKEW_THREADS" in err
 
+    @pytest.mark.parametrize(
+        "argv, env",
+        [
+            (["calibrate", "--n", "20", "--reps", "100", "--threads", "0"], None),
+            (["calibrate", "--n", "20", "--reps", "100"], "0"),
+            (["hist", "--n", "20", "--reps", "100", "--threads", "0"], "2"),
+            (["moments", "--n", "20", "--reps", "100"], "0"),
+        ],
+        ids=["flag", "env", "flag_over_env", "env_moments"],
+    )
+    def test_zero_threads_exact_error_line(self, capsys, monkeypatch, argv, env):
+        if env is not None:
+            monkeypatch.setenv("PMSKEW_THREADS", env)
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == "pmskew: error: threads must be >= 1, got 0\n"
+
+    def test_test_command_takes_no_threads(self, capsys, normal_file):
+        # `test` draws nothing, so a thread count there is a usage error
+        with pytest.raises(SystemExit) as exc:
+            main(["test", normal_file, "--threads", "2"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
     def test_identical_command_line_identical_output(self, capsys):
         argv = ["power", "--alt", "weibull:2", "--n", "25", "--reps", "300",
                 "--seed", "8", "--null-reps", "500"]

@@ -104,6 +104,16 @@ class TestSeededStream:
             with pytest.raises(InvalidParamsError):
                 SeededStream(0, bad)
 
+    @pytest.mark.parametrize("bad", [1.7, 2.0, "3", None])
+    def test_key_words_are_integers(self, bad):
+        # a float or a string is never truncated or parsed into a key word
+        with pytest.raises(InvalidParamsError):
+            SeededStream(bad, 0)
+        with pytest.raises(InvalidParamsError):
+            SeededStream(0, bad)
+        numpy_words = SeededStream(np.uint64(2**64 - 1), np.int32(3))
+        assert numpy_words == SeededStream(2**64 - 1, 3)
+
 
 class TestDrawValues:
     @pytest.mark.parametrize("spec", POWER_STUDY_ALTERNATIVES)
@@ -132,6 +142,13 @@ class TestDrawValues:
         with pytest.raises(InvalidParamsError):
             draw_values(
                 AlternativeSpec(Family.NORMAL), 0, SeededStream(0, 0).generator()
+            )
+
+    @pytest.mark.parametrize("bad", [2.5, 3.0, "4"])
+    def test_non_integer_n(self, bad):
+        with pytest.raises(InvalidParamsError):
+            draw_values(
+                AlternativeSpec(Family.NORMAL), bad, SeededStream(0, 0).generator()
             )
 
 

@@ -1,5 +1,6 @@
 """Replication engine: brute-force oracles, determinism, conservation."""
 
+import math
 import sys
 import threading
 import tracemalloc
@@ -7,6 +8,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from pmskew import (
@@ -15,6 +18,7 @@ from pmskew import (
     Family,
     InvalidLevelError,
     InvalidParamsError,
+    PmskewError,
     Sample,
     SampleTooLargeError,
     SampleTooSmallError,
@@ -739,6 +743,108 @@ class TestSeedValidation:
     @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
     def test_largest_seed_accepted(self, name):
         self.EXPERIMENTS[name](2**64 - 1, 1)
+
+
+_GAMMA2 = AlternativeSpec.parse("gamma:2")
+
+# each experiment with valid small arguments, by keyword
+_EXPERIMENTS = {
+    "calibrate": (calibrate, dict(n=20, reps=100, levels=[0.05], seed=1)),
+    "power_study": (
+        power_study,
+        dict(alternative=_GAMMA2, n=20, reps=100, level=0.05, seed=1, null_reps=200),
+    ),
+    "null_histogram": (
+        null_histogram, dict(statistic="z", n=20, reps=100, bins=8, seed=1)
+    ),
+    "moment_validation": (moment_validation, dict(n=20, reps=100, seed=1)),
+}
+
+
+_BAD_COUNTS = [
+    ("threads", 0), ("threads", -3), ("threads", 2.5), ("threads", "2"),
+    ("seed", 1.7), ("seed", "3"), ("reps", 100.9),
+]
+
+
+class TestArgumentValidation:
+    """Every experiment checks its counts, as integers, before it looks a
+    null run up or draws one: a float or a string is rejected, never
+    truncated or parsed, and the kept null runs stay as they were."""
+
+    @pytest.mark.parametrize(
+        "name, arg, value",
+        [(name, arg, v) for name in sorted(_EXPERIMENTS) for arg, v in _BAD_COUNTS]
+        + [("null_histogram", "bins", 10.7), ("power_study", "null_reps", 2.5)],
+    )
+    def test_rejected_before_any_draw(self, name, arg, value, monkeypatch):
+        func, kw = _EXPERIMENTS[name]
+        func(**kw)  # a kept configuration a bad call must not evict
+        kept = montecarlo._null_runs.cache_info()
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError(f"a chunk was drawn before the {arg} check")
+
+        monkeypatch.setattr("pmskew.montecarlo._draw_chunk", no_draw)
+        with pytest.raises(InvalidParamsError, match=arg):
+            func(**{**kw, arg: value})
+        assert montecarlo._null_runs.cache_info() == kept
+
+
+def _count(lo, hi):
+    """A valid integer argument: in [lo, hi], Python or numpy."""
+    return st.one_of(st.integers(lo, hi), st.integers(lo, hi).map(np.uint64))
+
+
+# small counts, so that no example allocates much or starts many threads
+_VALID = dict(
+    n=_count(8, 200),
+    reps=_count(1, 64),
+    seed=_count(0, 2**64 - 1),
+    threads=_count(1, 4),
+    bins=_count(2, 64),
+    null_reps=_count(1, 64),
+    level=st.floats(0.001, 0.999),
+    levels=st.lists(st.floats(0.001, 0.999), min_size=1, max_size=3),
+)
+# out-of-range integers, and values that are not integers or numbers
+_BAD = st.one_of(
+    st.sampled_from([-3, -1, 0, 1, 7, 2**64]),
+    st.sampled_from([0.0, 1.0, 1.5, 2.5, math.nan]),
+    st.floats(),
+    st.text(max_size=3),
+    st.none(),
+    st.integers(-3, 300).map(str),
+)
+
+
+class TestArgumentProperty:
+    """Whatever its counts and levels, an experiment returns a result or
+    raises a PmskewError, never another exception. About half the
+    examples are valid calls; in the others one argument is bad (for
+    levels, one of the list's items)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(_EXPERIMENTS)),
+        args=st.fixed_dictionaries(_VALID),
+        bad=st.one_of(st.none(), st.tuples(st.sampled_from(sorted(_VALID)), _BAD)),
+        critical_values=st.sampled_from(["simulated", "asymptotic"]),
+    )
+    def test_result_or_typed_error(self, name, args, bad, critical_values):
+        if bad is not None:
+            arg, value = bad
+            args[arg] = args[arg] + [value] if arg == "levels" else value
+        func, kw = _EXPERIMENTS[name]
+        call = {k: args[k] for k in kw if k in args}
+        call["threads"] = args["threads"]
+        if name == "power_study":
+            call["critical_values"] = critical_values
+        try:
+            result = func(**{**kw, **call})
+        except PmskewError:
+            return
+        assert result.n == args["n"] and result.reps == args["reps"]
 
 
 class TestStreamContract:

@@ -205,6 +205,15 @@ class TestTestResult:
             with pytest.raises(InvalidLevelError):
                 r.reject_at(bad)
 
+    @pytest.mark.parametrize(
+        "bad", ["0.05", None, [0.05], np.array([0.01, 0.05])],
+        ids=["str", "none", "list", "array"],
+    )
+    def test_level_that_is_not_a_number(self, bad):
+        r = pk.TestResult(pk.TestName.SPMS, 0.1, 2.0, 0.05)
+        with pytest.raises(InvalidLevelError):
+            r.reject_at(bad)
+
 
 class TestSpmsTest:
     def test_result_shape(self):

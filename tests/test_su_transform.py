@@ -81,6 +81,24 @@ class TestSeriesValues:
         with pytest.raises(InvalidParamsError):
             beta2_spms(100, terms=0)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: lambda2(100, terms=2.5),
+            lambda: lambda4(100, terms=1.5),
+            lambda: beta2_spms(100, terms=1.5),
+            lambda: lambda2(100.5),
+            lambda: su_params(100.5),
+            lambda: su_params("100"),
+        ],
+        ids=["lambda2_terms", "lambda4_terms", "beta2_terms", "lambda2_n",
+             "su_params_n", "su_params_str"],
+    )
+    def test_non_integer_arguments(self, call):
+        # never truncated to an integer, never a raw TypeError
+        with pytest.raises(InvalidParamsError):
+            call()
+
 
 class TestSuParams:
     def test_full_series_chain_at_200(self):
