@@ -159,16 +159,17 @@ def central_moment_arrays(x: np.ndarray):
     return centred_moment_arrays(x - x.mean(axis=1, keepdims=True))
 
 
-def centred_moment_arrays(d: np.ndarray):
+def centred_moment_arrays(d: np.ndarray, p=None):
     """central_moment_arrays of rows already centred by their own mean.
 
     d, the deviations x - x.mean(axis=1, keepdims=True), is left as it
     is, so a caller can share one centred block between several
-    statistics. Apart from d, one block-sized temporary is used: it holds
-    d^2, then d^2*d, then d^2 again and d^2*d^2, each rounded exactly as
-    the expressions (d*d)*d and (d*d)*(d*d) are.
+    statistics. Apart from d, one block-sized temporary is used: p, a
+    float64 array of d's shape, overwritten, if given, else a new one. It
+    holds d^2, then d^2*d, then d^2 again and d^2*d^2, each rounded
+    exactly as the expressions (d*d)*d and (d*d)*(d*d) are.
     """
-    p = d * d
+    p = np.multiply(d, d, out=p)
     m2 = p.mean(axis=1)
     p *= d
     m3 = p.mean(axis=1)

@@ -8,11 +8,18 @@ bit-identical for a given seed whether run on 1 or k threads.
 
 A chunk holds a fixed budget of float64 values, not a fixed number of
 replications: max(1, CHUNK_SIZE // n) rows of n values, about 1 MiB,
-so a chunk and the few temporaries its statistics need stay small enough
+so a chunk and the temporaries its statistics need stay small enough
 for the CPU caches at every n. Chunking depends on n alone, never on the
-thread count. Every statistic of a row is computed from that row alone,
-with summation orders that do not depend on how many rows share its chunk,
-so the rows per chunk change no result either.
+thread count. A running chunk takes its blocks (the draw, the
+Shapiro-Wilk sort buffer that then holds the moments' powers, and
+Lin-Mudholkar's y and s1) from a workspace of four buffers of
+max(CHUNK_SIZE, n) values, built on first use and kept on a free list for
+later chunks, so no chunk faults its blocks in afresh; _draw_chunk,
+_batch_sw, centred_moment_arrays and _batch_lm_z take them as
+caller-supplied arrays. No array a chunk returns is a view of one. Every
+statistic of a row is computed from that row alone, with summation orders
+that do not depend on how many rows share its chunk, so the rows per
+chunk change no result either.
 
 Each chunk builds one Philox generator and, before each replication r,
 re-keys it to (seed, r) with counter 0 (distributions.stream_rekeyer).
@@ -47,8 +54,10 @@ counts, go through one tail rule, _rejects.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import functools
+from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -64,7 +73,7 @@ from .distributions import (
     row_filler,
     stream_rekeyer,
 )
-from .errors import InvalidParamsError
+from .errors import InvalidLevelError, InvalidParamsError
 from .moments import centred_moment_arrays
 from .skewtests import (
     TestName,
@@ -195,17 +204,52 @@ def _spans(reps: int, n: int):
     return [(s, min(s + rows, reps)) for s in range(0, reps, rows)]
 
 
-def _draw_chunk(spec, n, seed, span, base=0):
-    """Row j holds the n variates of stream (seed, base + span[0] + j)."""
+def _draw_chunk(spec, n, seed, span, base=0, out=None):
+    """Row j holds the n variates of stream (seed, base + span[0] + j);
+    they are written into out, a (rows, n) float64 array, if given."""
     start, stop = span
     rng = SeededStream(seed, base + start).generator()
     set_stream = stream_rekeyer(rng)
     fill = row_filler(spec, rng)
-    x = np.empty((stop - start, n))
+    x = np.empty((stop - start, n)) if out is None else out
     for r, row in zip(range(base + start, base + stop), x):
         set_stream(r)
         fill(row)
     return x
+
+
+# idle workspaces: each is four flat float64 buffers, reused by one running
+# chunk at a time; list.pop and list.append are atomic, so no lock
+_workspaces = []
+
+
+@contextlib.contextmanager
+def _chunk_blocks(rows, n):
+    """Four C-contiguous (rows, n) float64 blocks for one chunk, viewed
+    from a workspace of the free list; one of max(CHUNK_SIZE, rows * n)
+    values per buffer is built if the list is empty or its workspace too
+    small. The workspace goes back to the list afterwards, so its pages
+    stay faulted in for the next chunk."""
+    size = rows * n
+    try:
+        ws = _workspaces.pop()
+    except IndexError:
+        ws = None
+    if ws is None or ws.shape[1] < size:
+        ws = np.empty((4, max(CHUNK_SIZE, size)))
+    try:
+        yield [b[:size].reshape(rows, n) for b in ws]
+    finally:
+        _workspaces.append(ws)
+
+
+def _chunk_kernels(spec, n, seed, span, tests, su, base=0):
+    """_chunk_statistics of the chunk of rows span drawn from spec, in
+    blocks of a pooled workspace. No returned array is a workspace view."""
+    with _chunk_blocks(span[1] - span[0], n) as (x, *spare):
+        return _chunk_statistics(
+            _draw_chunk(spec, n, seed, span, base, out=x), tests, su, *spare
+        )
 
 
 def _map_chunks(work, reps: int, n: int, threads: int) -> list:
@@ -234,8 +278,7 @@ def _null_statistics(n, reps, seed, tests, threads, base=0):
     su = su_params(n)
 
     def work(span):
-        x = _draw_chunk(_NORMAL, n, seed, span, base)
-        stats = _chunk_statistics(x, tests, su)
+        stats = _chunk_kernels(_NORMAL, n, seed, span, tests, su, base)
         return {t: (raw[ok], z[ok]) for t, (raw, z, ok) in stats.items()}
 
     parts = _map_chunks(work, reps, n, threads)
@@ -263,6 +306,8 @@ def calibrate(
     as rejections.
     """
     n, reps, seed, threads = _check_common(n, reps, seed, threads)
+    if not isinstance(levels, Iterable):
+        raise InvalidLevelError(f"levels must be a list of levels, got {levels!r}")
     levels = tuple(check_level(l) for l in levels)
     if not levels:
         raise InvalidParamsError("levels must be nonempty")
@@ -280,6 +325,10 @@ def calibrate(
 
 
 def _normalize_tests(tests) -> tuple[TestName, ...]:
+    if isinstance(tests, str) or not isinstance(tests, Iterable):
+        raise InvalidParamsError(
+            f"tests must be a collection of test names, got {tests!r}"
+        )
     try:
         wanted = {TestName(t) for t in tests}
     except ValueError:
@@ -289,28 +338,30 @@ def _normalize_tests(tests) -> tuple[TestName, ...]:
     return tuple(t for t in ALL_TESTS if t in wanted)
 
 
-def _chunk_statistics(x, tests, su):
+def _chunk_statistics(x, tests, su, tmp=None, y=None, s1=None):
     """Per-test kernel output (raw, z, defined) for one chunk of samples.
 
     su is the S_U transform of the spms test at this n. x is overwritten:
     once Shapiro-Wilk has sorted a copy, its rows are centred in place
     (unless Shapiro-Wilk is the only test), and that block feeds the
     central moments (computed once, for spms and sqrt(b1)) and
-    Lin-Mudholkar.
+    Lin-Mudholkar. tmp, y and s1 are optional float64 blocks of x's shape
+    for the kernels' temporaries: tmp for the Shapiro-Wilk sort and then
+    the moments' powers, y and s1 for the Lin-Mudholkar proxy.
     """
     out = {}
     if TestName.SHAPIRO_WILK in tests:
-        out[TestName.SHAPIRO_WILK] = _batch_sw(x)
+        out[TestName.SHAPIRO_WILK] = _batch_sw(x, tmp)
     if tests != (TestName.SHAPIRO_WILK,):
         x -= x.mean(axis=1, keepdims=True)
     if TestName.SPMS in tests or TestName.SQRT_B1 in tests:
-        moments = centred_moment_arrays(x)
+        moments = centred_moment_arrays(x, tmp)
     if TestName.SPMS in tests:
         out[TestName.SPMS] = _batch_spms(moments, su)
     if TestName.SQRT_B1 in tests:
         out[TestName.SQRT_B1] = _batch_sqrt_b1_z(moments, x.shape[1])
     if TestName.LIN_MUDHOLKAR in tests:
-        out[TestName.LIN_MUDHOLKAR] = _batch_lm_z(x)
+        out[TestName.LIN_MUDHOLKAR] = _batch_lm_z(x, y, s1)
     return out
 
 
@@ -391,8 +442,7 @@ def power_study(
     rejects = {t: _rejects(t, level, pools.get(t)) for t in tests}
 
     def work(span):
-        x = _draw_chunk(alternative, n, seed, span)
-        stats = _chunk_statistics(x, tests, su)
+        stats = _chunk_kernels(alternative, n, seed, span, tests, su)
         return [
             (np.count_nonzero(rejects[t](*stats[t])), np.count_nonzero(~stats[t][2]))
             for t in tests
@@ -431,10 +481,15 @@ def null_histogram(
         raise InvalidParamsError(f"unknown statistic {statistic!r}")
     bins = check_int("bins", bins, lo=2)
     if value_range is not None:
-        lo, hi = map(float, value_range)
-        if not -np.inf < lo < hi < np.inf:
+        try:
+            lo, hi = map(float, value_range)
+            ok = not isinstance(value_range, str) and -np.inf < lo < hi < np.inf
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:
             raise InvalidParamsError(
-                f"value_range must be finite and increasing, got ({lo}, {hi})"
+                "value_range must be two finite increasing numbers (lo, hi), "
+                f"got {value_range!r}"
             )
     raw, z = _null_statistics(n, reps, seed, _SPMS, threads)[TestName.SPMS]
     values = z if statistic is Statistic.SPMS_Z else raw

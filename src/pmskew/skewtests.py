@@ -359,11 +359,16 @@ def _sw_z_from_w(w, n: int):
     return (y - mu) / sigma
 
 
-def _batch_sw(x: np.ndarray):
-    """Row-wise (W, z, defined) for a (reps, n) array."""
+def _batch_sw(x: np.ndarray, xs=None):
+    """Row-wise (W, z, defined) for a (reps, n) array. x is not changed;
+    its rows are sorted in xs, a float64 array of x's shape if given (its
+    values are overwritten), else in a new one."""
     n = x.shape[1]
     c = _sw_coefficients(n)
-    xs = np.sort(x, axis=1)
+    if xs is None:
+        xs = np.empty(x.shape)
+    np.copyto(xs, x)
+    xs.sort(axis=1)  # in place: np.sort too copies, then sorts the copy
     # einsum, not matmul: BLAS kernels change summation order with the
     # row count, which would make a replication's W depend on chunk size
     num = np.einsum("ij,j->i", xs, c)
@@ -389,7 +394,7 @@ def shapiro_wilk_test(sample: Sample) -> TestResult:
 # Lin-Mudholkar test
 
 
-def _batch_lm_z(xc: np.ndarray):
+def _batch_lm_z(xc: np.ndarray, y=None, s1=None):
     """Row-wise Lin-Mudholkar (r, z, defined) for a (reps, n) array whose
     rows are already centred (x - x.mean(axis=1, keepdims=True)); xc is
     not changed. A row whose centred proxies are all zero (all proxies
@@ -400,12 +405,13 @@ def _batch_lm_z(xc: np.ndarray):
     variance proxy sum(x_j^2, j != i) - (sum(x_j, j != i))^2/(n - 1).
     Centering first leaves r unchanged (the proxy is shift-invariant)
     and avoids large cancellations. The proxy is built in place in two
-    block-sized temporaries.
+    block-sized temporaries, y and s1: float64 arrays of xc's shape,
+    overwritten, if given, else new ones.
     """
     n = xc.shape[1]
-    y = xc * xc
+    y = np.multiply(xc, xc, out=y)
     np.subtract(y.sum(axis=1, keepdims=True), y, out=y)
-    s1 = xc.sum(axis=1, keepdims=True) - xc
+    s1 = np.subtract(xc.sum(axis=1, keepdims=True), xc, out=s1)
     s1 *= s1
     s1 /= n - 1.0
     y -= s1

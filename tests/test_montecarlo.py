@@ -1,5 +1,6 @@
 """Replication engine: brute-force oracles, determinism, conservation."""
 
+import itertools
 import math
 import sys
 import threading
@@ -358,9 +359,9 @@ class TestChunkPipeline:
         calls = []
 
         def counting(name):
-            def counted(x):
+            def counted(x, *a, **k):
                 calls.append(len(x))
-                return getattr(moments, name)(x)
+                return getattr(moments, name)(x, *a, **k)
 
             return counted
 
@@ -453,15 +454,124 @@ class TestChunkRule:
         assert peak < 16 * 2**20
 
 
+def _kernel_bytes(stats):
+    return {t: tuple(a.tobytes() for a in out) for t, out in stats.items()}
+
+
+class TestWorkspace:
+    """Chunks reuse pooled blocks; no output byte depends on them, and no
+    result a chunk returns or a kept run holds is a view of one."""
+
+    SUBSETS = [
+        tests
+        for k in range(1, len(ALL_TESTS) + 1)
+        for tests in itertools.combinations(ALL_TESTS, k)
+    ]
+
+    @staticmethod
+    def _pooled():
+        return [b for ws in montecarlo._workspaces for b in ws]
+
+    @pytest.mark.parametrize("n", [8, 20, 1000])
+    @pytest.mark.parametrize(
+        "tests", SUBSETS, ids=["+".join(map(str, t)) for t in SUBSETS]
+    )
+    def test_chunk_statistics_with_and_without_workspace(self, tests, n):
+        span = (0, min(_chunk_rows(n), 300))
+        rows, su = span[1], su_params(n)
+        x = _draw_chunk(AlternativeSpec.parse("gamma:2"), n, 4, span)
+        want = montecarlo._chunk_statistics(x.copy(), tests, su)
+        with montecarlo._chunk_blocks(rows, n) as (block, *spare):
+            block[...] = x
+            for b in spare:
+                b.fill(np.nan)  # leftovers of an earlier chunk change nothing
+            got = montecarlo._chunk_statistics(block, tests, su, *spare)
+            for out in got.values():
+                for a in out:
+                    assert not any(
+                        np.shares_memory(a, b) for b in (block, *spare)
+                    )
+        assert _kernel_bytes(got) == _kernel_bytes(want)
+
+    def test_sample_larger_than_a_buffer_grows_it(self):
+        n, reps, seed = montecarlo.CHUNK_SIZE + 1, 3, 6
+        alt = AlternativeSpec.parse("lognormal:0,0.5")
+        tests = (TN.SPMS, TN.SQRT_B1, TN.LIN_MUDHOLKAR)
+        cell = power_study(
+            alt, n, reps, 0.05, tests=tests, seed=seed,
+            critical_values="asymptotic",
+        )
+        assert max(ws.shape[1] for ws in montecarlo._workspaces) >= n
+        su = su_params(n)
+        counts = dict.fromkeys(tests, 0)
+        for r in range(reps):
+            stats = montecarlo._chunk_statistics(
+                _draw_chunk(alt, n, seed, (r, r + 1)), tests, su
+            )
+            for t in tests:
+                counts[t] += int(montecarlo._rejects(t, 0.05)(*stats[t])[0])
+        assert cell.powers == {t: counts[t] / reps for t in tests}
+
+    def test_kept_null_run_owns_its_arrays(self):
+        montecarlo._null_runs.cache_clear()
+        null = montecarlo._null_statistics(20, 5000, 3, ALL_TESTS, 1)
+        before = _kernel_bytes(null)
+        calibrate(8, 3000, [0.05], 3)
+        power_study(
+            AlternativeSpec.parse("gamma:2"), 1000, 300, 0.05, seed=3,
+            threads=2, critical_values="asymptotic",
+        )
+        assert montecarlo._workspaces
+        for out in null.values():
+            for a in out:
+                assert not any(np.shares_memory(a, b) for b in self._pooled())
+        assert _kernel_bytes(null) == before
+
+    def test_threads_agree_after_reuse_across_n(self):
+        alt = AlternativeSpec.parse("beta:2,1")
+
+        def run(threads, sizes):
+            montecarlo._null_runs.cache_clear()
+            return {
+                n: (
+                    power_study(alt, n, 3 * _chunk_rows(n) + 5, 0.05, seed=2,
+                                threads=threads, critical_values="asymptotic"),
+                    calibrate(n, 2 * _chunk_rows(n) + 9, [0.05, 0.1], 2,
+                              threads=threads),
+                )
+                for n in sizes
+            }
+
+        first = run(1, (1000, 8, 100))
+        assert run(3, (100, 8, 1000)) == first
+        assert run(1, (8, 1000, 100)) == first
+
+    def test_warm_cell_faults_in_few_pages(self):
+        resource = pytest.importorskip("resource")
+        if not hasattr(resource, "RUSAGE_THREAD"):
+            pytest.skip("per-thread resource usage is not available")
+        alt = AlternativeSpec.parse("lognormal:0,0.5")
+
+        def cell():
+            power_study(alt, 1000, 2048, 0.05, critical_values="asymptotic")
+
+        cell()
+        before = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
+        cell()
+        faults = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before
+        # allocating and freeing each chunk's blocks took about 7,600
+        assert faults < 1000
+
+
 @pytest.fixture
 def draws(monkeypatch):
     """(n, seed, base) of every chunk drawn, from an empty memo on."""
     montecarlo._null_runs.cache_clear()
     calls = []
 
-    def recording(spec, n, seed, span, base=0):
+    def recording(spec, n, seed, span, base=0, **k):
         calls.append((n, seed, base))
-        return _draw_chunk(spec, n, seed, span, base)
+        return _draw_chunk(spec, n, seed, span, base, **k)
 
     monkeypatch.setattr(montecarlo, "_draw_chunk", recording)
     return calls
@@ -787,6 +897,43 @@ class TestArgumentValidation:
 
         monkeypatch.setattr("pmskew.montecarlo._draw_chunk", no_draw)
         with pytest.raises(InvalidParamsError, match=arg):
+            func(**{**kw, arg: value})
+        assert montecarlo._null_runs.cache_info() == kept
+
+
+# malformed non-count arguments, each with the error it must raise
+_MALFORMED = {
+    "levels_not_a_list": ("calibrate", "levels", 0.05, InvalidLevelError),
+    "tests_none": ("power_study", "tests", None, InvalidParamsError),
+    "tests_bare_string": ("power_study", "tests", "spms", InvalidParamsError),
+    "value_range_not_numbers": (
+        "null_histogram", "value_range", ("a", "b"), InvalidParamsError
+    ),
+    "value_range_one_value": (
+        "null_histogram", "value_range", (1.0,), InvalidParamsError
+    ),
+    "value_range_bare_string": (
+        "null_histogram", "value_range", "12", InvalidParamsError
+    ),
+}
+
+
+class TestMalformedArguments:
+    """A levels, tests or value_range argument of the wrong shape raises a
+    typed error naming it, before any null run is looked up or drawn."""
+
+    @pytest.mark.parametrize("case", sorted(_MALFORMED))
+    def test_typed_error_before_any_draw(self, case, monkeypatch):
+        name, arg, value, error = _MALFORMED[case]
+        func, kw = _EXPERIMENTS[name]
+        func(**kw)  # a kept configuration a bad call must not evict
+        kept = montecarlo._null_runs.cache_info()
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError(f"a chunk was drawn before the {arg} check")
+
+        monkeypatch.setattr("pmskew.montecarlo._draw_chunk", no_draw)
+        with pytest.raises(error, match=arg):
             func(**{**kw, arg: value})
         assert montecarlo._null_runs.cache_info() == kept
 
