@@ -43,6 +43,7 @@ from .montecarlo import (
     calibrate,
     moment_validation,
     null_histogram,
+    power_curve,
     power_study,
 )
 from .skewtests import (
@@ -109,6 +110,7 @@ __all__ = [
     "MomentValidation",
     "ALL_TESTS",
     "calibrate",
+    "power_curve",
     "power_study",
     "null_histogram",
     "moment_validation",

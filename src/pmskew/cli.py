@@ -39,7 +39,7 @@ from .montecarlo import (
     calibrate,
     moment_validation,
     null_histogram,
-    power_study,
+    power_curve,
 )
 from .skewtests import (
     TestName,
@@ -253,31 +253,30 @@ def cmd_power(args) -> int:
     ns = _sizes(args.n)
     tests = [t.strip() for t in args.tests.split(",") if t.strip()]
     threads = _resolve_threads(args.threads)
-    rows = []
-    for n in ns:
-        cell = power_study(
-            alt,
-            n,
-            args.reps,
-            args.level,
-            tests=tests,
-            seed=args.seed,
-            threads=threads,
-            critical_values=args.critical_values,
-            null_reps=args.null_reps,
-        )
-        for test in cell.powers:
-            rows.append(
-                [
-                    alt.label,
-                    n,
-                    cell.reps,
-                    cell.level,
-                    test.value,
-                    cell.powers[test],
-                    cell.undefined_counts[test],
-                ]
-            )
+    cells = power_curve(
+        alt,
+        ns,
+        args.reps,
+        args.level,
+        tests=tests,
+        seed=args.seed,
+        threads=threads,
+        critical_values=args.critical_values,
+        null_reps=args.null_reps,
+    )
+    rows = [
+        [
+            alt.label,
+            cell.n,
+            cell.reps,
+            cell.level,
+            test.value,
+            cell.powers[test],
+            cell.undefined_counts[test],
+        ]
+        for cell in cells
+        for test in cell.powers
+    ]
     header = ["alt", "n", "reps", "level", "test", "power", "undefined"]
     meta = {"command": "power", "seed": args.seed}
     _emit(args, header, rows, meta, [f"seed={args.seed}"])

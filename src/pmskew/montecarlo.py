@@ -9,12 +9,16 @@ bit-identical for a given seed whether run on 1 or k threads.
 A chunk holds a fixed budget of float64 values, not a fixed number of
 replications: max(1, CHUNK_SIZE // n) rows of n values, about 1 MiB,
 so a chunk and the temporaries its statistics need stay small enough
-for the CPU caches at every n. Chunking depends on n alone, never on the
-thread count. A running chunk takes its blocks (the draw, the
-Shapiro-Wilk sort buffer that then holds the moments' powers, and
-Lin-Mudholkar's y and s1) from a workspace of four buffers of
-max(CHUNK_SIZE, n) values, built on first use and kept on a free list for
-later chunks, so no chunk faults its blocks in afresh; _draw_chunk,
+for the CPU caches at every n. Chunks follow the largest n of a call,
+never the thread count, and the rows at a smaller n of the call are
+prefixes of its rows: a stream's first n variates do not depend on how
+many follow, so each replication is drawn once, at the largest n. A
+running chunk takes its blocks (the draw, the Shapiro-Wilk sort buffer
+that then holds the moments' powers, and Lin-Mudholkar's y and s1) from a
+workspace of four buffers of max(CHUNK_SIZE, n) values, with a fifth for
+the copied prefix rows of a smaller n if the call has several, built on
+first use and kept on a free list for later chunks, so no chunk faults
+its blocks in afresh; _draw_chunk,
 _batch_sw, centred_moment_arrays and _batch_lm_z take them as
 caller-supplied arrays. No array a chunk returns is a view of one. Every
 statistic of a row is computed from that row alone, with summation orders
@@ -37,9 +41,10 @@ rejections.
 
 One null pipeline, _null_statistics (draw normal rows, run the kernels,
 keep the defined rows), serves calibrate, null_histogram,
-moment_validation and the null pools of power_study. Runs are kept by
+moment_validation and the null pools of power_curve. Runs are kept by
 their own arguments, every n of the two latest configurations, so these
-summaries of one (n, reps, seed, threads) simulate the null once.
+summaries of one (n, reps, seed, threads) simulate the null once, and a
+power call draws the null runs of all its missing n in one pass.
 
 Power experiments default to simulated critical values: each test's
 rejection threshold is the appropriate empirical quantile of the test
@@ -94,6 +99,7 @@ __all__ = [
     "MomentRow",
     "MomentValidation",
     "calibrate",
+    "power_curve",
     "power_study",
     "null_histogram",
     "moment_validation",
@@ -183,11 +189,10 @@ class MomentValidation:
     undefined_count: int
 
 
-def _check_common(n, reps, seed, threads, min_reps=1):
-    """(n, reps, seed, threads) as ints, each checked, before any null run
+def _check_common(reps, seed, threads, min_reps=1):
+    """(reps, seed, threads) as ints, each checked, before any null run
     is looked up or drawn."""
     return (
-        check_n(n),
         check_int("reps", reps, lo=min_reps),
         check_int("seed", seed),
         check_int("threads", threads, lo=1),
@@ -218,38 +223,49 @@ def _draw_chunk(spec, n, seed, span, base=0, out=None):
     return x
 
 
-# idle workspaces: each is four flat float64 buffers, reused by one running
+# idle workspaces: each is k flat float64 buffers, reused by one running
 # chunk at a time; list.pop and list.append are atomic, so no lock
 _workspaces = []
 
 
 @contextlib.contextmanager
-def _chunk_blocks(rows, n):
-    """Four C-contiguous (rows, n) float64 blocks for one chunk, viewed
-    from a workspace of the free list; one of max(CHUNK_SIZE, rows * n)
-    values per buffer is built if the list is empty or its workspace too
-    small. The workspace goes back to the list afterwards, so its pages
-    stay faulted in for the next chunk."""
+def _chunk_blocks(rows, n, k=4):
+    """k C-contiguous (rows, n) float64 blocks for one chunk, viewed from a
+    workspace of the free list; one of k buffers of max(CHUNK_SIZE,
+    rows * n) values is built if the list is empty or its workspace has
+    fewer or smaller buffers. The workspace goes back to the list
+    afterwards, so its pages stay faulted in for the next chunk."""
     size = rows * n
     try:
         ws = _workspaces.pop()
     except IndexError:
         ws = None
-    if ws is None or ws.shape[1] < size:
-        ws = np.empty((4, max(CHUNK_SIZE, size)))
+    if ws is None or ws.shape[0] < k or ws.shape[1] < size:
+        ws = np.empty((k, max(CHUNK_SIZE, size)))
     try:
-        yield [b[:size].reshape(rows, n) for b in ws]
+        yield [b[:size].reshape(rows, n) for b in ws[:k]]
     finally:
         _workspaces.append(ws)
 
 
-def _chunk_kernels(spec, n, seed, span, tests, su, base=0):
-    """_chunk_statistics of the chunk of rows span drawn from spec, in
-    blocks of a pooled workspace. No returned array is a workspace view."""
-    with _chunk_blocks(span[1] - span[0], n) as (x, *spare):
-        return _chunk_statistics(
-            _draw_chunk(spec, n, seed, span, base, out=x), tests, su, *spare
-        )
+def _chunk_kernels(spec, sizes, seed, span, tests, sus, base=0):
+    """Per n of sizes (sorted, distinct; sus holds su_params of each),
+    _chunk_statistics of the chunk of rows span drawn from spec. Each row
+    is drawn once, at the largest n; a smaller n runs on a contiguous copy
+    of the rows' first n values, which are the variates a draw at that n
+    gives. The blocks are those of a pooled workspace, with a fifth for
+    the copy when sizes holds more than one n. No returned array is a
+    workspace view."""
+    rows, m = span[1] - span[0], sizes[-1]
+    with _chunk_blocks(rows, m, 4 + (len(sizes) > 1)) as (x, *spare):
+        x = _draw_chunk(spec, m, seed, span, base, out=x)
+        out = []
+        for n, su in zip(sizes[:-1], sus):
+            *tmp, prefix = (b.ravel()[: rows * n].reshape(rows, n) for b in spare)
+            np.copyto(prefix, x[:, :n])
+            out.append(_chunk_statistics(prefix, tests, su, *tmp))
+        out.append(_chunk_statistics(x, tests, sus[-1], *spare[:3]))
+        return out
 
 
 def _map_chunks(work, reps: int, n: int, threads: int) -> list:
@@ -266,29 +282,35 @@ def _null_runs(reps, seed, tests, threads, base):
     return {}
 
 
-def _null_statistics(n, reps, seed, tests, threads, base=0):
+def _null_statistics(n, reps, seed, tests, threads, base=0, sizes=()):
     """The null pipeline: per test, read-only (raw, z) arrays of the
     defined rows among the standard normal replications base..base+reps-1,
     in order. A run is kept under its own arguments, so a later call with
     the same ones reads it and a call at another thread count runs its own.
+    A run of n that is not kept is drawn together with those of every
+    other n in sizes that is not kept either, in one pass at the largest.
     """
     runs = _null_runs(reps, seed, tests, threads, base)
     if n in runs:
         return runs[n]
-    su = su_params(n)
+    missing = sorted({n, *sizes} - runs.keys())
+    sus = [su_params(m) for m in missing]
 
     def work(span):
-        stats = _chunk_kernels(_NORMAL, n, seed, span, tests, su, base)
-        return {t: (raw[ok], z[ok]) for t, (raw, z, ok) in stats.items()}
+        return [
+            {t: (raw[ok], z[ok]) for t, (raw, z, ok) in stats.items()}
+            for stats in _chunk_kernels(_NORMAL, missing, seed, span, tests, sus, base)
+        ]
 
-    parts = _map_chunks(work, reps, n, threads)
-    null = {}
-    for t in tests:
-        raw, z = (np.concatenate(col) for col in zip(*(p[t] for p in parts)))
-        raw.flags.writeable = z.flags.writeable = False  # shared by later hits
-        null[t] = raw, z
-    runs[n] = null  # no lock: threads racing on one run build equal bytes
-    return null
+    parts = _map_chunks(work, reps, missing[-1], threads)
+    for m, chunks in zip(missing, zip(*parts)):
+        null = {}
+        for t in tests:
+            raw, z = (np.concatenate(col) for col in zip(*(c[t] for c in chunks)))
+            raw.flags.writeable = z.flags.writeable = False  # shared by later hits
+            null[t] = raw, z
+        runs[m] = null  # no lock: threads racing on one run build equal bytes
+    return runs[n]
 
 
 def calibrate(
@@ -305,7 +327,8 @@ def calibrate(
     for each level. Undefined replications are counted separately, never
     as rejections.
     """
-    n, reps, seed, threads = _check_common(n, reps, seed, threads)
+    n = check_n(n)
+    reps, seed, threads = _check_common(reps, seed, threads)
     if not isinstance(levels, Iterable):
         raise InvalidLevelError(f"levels must be a list of levels, got {levels!r}")
     levels = tuple(check_level(l) for l in levels)
@@ -394,14 +417,99 @@ def _rejects(test, level, pool=None):
     return lambda raw, z, defined: (np.abs(z) > crit) & defined
 
 
-def _null_reference(n, seed, null_reps, tests, threads):
+def _null_reference(n, seed, null_reps, tests, threads, sizes=()):
     """Null pools for simulated critical values: each test's
     _tail_statistic over the cached null run of null_reps replications on
-    streams (seed, CALIBRATION_STREAM_BASE + j)."""
+    streams (seed, CALIBRATION_STREAM_BASE + j). A run that is not kept is
+    drawn with every other missing n of sizes (see _null_statistics)."""
     null = _null_statistics(
-        n, null_reps, seed, tests, threads, CALIBRATION_STREAM_BASE
+        n, null_reps, seed, tests, threads, CALIBRATION_STREAM_BASE, sizes
     )
     return {t: _tail_statistic(t, *null[t]) for t in tests}
+
+
+def power_curve(
+    alternative: AlternativeSpec,
+    ns,
+    reps: int,
+    level: float,
+    tests=ALL_TESTS,
+    seed: int = 0,
+    threads: int = 1,
+    critical_values: str = "simulated",
+    null_reps: int = 100_000,
+) -> list[PowerCell]:
+    """Rejection fraction of each requested test against an alternative,
+    at each sample size of ns: one PowerCell per entry of ns, in ns order.
+
+    Every requested test is applied to the same sample in each replication
+    (common random numbers). critical_values="simulated" (default) rejects
+    beyond empirical null quantiles at the same n, taken over null_reps
+    (>= 1) null replications that later calls with the same seed, null_reps,
+    tests and threads reuse; "asymptotic" uses each test's nominal normal
+    approximation directly and ignores null_reps.
+
+    Replication r is drawn once, at the largest n, and a smaller n takes
+    the first n values of its row: a stream's first n variates do not
+    depend on how many follow. So each cell equals power_study at its n,
+    bit for bit. Every n is checked before anything is drawn.
+    """
+    if isinstance(ns, str) or not isinstance(ns, Iterable):
+        raise InvalidParamsError(f"ns must be a collection of sample sizes, got {ns!r}")
+    ns = [check_n(n) for n in ns]
+    if not ns:
+        raise InvalidParamsError("ns must be nonempty")
+    reps, seed, threads = _check_common(reps, seed, threads)
+    level = check_level(level)
+    tests = _normalize_tests(tests)
+    simulated = critical_values == "simulated"
+    if simulated:
+        null_reps = check_int("null_reps", null_reps, lo=1)
+    if TestName.SHAPIRO_WILK in tests:
+        for n in ns:
+            check_sw_n(n)
+    if not simulated and critical_values != "asymptotic":
+        raise InvalidParamsError(
+            f'critical_values must be "simulated" or "asymptotic", '
+            f"got {critical_values!r}"
+        )
+    sizes = sorted(set(ns))
+    sus = [su_params(n) for n in sizes]
+    rejects = []
+    for n in sizes:
+        pools = (
+            _null_reference(n, seed, null_reps, tests, threads, sizes)
+            if simulated
+            else {}
+        )
+        rejects.append({t: _rejects(t, level, pools.get(t)) for t in tests})
+
+    def work(span):
+        return [
+            [
+                (np.count_nonzero(rej[t](*stats[t])), np.count_nonzero(~stats[t][2]))
+                for t in tests
+            ]
+            for rej, stats in zip(
+                rejects, _chunk_kernels(alternative, sizes, seed, span, tests, sus)
+            )
+        ]
+
+    # per n of sizes, per test (rejections, undefined), summed over chunks,
+    # as Python ints
+    counts = np.sum(_map_chunks(work, reps, sizes[-1], threads), axis=0).tolist()
+    by_n = dict(zip(sizes, counts))
+    return [
+        PowerCell(
+            alternative=alternative,
+            n=n,
+            reps=reps,
+            level=level,
+            powers={t: c[0] / reps for t, c in zip(tests, by_n[n])},
+            undefined_counts={t: c[1] for t, c in zip(tests, by_n[n])},
+        )
+        for n in ns
+    ]
 
 
 def power_study(
@@ -415,49 +523,14 @@ def power_study(
     critical_values: str = "simulated",
     null_reps: int = 100_000,
 ) -> PowerCell:
-    """Rejection fraction of each requested test against an alternative.
-
-    Every requested test is applied to the same sample in each replication
-    (common random numbers). critical_values="simulated" (default) rejects
-    beyond empirical null quantiles at the same n, taken over null_reps
-    (>= 1) null replications that later calls with the same seed, null_reps,
-    tests and threads reuse; "asymptotic" uses each test's nominal normal
-    approximation directly and ignores null_reps.
-    """
-    n, reps, seed, threads = _check_common(n, reps, seed, threads)
-    level = check_level(level)
-    tests = _normalize_tests(tests)
-    simulated = critical_values == "simulated"
-    if simulated:
-        null_reps = check_int("null_reps", null_reps, lo=1)
-    if TestName.SHAPIRO_WILK in tests:
-        check_sw_n(n)
-    if not simulated and critical_values != "asymptotic":
-        raise InvalidParamsError(
-            f'critical_values must be "simulated" or "asymptotic", '
-            f"got {critical_values!r}"
-        )
-    su = su_params(n)
-    pools = _null_reference(n, seed, null_reps, tests, threads) if simulated else {}
-    rejects = {t: _rejects(t, level, pools.get(t)) for t in tests}
-
-    def work(span):
-        stats = _chunk_kernels(alternative, n, seed, span, tests, su)
-        return [
-            (np.count_nonzero(rejects[t](*stats[t])), np.count_nonzero(~stats[t][2]))
-            for t in tests
-        ]
-
-    # per test (rejections, undefined), summed over chunks, as Python ints
-    counts = np.sum(_map_chunks(work, reps, n, threads), axis=0).tolist()
-    return PowerCell(
-        alternative=alternative,
-        n=n,
-        reps=reps,
-        level=level,
-        powers={t: c[0] / reps for t, c in zip(tests, counts)},
-        undefined_counts={t: c[1] for t, c in zip(tests, counts)},
+    """Rejection fraction of each requested test against an alternative at
+    one sample size n: power_curve's cell for ns = (n,), with the same
+    arguments and defaults."""
+    (cell,) = power_curve(
+        alternative, (n,), reps, level, tests, seed, threads, critical_values,
+        null_reps,
     )
+    return cell
 
 
 def null_histogram(
@@ -474,7 +547,8 @@ def null_histogram(
     Bin edges span the empirical mean +- 5 standard deviations unless
     value_range overrides them.
     """
-    n, reps, seed, threads = _check_common(n, reps, seed, threads)
+    n = check_n(n)
+    reps, seed, threads = _check_common(reps, seed, threads)
     try:
         statistic = Statistic(statistic)
     except ValueError:
@@ -523,7 +597,8 @@ def moment_validation(
     sqrt(lambda2/reps), se(var) = lambda2*sqrt(2/reps), se(m3) =
     sqrt(6*lambda2^3/reps), se(b2) = sqrt(24/reps).
     """
-    n, reps, seed, threads = _check_common(n, reps, seed, threads, min_reps=2)
+    n = check_n(n)
+    reps, seed, threads = _check_common(reps, seed, threads, min_reps=2)
     values, _ = _null_statistics(n, reps, seed, _SPMS, threads)[TestName.SPMS]
     lam2 = lambda2(n)
     bet2 = beta2_spms(n)

@@ -390,6 +390,30 @@ class TestPowerCommand:
         assert sorted(runs) == [20, 30]
         assert warm == cold
 
+    def test_rows_follow_the_given_sizes(self, capsys):
+        argv = ["power", "--alt", "weibull:2", "--reps", "300", "--null-reps",
+                "700", "--seed", "4", "--n"]
+        code, out, _ = run(capsys, *argv, "50,20,20")
+        assert code == 0
+        comments, _, rows = parse_csv(out)
+        assert [r["n"] for r in rows] == ["50"] * 4 + ["20"] * 8
+        montecarlo._null_runs.cache_clear()  # each n alone, drawn at its n
+        alone = {n: parse_csv(run(capsys, *argv, n)[1])[2] for n in ("50", "20")}
+        assert rows == alone["50"] + alone["20"] + alone["20"]
+
+    def test_every_size_checked_before_any_draw(self, capsys, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a chunk was drawn before every n was checked")
+
+        monkeypatch.setattr(montecarlo, "_draw_chunk", no_draw)
+        code, out, err = run(
+            capsys, "power", "--alt", "gamma:2", "--n", "20,6000", "--tests",
+            "shapiro_wilk", "--seed", "1",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.strip().endswith("Shapiro-Wilk requires n <= 5000, got 6000")
+
 
 class TestHistCommand:
     def test_conservation_and_schema(self, capsys):

@@ -138,6 +138,27 @@ class TestDrawValues:
         t = sample(spec, 50, SeededStream(2, 11))
         assert np.array_equal(s.values, t.values)
 
+    # the study's specs, and numpy's shape < 1 gamma branch and beta,
+    # Weibull and lognormal samplers far from the study's parameters
+    PREFIX_SPECS = (
+        (AlternativeSpec(Family.NORMAL),)
+        + POWER_STUDY_ALTERNATIVES
+        + tuple(
+            AlternativeSpec.parse(s)
+            for s in ("beta:0.5,0.5", "gamma:0.3", "weibull:0.5", "lognormal:1,2")
+        )
+    )
+
+    @pytest.mark.parametrize("stream_id", [7, 2**48 + 7])
+    @pytest.mark.parametrize("spec", PREFIX_SPECS, ids=lambda s: s.label)
+    def test_sample_is_a_prefix_of_a_longer_one(self, spec, stream_id):
+        # power_curve runs each smaller n on the first n values of a row
+        # drawn at the largest n
+        longer = sample(spec, 1000, SeededStream(3, stream_id)).values
+        for n in (8, 20, 50, 100, 999):
+            got = sample(spec, n, SeededStream(3, stream_id)).values
+            assert np.array_equal(got.view(np.uint64), longer[:n].view(np.uint64))
+
     def test_bad_n(self):
         with pytest.raises(InvalidParamsError):
             draw_values(

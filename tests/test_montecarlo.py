@@ -31,6 +31,7 @@ from pmskew import (
     lin_mudholkar_test,
     moment_validation,
     null_histogram,
+    power_curve,
     power_study,
     shapiro_wilk_test,
     spms_test,
@@ -243,6 +244,50 @@ class TestPowerStudy:
             tests=("spms",),
             critical_values="asymptotic",
         )
+
+
+class TestPowerCurve:
+    """A power call over several n draws each replication once, at the
+    largest n; every cell and every kept null run equals what a call at
+    its n alone gives, bit for bit."""
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("critical_values", ["simulated", "asymptotic"])
+    def test_cells_equal_single_n_calls(self, critical_values, threads):
+        alt = AlternativeSpec.parse("beta:2,1")
+        ns, null_reps = (50, 20, 20, 8), 3000
+        reps = 2 * _chunk_rows(50) + 7  # three chunks at n=50, one at n=8
+        kw = dict(seed=9, threads=threads, critical_values=critical_values,
+                  null_reps=null_reps)
+        key = (null_reps, 9, ALL_TESTS, threads, CALIBRATION_STREAM_BASE)
+        montecarlo._null_runs.cache_clear()
+        each = [power_study(alt, n, reps, 0.05, **kw) for n in ns]
+        alone = {n: _kernel_bytes(r) for n, r in montecarlo._null_runs(*key).items()}
+        montecarlo._null_runs.cache_clear()
+        curve = power_curve(alt, ns, reps, 0.05, **kw)
+        assert curve == each
+        assert curve[1] is not curve[2]
+        shared = {n: _kernel_bytes(r) for n, r in montecarlo._null_runs(*key).items()}
+        assert shared == alone
+
+    def test_null_runs_drawn_once_at_the_largest_missing_n(self, draws):
+        alt = AlternativeSpec.parse("gamma:2")
+        kw = dict(seed=27, null_reps=600)
+        power_curve(alt, (20, 50), 100, 0.05, **kw)
+        assert [d[0] for d in _pool_draws(draws)] == [50]
+        assert [d[0] for d in draws if d[2] == 0] == [50]
+        draws.clear()
+        # kept runs are read; the missing n=8 and n=30 are drawn at n=30
+        power_curve(alt, (8, 20, 30, 50), 100, 0.05, **kw)
+        assert [d[0] for d in _pool_draws(draws)] == [30]
+        runs = montecarlo._null_runs(600, 27, ALL_TESTS, 1, CALIBRATION_STREAM_BASE)
+        assert sorted(runs) == [8, 20, 30, 50]
+
+    @pytest.mark.parametrize("ns", [(), 20, "20,50", None])
+    def test_sizes_must_be_a_nonempty_collection(self, ns, draws):
+        with pytest.raises(InvalidParamsError, match="ns"):
+            power_curve(_GAMMA2, ns, 100, 0.05, null_reps=200)
+        assert draws == []
 
 
 class TestNullHistogram:
@@ -551,16 +596,18 @@ class TestWorkspace:
         if not hasattr(resource, "RUSAGE_THREAD"):
             pytest.skip("per-thread resource usage is not available")
         alt = AlternativeSpec.parse("lognormal:0,0.5")
-
-        def cell():
-            power_study(alt, 1000, 2048, 0.05, critical_values="asymptotic")
-
-        cell()
-        before = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
-        cell()
-        faults = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before
-        # allocating and freeing each chunk's blocks took about 7,600
-        assert faults < 1000
+        kw = dict(reps=2048, level=0.05, critical_values="asymptotic")
+        cells = {
+            "one n": lambda: power_study(alt, 1000, **kw),
+            "two n": lambda: power_curve(alt, (500, 1000), **kw),  # five blocks
+        }
+        for name, cell in cells.items():
+            cell()
+            before = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
+            cell()
+            faults = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before
+            # allocating and freeing each chunk's blocks took about 7,600
+            assert faults < 1000, name
 
 
 @pytest.fixture
@@ -870,6 +917,12 @@ _EXPERIMENTS = {
     "moment_validation": (moment_validation, dict(n=20, reps=100, seed=1)),
 }
 
+# power_curve over two sizes, with the defaults' Shapiro-Wilk n <= 5000 rule
+_POWER_CURVE = (
+    power_curve,
+    dict(alternative=_GAMMA2, ns=(20, 50), reps=100, level=0.05, seed=1, null_reps=200),
+)
+
 
 _BAD_COUNTS = [
     ("threads", 0), ("threads", -3), ("threads", 2.5), ("threads", "2"),
@@ -883,12 +936,27 @@ class TestArgumentValidation:
     truncated or parsed, and the kept null runs stay as they were."""
 
     @pytest.mark.parametrize(
-        "name, arg, value",
-        [(name, arg, v) for name in sorted(_EXPERIMENTS) for arg, v in _BAD_COUNTS]
-        + [("null_histogram", "bins", 10.7), ("power_study", "null_reps", 2.5)],
+        "name, arg, value, error, match",
+        [
+            pytest.param(name, arg, v, InvalidParamsError, arg, id=f"{name}-{arg}-{v}")
+            for name, arg, v in [
+                (name, arg, v) for name in sorted(_EXPERIMENTS) for arg, v in _BAD_COUNTS
+            ]
+            + [("null_histogram", "bins", 10.7), ("power_study", "null_reps", 2.5)]
+        ]
+        # every n of a multi-n power call, the largest last or not
+        + [
+            pytest.param("power_curve", "ns", ns, error, match, id=f"power_curve-ns-{id_}")
+            for ns, error, match, id_ in [
+                ((20, 6000), SampleTooLargeError, "6000", "sw_too_large"),
+                ((6000, 20), SampleTooLargeError, "6000", "sw_too_large_first"),
+                ((20, 50, 4), SampleTooSmallError, "4", "too_small"),
+                ((20, 50.5), InvalidParamsError, "n", "not_integer"),
+            ]
+        ],
     )
-    def test_rejected_before_any_draw(self, name, arg, value, monkeypatch):
-        func, kw = _EXPERIMENTS[name]
+    def test_rejected_before_any_draw(self, name, arg, value, error, match, monkeypatch):
+        func, kw = {**_EXPERIMENTS, "power_curve": _POWER_CURVE}[name]
         func(**kw)  # a kept configuration a bad call must not evict
         kept = montecarlo._null_runs.cache_info()
 
@@ -896,7 +964,7 @@ class TestArgumentValidation:
             raise AssertionError(f"a chunk was drawn before the {arg} check")
 
         monkeypatch.setattr("pmskew.montecarlo._draw_chunk", no_draw)
-        with pytest.raises(InvalidParamsError, match=arg):
+        with pytest.raises(error, match=match):
             func(**{**kw, arg: value})
         assert montecarlo._null_runs.cache_info() == kept
 
