@@ -41,6 +41,7 @@ from .montecarlo import (
     PowerCell,
     Statistic,
     calibrate,
+    calibrate_curve,
     moment_validation,
     null_histogram,
     power_curve,
@@ -110,6 +111,7 @@ __all__ = [
     "MomentValidation",
     "ALL_TESTS",
     "calibrate",
+    "calibrate_curve",
     "power_curve",
     "power_study",
     "null_histogram",

@@ -36,7 +36,7 @@ from .moments import Sample
 from .montecarlo import (
     ALL_TESTS,
     Statistic,
-    calibrate,
+    calibrate_curve,
     moment_validation,
     null_histogram,
     power_curve,
@@ -233,11 +233,11 @@ def cmd_calibrate(args) -> int:
     ns = _sizes(args.n)
     levels = _float_list(args.levels)
     threads = _resolve_threads(args.threads)
-    rows = []
-    for n in ns:
-        result = calibrate(n, args.reps, levels, args.seed, threads=threads)
-        for level, rate in zip(result.levels, result.rejection_rates):
-            rows.append([n, result.reps, level, rate, result.undefined_count])
+    rows = [
+        [row.n, row.reps, level, rate, row.undefined_count]
+        for row in calibrate_curve(ns, args.reps, levels, args.seed, threads=threads)
+        for level, rate in zip(row.levels, row.rejection_rates)
+    ]
     header = ["n", "reps", "level", "rejection_rate", "undefined"]
     meta = {"command": "calibrate", "seed": args.seed}
     _emit(args, header, rows, meta, [f"seed={args.seed}"])

@@ -82,8 +82,21 @@ class AlternativeSpec:
     params: tuple[float, ...] = ()
 
     def __post_init__(self):
-        family = Family(self.family)
-        params = tuple(float(p) for p in self.params)
+        try:
+            family = Family(self.family)
+        except ValueError:
+            raise InvalidParamsError(
+                f"unknown distribution family {self.family!r}"
+            ) from None
+        try:
+            if isinstance(self.params, (str, bytes)):
+                raise TypeError  # would be read one character at a time
+            params = tuple(float(p) for p in self.params)
+        except (TypeError, ValueError, OverflowError):
+            raise InvalidParamsError(
+                f"{family} parameters must be a collection of numbers, "
+                f"got {self.params!r}"
+            ) from None
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "params", params)
         want = _PARAM_COUNT[family]
@@ -230,7 +243,18 @@ def sample(spec: AlternativeSpec, n: int, stream: SeededStream) -> Sample:
 
 
 def population_moments(spec: AlternativeSpec) -> tuple[float, float]:
-    """Exact population skewness sqrt(beta1) and kurtosis beta2."""
+    """Exact population skewness sqrt(beta1) and kurtosis beta2;
+    InvalidParamsError if float64 cannot hold them or their terms."""
+    try:
+        moments = _population_moments(spec)
+        if all(map(math.isfinite, moments)):
+            return moments
+    except (OverflowError, ZeroDivisionError):
+        pass
+    raise InvalidParamsError(f"population moments of {spec.label} are beyond float64")
+
+
+def _population_moments(spec):
     family = spec.family
     if family is Family.NORMAL:
         return 0.0, 3.0

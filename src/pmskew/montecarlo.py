@@ -40,11 +40,12 @@ defined); rows that are not defined are counted as undefined and never as
 rejections.
 
 One null pipeline, _null_statistics (draw normal rows, run the kernels,
-keep the defined rows), serves calibrate, null_histogram,
-moment_validation and the null pools of power_curve. Runs are kept by
-their own arguments, every n of the two latest configurations, so these
-summaries of one (n, reps, seed, threads) simulate the null once, and a
-power call draws the null runs of all its missing n in one pass.
+keep the defined rows), serves calibrate_curve (and calibrate, its one-n
+call), null_histogram, moment_validation and the null pools of
+power_curve. Runs are kept by their own arguments, every n of the two
+latest configurations, so these summaries of one (n, reps, seed, threads)
+simulate the null once, and a calibrate_curve or power call draws the
+null runs of all its missing n in one pass.
 
 Power experiments default to simulated critical values: each test's
 rejection threshold is the appropriate empirical quantile of the test
@@ -99,6 +100,7 @@ __all__ = [
     "MomentRow",
     "MomentValidation",
     "calibrate",
+    "calibrate_curve",
     "power_curve",
     "power_study",
     "null_histogram",
@@ -313,38 +315,53 @@ def _null_statistics(n, reps, seed, tests, threads, base=0, sizes=()):
     return runs[n]
 
 
-def calibrate(
-    n: int,
-    reps: int,
-    levels,
-    seed: int,
-    threads: int = 1,
-) -> CalibrationRow:
-    """Null rejection rates of the two-sided spms test.
+def _check_ns(ns) -> list[int]:
+    """ns, a nonempty collection (not a string), as a list of checked n."""
+    if isinstance(ns, str) or not isinstance(ns, Iterable):
+        raise InvalidParamsError(f"ns must be a collection of sample sizes, got {ns!r}")
+    ns = [check_n(n) for n in ns]
+    if not ns:
+        raise InvalidParamsError("ns must be nonempty")
+    return ns
+
+
+def calibrate_curve(
+    ns, reps: int, levels, seed: int, threads: int = 1
+) -> list[CalibrationRow]:
+    """Null rejection rates of the two-sided spms test at each sample size
+    of ns: one CalibrationRow per entry of ns, in ns order.
 
     Draws reps standard normal samples of size n (replication r on stream
     (seed, r)), applies the spms Z transform, and counts |Z| > z_{1-l/2}
     for each level. Undefined replications are counted separately, never
-    as rejections.
+    as rejections. Every n is checked before anything is drawn, and the
+    null runs of all missing n are drawn in one pass at the largest (see
+    _null_statistics), so each row equals calibrate at its n, bit for bit.
     """
-    n = check_n(n)
+    ns = _check_ns(ns)
     reps, seed, threads = _check_common(reps, seed, threads)
     if not isinstance(levels, Iterable):
         raise InvalidLevelError(f"levels must be a list of levels, got {levels!r}")
     levels = tuple(check_level(l) for l in levels)
     if not levels:
         raise InvalidParamsError("levels must be nonempty")
-    raw, z = _null_statistics(n, reps, seed, _SPMS, threads)[TestName.SPMS]
-    counts = [
-        np.count_nonzero(_rejects(TestName.SPMS, l)(raw, z, True)) for l in levels
-    ]
-    return CalibrationRow(
-        n=n,
-        reps=reps,
-        levels=levels,
-        rejection_rates=tuple(float(c) / reps for c in counts),
-        undefined_count=int(reps - z.size),
-    )
+    rows = []
+    for n in ns:
+        null = _null_statistics(n, reps, seed, _SPMS, threads, sizes=ns)
+        raw, z = null[TestName.SPMS]
+        counts = [
+            np.count_nonzero(_rejects(TestName.SPMS, l)(raw, z, True)) for l in levels
+        ]
+        rates = tuple(float(c) / reps for c in counts)
+        rows.append(CalibrationRow(n, reps, levels, rates, int(reps - z.size)))
+    return rows
+
+
+def calibrate(n: int, reps: int, levels, seed: int, threads: int = 1) -> CalibrationRow:
+    """Null rejection rates of the two-sided spms test at one sample size n:
+    calibrate_curve's row for ns = (n,), with the same arguments."""
+    (row,) = calibrate_curve((n,), reps, levels, seed, threads)
+    return row
 
 
 def _normalize_tests(tests) -> tuple[TestName, ...]:
@@ -373,18 +390,21 @@ def _chunk_statistics(x, tests, su, tmp=None, y=None, s1=None):
     the moments' powers, y and s1 for the Lin-Mudholkar proxy.
     """
     out = {}
-    if TestName.SHAPIRO_WILK in tests:
-        out[TestName.SHAPIRO_WILK] = _batch_sw(x, tmp)
-    if tests != (TestName.SHAPIRO_WILK,):
-        x -= x.mean(axis=1, keepdims=True)
-    if TestName.SPMS in tests or TestName.SQRT_B1 in tests:
-        moments = centred_moment_arrays(x, tmp)
-    if TestName.SPMS in tests:
-        out[TestName.SPMS] = _batch_spms(moments, su)
-    if TestName.SQRT_B1 in tests:
-        out[TestName.SQRT_B1] = _batch_sqrt_b1_z(moments, x.shape[1])
-    if TestName.LIN_MUDHOLKAR in tests:
-        out[TestName.LIN_MUDHOLKAR] = _batch_lm_z(x, y, s1)
+    # rows of overflowing, degenerate or all-zero samples are reported as
+    # undefined, so numpy's floating-point warnings would only add noise
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if TestName.SHAPIRO_WILK in tests:
+            out[TestName.SHAPIRO_WILK] = _batch_sw(x, tmp)
+        if tests != (TestName.SHAPIRO_WILK,):
+            x -= x.mean(axis=1, keepdims=True)
+        if TestName.SPMS in tests or TestName.SQRT_B1 in tests:
+            moments = centred_moment_arrays(x, tmp)
+        if TestName.SPMS in tests:
+            out[TestName.SPMS] = _batch_spms(moments, su)
+        if TestName.SQRT_B1 in tests:
+            out[TestName.SQRT_B1] = _batch_sqrt_b1_z(moments, x.shape[1])
+        if TestName.LIN_MUDHOLKAR in tests:
+            out[TestName.LIN_MUDHOLKAR] = _batch_lm_z(x, y, s1)
     return out
 
 
@@ -454,11 +474,7 @@ def power_curve(
     depend on how many follow. So each cell equals power_study at its n,
     bit for bit. Every n is checked before anything is drawn.
     """
-    if isinstance(ns, str) or not isinstance(ns, Iterable):
-        raise InvalidParamsError(f"ns must be a collection of sample sizes, got {ns!r}")
-    ns = [check_n(n) for n in ns]
-    if not ns:
-        raise InvalidParamsError("ns must be nonempty")
+    ns = _check_ns(ns)
     reps, seed, threads = _check_common(reps, seed, threads)
     level = check_level(level)
     tests = _normalize_tests(tests)

@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -283,6 +284,34 @@ class TestCalibrateCommand:
         assert out == ""
         assert err.count("\n") == 1 and "--n" in err
 
+    def test_rows_follow_the_given_sizes(self, capsys):
+        argv = ["calibrate", "--reps", "700", "--levels", "0.05,0.2", "--seed", "4",
+                "--n"]
+        code, out, _ = run(capsys, *argv, "100,20,20")
+        assert code == 0
+        _, _, rows = parse_csv(out)
+        assert [r["n"] for r in rows] == ["100"] * 2 + ["20"] * 4
+        montecarlo._null_runs.cache_clear()  # each n alone, drawn at its n
+        alone = {n: parse_csv(run(capsys, *argv, n)[1])[2] for n in ("100", "20")}
+        assert rows == alone["100"] + alone["20"] + alone["20"]
+
+    def test_readme_table_matches_output(self, capsys):
+        # README gives a table of null rejection rates and the command that
+        # prints it; the two must not drift apart
+        readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+        command = re.search(r"`pmskew (calibrate --n 8,20,50,100 [^`]*)`", readme)
+        table = readme[command.end():].split("\n\n", 2)[1].splitlines()
+        header = [cell.strip() for cell in table[0].strip("|").split("|")]
+        assert header == ["n", "level 0.01", "level 0.05"]
+        want = [[cell.strip() for cell in line.strip("|").split("|")]
+                for line in table[2:]]
+        code, out, _ = run(capsys, *command.group(1).split())
+        assert code == 0
+        _, _, rows = parse_csv(out)
+        got = [[n] + [r["rejection_rate"] for r in rows if r["n"] == n]
+               for n in dict.fromkeys(r["n"] for r in rows)]
+        assert got == want
+
 
 class TestPowerCommand:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -400,6 +429,18 @@ class TestPowerCommand:
         montecarlo._null_runs.cache_clear()  # each n alone, drawn at its n
         alone = {n: parse_csv(run(capsys, *argv, n)[1])[2] for n in ("50", "20")}
         assert rows == alone["50"] + alone["20"] + alone["20"]
+
+    # every row overflows and is undefined: the summary is all of stderr
+    def test_undefined_rows_write_no_numpy_warnings(self, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run(
+                capsys, "power", "--alt", "weibull:0.001", "--n", "20", "--reps",
+                "50", "--critical-values", "asymptotic",
+            )
+        assert code == 0
+        assert [str(w.message) for w in caught] == []
+        assert err.count("\n") == 1 and err.startswith("power: alt=weibull:0.001,")
 
     def test_every_size_checked_before_any_draw(self, capsys, monkeypatch):
         def no_draw(*args, **kwargs):
@@ -705,7 +746,7 @@ class TestErrorExitCodes:
         def fail(*args, **kwargs):
             raise error("boom")
 
-        monkeypatch.setattr("pmskew.cli.calibrate", fail)
+        monkeypatch.setattr("pmskew.cli.calibrate_curve", fail)
         code, out, err = run(capsys, "calibrate", "--n", "20")
         assert code in (1, 2)
         assert out == ""

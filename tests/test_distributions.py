@@ -1,5 +1,7 @@
 """Alternative specs, seeded streams, and exact population moments."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -58,6 +60,20 @@ class TestAlternativeSpec:
     def test_parse_rejects(self, bad):
         with pytest.raises(InvalidParamsError):
             AlternativeSpec.parse(bad)
+
+    @pytest.mark.parametrize(
+        "args, match",
+        [
+            (("beta", "21"), "'21'"),  # not read as beta(2, 1)
+            (("foo",), "foo"),
+            (("gamma", None), "None"),
+            (("gamma", ("x",)), "'x'"),
+        ],
+        ids=["params_string", "unknown_family", "params_none", "params_not_numbers"],
+    )
+    def test_constructor_raises_only_invalid_params(self, args, match):
+        with pytest.raises(InvalidParamsError, match=match):
+            AlternativeSpec(*args)
 
     def test_lognormal_mu_may_be_negative(self):
         spec = AlternativeSpec.parse("lognormal:-1,0.5")
@@ -198,6 +214,16 @@ class TestPopulationMoments:
         b1, b2 = population_moments(AlternativeSpec.parse("beta:2,1"))
         assert b1 == pytest.approx(-4.0 / (5.0 * np.sqrt(2.0)), rel=1e-14)
         assert b2 == pytest.approx(2.4, rel=1e-14)
+
+    # exp(900) and gamma(4001) overflow, 6 / 1e-320 is inf, and p * q
+    # underflows to 0
+    @pytest.mark.parametrize(
+        "text", ["lognormal:0,30", "weibull:0.001", "gamma:1e-320", "beta:1e-320,1e-320"]
+    )
+    def test_beyond_float64_is_invalid_params(self, text):
+        spec = AlternativeSpec.parse(text)
+        with pytest.raises(InvalidParamsError, match=re.escape(spec.label)):
+            population_moments(spec)
 
     @pytest.mark.parametrize("spec", POWER_STUDY_ALTERNATIVES)
     def test_simulation_agrees(self, spec):

@@ -5,6 +5,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -26,6 +27,7 @@ from pmskew import (
     SeededStream,
     beta2_spms,
     calibrate,
+    calibrate_curve,
     draw_values,
     lambda2,
     lin_mudholkar_test,
@@ -100,6 +102,36 @@ class TestCalibrate:
             calibrate(50, 100, [0.05, 1.0], 0)
         with pytest.raises(InvalidParamsError):
             calibrate(20, 100, [], 0)
+
+
+class TestCalibrateCurve:
+    """A calibrate call over several n draws each null replication once, at
+    the largest n; every row and every kept null run equals what a call at
+    its n alone gives, bit for bit."""
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_rows_equal_single_n_calls(self, threads):
+        ns, levels = (50, 20, 20, 8), (0.01, 0.05, 0.2)
+        reps = 2 * _chunk_rows(50) + 7  # three chunks at n=50, one at n=8
+        key = (reps, 9, (TN.SPMS,), threads, 0)
+        montecarlo._null_runs.cache_clear()
+        each = [calibrate(n, reps, levels, 9, threads=threads) for n in ns]
+        alone = {n: _kernel_bytes(r) for n, r in montecarlo._null_runs(*key).items()}
+        montecarlo._null_runs.cache_clear()
+        curve = calibrate_curve(ns, reps, levels, 9, threads=threads)
+        assert curve == each
+        assert [row.n for row in curve] == list(ns)
+        shared = {n: _kernel_bytes(r) for n, r in montecarlo._null_runs(*key).items()}
+        assert shared == alone
+
+    def test_readme_sizes_drawn_once_at_the_largest_n(self, draws):
+        reps = 20_000
+        calibrate_curve((8, 20, 50, 100), reps, (0.01, 0.05), 1)
+        assert draws == [(100, 1, 0)] * len(_spans(reps, 100))
+        draws.clear()
+        # kept runs are read; the missing n=30 and n=60 are drawn at n=60
+        calibrate_curve((30, 100, 8, 60), reps, (0.01, 0.05), 1)
+        assert draws == [(60, 1, 0)] * len(_spans(reps, 60))
 
 
 class TestPowerStudy:
@@ -226,6 +258,19 @@ class TestPowerStudy:
         for t, p in cell.powers.items():
             assert 0.073 <= p <= 0.127, (t, p)
 
+    # weibull:0.001 overflows every row; gamma:1e-320 draws all-zero rows
+    @pytest.mark.parametrize("alt", ["weibull:0.001", "gamma:1e-320"])
+    def test_undefined_rows_raise_no_numpy_warnings(self, alt):
+        reps = 50
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cell = power_study(
+                AlternativeSpec.parse(alt), 20, reps, 0.05,
+                critical_values="asymptotic",
+            )
+        assert cell.undefined_counts == dict.fromkeys(ALL_TESTS, reps)
+        assert cell.powers == dict.fromkeys(ALL_TESTS, 0.0)
+
     def test_validation(self):
         with pytest.raises(InvalidParamsError):
             power_study(NORMAL, 40, 100, 0.05, tests=("spms", "nosuch"))
@@ -284,9 +329,14 @@ class TestPowerCurve:
         assert sorted(runs) == [8, 20, 30, 50]
 
     @pytest.mark.parametrize("ns", [(), 20, "20,50", None])
-    def test_sizes_must_be_a_nonempty_collection(self, ns, draws):
+    @pytest.mark.parametrize("curve", ["power_curve", "calibrate_curve"])
+    def test_sizes_must_be_a_nonempty_collection(self, curve, ns, draws):
+        call = {
+            "power_curve": lambda: power_curve(_GAMMA2, ns, 100, 0.05, null_reps=200),
+            "calibrate_curve": lambda: calibrate_curve(ns, 100, [0.05], 0),
+        }[curve]
         with pytest.raises(InvalidParamsError, match="ns"):
-            power_curve(_GAMMA2, ns, 100, 0.05, null_reps=200)
+            call()
         assert draws == []
 
 
@@ -922,6 +972,9 @@ _POWER_CURVE = (
     power_curve,
     dict(alternative=_GAMMA2, ns=(20, 50), reps=100, level=0.05, seed=1, null_reps=200),
 )
+_CALIBRATE_CURVE = (
+    calibrate_curve, dict(ns=(20, 50), reps=100, levels=[0.05], seed=1)
+)
 
 
 _BAD_COUNTS = [
@@ -953,10 +1006,21 @@ class TestArgumentValidation:
                 ((20, 50, 4), SampleTooSmallError, "4", "too_small"),
                 ((20, 50.5), InvalidParamsError, "n", "not_integer"),
             ]
+        ]
+        # every n and every level of a multi-n calibrate call
+        + [
+            pytest.param("calibrate_curve", "ns", (20, 50, 7), SampleTooSmallError,
+                         "7", id="calibrate_curve-ns-too_small"),
+            pytest.param("calibrate_curve", "levels", [0.05, 1.0], InvalidLevelError,
+                         "1.0", id="calibrate_curve-levels-one"),
         ],
     )
     def test_rejected_before_any_draw(self, name, arg, value, error, match, monkeypatch):
-        func, kw = {**_EXPERIMENTS, "power_curve": _POWER_CURVE}[name]
+        func, kw = {
+            **_EXPERIMENTS,
+            "power_curve": _POWER_CURVE,
+            "calibrate_curve": _CALIBRATE_CURVE,
+        }[name]
         func(**kw)  # a kept configuration a bad call must not evict
         kept = montecarlo._null_runs.cache_info()
 
