@@ -195,9 +195,6 @@ def _read_sample(path: str, col: int | None) -> Sample:
     return Sample(np.array(values))
 
 
-# values near 1e200 overflow the moments; the rows already report such
-# tests as undefined, so numpy's warnings would only add noise
-@np.errstate(over="ignore", invalid="ignore")
 def cmd_test(args) -> int:
     if args.col is not None and args.col < 1:
         raise InvalidConfigError(f"--col must be >= 1, got {args.col}")

@@ -116,10 +116,7 @@ class AlternativeSpec:
     def parse(cls, text: str) -> "AlternativeSpec":
         """Parse a spec string like 'beta:2,1', 'gamma:3', or 'normal'."""
         name, sep, rest = text.strip().partition(":")
-        try:
-            family = Family(name.strip().lower())
-        except ValueError:
-            raise InvalidParamsError(f"unknown distribution family {name!r}")
+        family = name.strip().lower()
         if not sep:
             return cls(family)
         try:
@@ -130,11 +127,18 @@ class AlternativeSpec:
 
     @property
     def label(self) -> str:
-        """Canonical spec string, e.g. 'beta:2,1'."""
+        """Canonical spec string, e.g. 'beta:2,1', that parses back to this
+        spec."""
         if not self.params:
             return self.family.value
-        body = ",".join(format(p, "g") for p in self.params)
+        body = ",".join(_param_text(p) for p in self.params)
         return f"{self.family.value}:{body}"
+
+
+def _param_text(p: float) -> str:
+    """p in format 'g' if that reads back as p and is no longer, else repr(p)."""
+    short, exact = format(p, "g"), repr(p)
+    return short if float(short) == p and len(short) <= len(exact) else exact
 
 
 # the six alternative configurations studied in the power experiments

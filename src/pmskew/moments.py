@@ -33,11 +33,11 @@ __all__ = [
 class Sample:
     """A finite list of real observations with positive variance.
 
-    The deviations from the mean that validation computes are kept,
-    read-only, and the central moments are computed from them at most
-    once, on first use; central_moments and the scalar tests in
-    skewtests all read these, so a Sample is centred once however many
-    tests it goes through.
+    Validation computes the mean, the deviations from it and their
+    centred_moment_arrays as one row, once, and keeps them read-only;
+    central_moments and the scalar tests in skewtests read them, however
+    many tests a Sample goes through. Moments that overflow near the
+    float64 limits are inf or NaN, without a numpy warning.
 
     Parameters
     ----------
@@ -73,8 +73,11 @@ class Sample:
             )
         if not np.all(np.isfinite(arr)):
             raise NonFiniteError("sample contains NaN or infinite values")
-        d = arr - arr.mean()
-        m2 = float((d * d).mean())
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = arr.mean()
+            d = arr - mean
+            moments = centred_moment_arrays(d[None, :])
+        m2 = float(moments[0][0])
         if m2 * m2 == 0.0:
             # equal values, or a spread so small that m2 or its square
             # underflows; either way b2 = m4/m2^2 is 0/0 downstream
@@ -83,25 +86,16 @@ class Sample:
                 "moment ratios"
             )
         arr = arr.copy()
-        arr.flags.writeable = False
-        d.flags.writeable = False
+        for a in (arr, d) + moments:
+            a.flags.writeable = False
         object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "_mean", float(mean))
         object.__setattr__(self, "_centred", d)
-        object.__setattr__(self, "_moments", None)
+        object.__setattr__(self, "_moments", moments)
 
     @property
     def n(self) -> int:
         return int(self.values.size)
-
-    def _moment_arrays(self):
-        """centred_moment_arrays of the sample as one row, each a
-        read-only array of shape (1,); computed on the first call."""
-        if self._moments is None:
-            moments = centred_moment_arrays(self._centred[None, :])
-            for a in moments:
-                a.flags.writeable = False
-            object.__setattr__(self, "_moments", moments)
-        return self._moments
 
 
 @dataclass(frozen=True)
@@ -131,9 +125,9 @@ def central_moments(sample: Sample) -> MomentSummary:
     -------
     MomentSummary
     """
-    m2, m3, m4, sqrt_b1, b2 = sample._moment_arrays()
+    m2, m3, m4, sqrt_b1, b2 = sample._moments
     return MomentSummary(
-        mean=float(sample.values.mean()),
+        mean=sample._mean,
         m2=float(m2[0]),
         m3=float(m3[0]),
         m4=float(m4[0]),

@@ -340,7 +340,7 @@ def calibrate_curve(
     """
     ns = _check_ns(ns)
     reps, seed, threads = _check_common(reps, seed, threads)
-    if not isinstance(levels, Iterable):
+    if isinstance(levels, str) or not isinstance(levels, Iterable):
         raise InvalidLevelError(f"levels must be a list of levels, got {levels!r}")
     levels = tuple(check_level(l) for l in levels)
     if not levels:

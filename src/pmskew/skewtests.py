@@ -21,13 +21,12 @@ The spms expression and its degenerate-denominator guard live in _spms
 alone, which the kernel and population_pms share.
 
 The spms and sqrt(b1) kernels take the arrays returned by
-centred_moment_arrays, so a chunk that needs both computes its moments
-once; the Lin-Mudholkar kernel takes rows already centred, so a chunk
-centres its samples once for the moments and for it. The scalar entry
-points share work the same way: a Sample keeps the centred row its
-validation computed and computes its moments once, on first use, and the
-spms, sqrt(b1) and Lin-Mudholkar tests read both from it. The kernels
-work in place on their own temporaries.
+centred_moment_arrays and the Lin-Mudholkar kernel rows already centred,
+so a chunk centres its samples and computes their moments once; the
+scalar tests read both from the Sample, which computes them at
+validation. The kernels work in place on their own temporaries and
+silence the float overflow they can hit: no test emits a numpy warning
+at any scale a Sample accepts.
 """
 
 from __future__ import annotations
@@ -189,25 +188,29 @@ def spms_series(state: SeriesState) -> float:
 
     spms ~ n^-1/2 O1 + n^-1 O2 + n^-3/2 O3 + n^-2 O4 with truncation
     error O(n^-5/2); every term carries a factor V, so symmetric moment
-    states evaluate to zero exactly.
+    states evaluate to zero exactly. NaN if a power of U, V or W
+    overflows, as it does for samples scaled by about 1e24 and more.
     """
     u, v, w, n = state.U, state.V, state.W, state.n
     o1 = _O1[0] * v
     o2 = _O2[0] * u * v + _O2[1] * v * w
-    o3 = (
-        _O3[0] * u * u * v
-        + _O3[1] * u * v * w
-        + _O3[2] * v**3
-        + _O3[3] * v * w * w
-    )
-    o4 = (
-        _O4[0] * u**3 * v
-        + _O4[1] * u * u * v * w
-        + _O4[2] * u * v**3
-        + _O4[3] * u * v * w * w
-        + _O4[4] * v**3 * w
-        + _O4[5] * v * w**3
-    )
+    try:
+        o3 = (
+            _O3[0] * u * u * v
+            + _O3[1] * u * v * w
+            + _O3[2] * v**3
+            + _O3[3] * v * w * w
+        )
+        o4 = (
+            _O4[0] * u**3 * v
+            + _O4[1] * u * u * v * w
+            + _O4[2] * u * v**3
+            + _O4[3] * u * v * w * w
+            + _O4[4] * v**3 * w
+            + _O4[5] * v * w**3
+        )
+    except OverflowError:  # float ** int raises where float * float gives inf
+        return math.nan
     rn = math.sqrt(n)
     return o1 / rn + o2 / n + o3 / (n * rn) + o4 / (n * n)
 
@@ -252,7 +255,7 @@ def spms_test(sample: Sample) -> TestResult:
     (power_study's default).
     """
     su = su_transform.su_params(sample.n)
-    return _one_row(TestName.SPMS, _batch_spms(sample._moment_arrays(), su))
+    return _one_row(TestName.SPMS, _batch_spms(sample._moments, su))
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +293,7 @@ def sqrt_b1_test(sample: Sample) -> TestResult:
     """Two-sided skewness test normalizing sqrt(b1) by its exact null
     moments through the same asinh-form transform as the spms test."""
     su_transform.check_n(sample.n)
-    kernel_out = _batch_sqrt_b1_z(sample._moment_arrays(), sample.n)
+    kernel_out = _batch_sqrt_b1_z(sample._moments, sample.n)
     return _one_row(TestName.SQRT_B1, kernel_out)
 
 
@@ -371,9 +374,10 @@ def _batch_sw(x: np.ndarray, xs=None):
     xs.sort(axis=1)  # in place: np.sort too copies, then sorts the copy
     # einsum, not matmul: BLAS kernels change summation order with the
     # row count, which would make a replication's W depend on chunk size
-    num = np.einsum("ij,j->i", xs, c)
-    xs -= xs.mean(axis=1, keepdims=True)
-    w = (num * num) / np.einsum("ij,ij->i", xs, xs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        num = np.einsum("ij,j->i", xs, c)
+        xs -= xs.mean(axis=1, keepdims=True)
+        w = (num * num) / np.einsum("ij,ij->i", xs, xs)
     np.clip(w, 0.0, 1.0, out=w)
     return w, _sw_z_from_w(w, n), np.isfinite(w)
 
@@ -409,20 +413,20 @@ def _batch_lm_z(xc: np.ndarray, y=None, s1=None):
     overwritten, if given, else new ones.
     """
     n = xc.shape[1]
-    y = np.multiply(xc, xc, out=y)
-    np.subtract(y.sum(axis=1, keepdims=True), y, out=y)
-    s1 = np.subtract(xc.sum(axis=1, keepdims=True), xc, out=s1)
-    s1 *= s1
-    s1 /= n - 1.0
-    y -= s1
-    np.cbrt(y, out=y)
-    y -= y.mean(axis=1, keepdims=True)
-    sxx = np.einsum("ij,ij->i", xc, xc)
-    syy = np.einsum("ij,ij->i", y, y)
-    sxy = np.einsum("ij,ij->i", xc, y)
-    ss = sxx * syy
-    ss[np.isinf(ss)] = np.nan  # an overflowed product would read as r = 0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        y = np.multiply(xc, xc, out=y)
+        np.subtract(y.sum(axis=1, keepdims=True), y, out=y)
+        s1 = np.subtract(xc.sum(axis=1, keepdims=True), xc, out=s1)
+        s1 *= s1
+        s1 /= n - 1.0
+        y -= s1
+        np.cbrt(y, out=y)
+        y -= y.mean(axis=1, keepdims=True)
+        sxx = np.einsum("ij,ij->i", xc, xc)
+        syy = np.einsum("ij,ij->i", y, y)
+        sxy = np.einsum("ij,ij->i", xc, y)
+        ss = sxx * syy
+        ss[np.isinf(ss)] = np.nan  # an overflowed product would read as r = 0
         r = sxy / np.sqrt(ss)
         np.clip(r, -1.0, 1.0, out=r)
         z = np.arctanh(r) * math.sqrt(n / 3.0)

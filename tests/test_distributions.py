@@ -28,6 +28,8 @@ class TestAlternativeSpec:
             ("gamma:3", Family.GAMMA, (3.0,)),
             ("weibull:2", Family.WEIBULL, (2.0,)),
             ("lognormal:0,0.5", Family.LOGNORMAL, (0.0, 0.5)),
+            ("gamma:1.0000001", Family.GAMMA, (1.0000001,)),  # not "gamma:1"
+            ("gamma:1e-320", Family.GAMMA, (1e-320,)),  # subnormal
         ],
     )
     def test_parse_and_label_round_trip(self, text, family, params):

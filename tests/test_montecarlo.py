@@ -1036,6 +1036,7 @@ class TestArgumentValidation:
 # malformed non-count arguments, each with the error it must raise
 _MALFORMED = {
     "levels_not_a_list": ("calibrate", "levels", 0.05, InvalidLevelError),
+    "levels_bare_string": ("calibrate", "levels", "0.05", InvalidLevelError),
     "tests_none": ("power_study", "tests", None, InvalidParamsError),
     "tests_bare_string": ("power_study", "tests", "spms", InvalidParamsError),
     "value_range_not_numbers": (

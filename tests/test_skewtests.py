@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -133,6 +134,12 @@ class TestSpmsSeries:
         assert spms_series(SeriesState(U=0.0, V=1.0, W=0.0, n=100)) == (
             pytest.approx(0.0505, rel=1e-15)
         )
+
+    @pytest.mark.parametrize("scale", [1e30, 1e60, 1e100, 1e150])
+    def test_overflowing_power_is_nan(self, scale):
+        # W**3 overflows a Python float, which raises instead of giving inf
+        x = _seeded(50, seed=5, skew=0.3) * scale
+        assert math.isnan(spms_series(SeriesState.from_sample(Sample(x))))
 
     def test_from_sample_state(self):
         x = _seeded(200, seed=4, skew=0.3)
@@ -368,8 +375,7 @@ class TestLinMudholkar:
     def test_overflowing_correlation_is_undefined(self, scale):
         # sxx * syy overflows to inf, which would read as r = 0
         x = _seeded(50, seed=9) * scale
-        with np.errstate(over="ignore"):
-            r = lin_mudholkar_test(Sample(x))
+        r = lin_mudholkar_test(Sample(x))
         assert not r.defined
         assert math.isnan(r.raw_statistic)
         assert not r.reject_at(0.05)
@@ -406,8 +412,8 @@ class TestLinMudholkar:
 
 
 class TestSampleSharing:
-    """A Sample is centred once, when it is validated, and its moments are
-    computed once; every scalar test reads them from the Sample."""
+    """A Sample is centred and its moments computed once, when it is
+    validated; every scalar test reads them from the Sample."""
 
     TESTS = (spms_test, sqrt_b1_test, shapiro_wilk_test, lin_mudholkar_test)
 
@@ -423,7 +429,6 @@ class TestSampleSharing:
         return tuple(float(v).hex() for v in vars(summary).values())
 
     def test_one_centring_and_one_moments_pass(self, monkeypatch):
-        s = Sample(_seeded(150, seed=8, skew=0.5))
         seen = []
 
         def recording(name, orig):
@@ -441,6 +446,7 @@ class TestSampleSharing:
         monkeypatch.setattr(
             skewtests, "_batch_lm_z", recording("lm", skewtests._batch_lm_z)
         )
+        s = Sample(_seeded(150, seed=8, skew=0.5))
         for test in self.TESTS:
             test(s)
         central_moments(s)
@@ -453,9 +459,7 @@ class TestSampleSharing:
     def test_cached_arrays_are_read_only(self):
         s = Sample(_seeded(40, seed=9))
         assert not s._centred.flags.writeable
-        cached = s._moment_arrays()
-        assert s._moment_arrays() is cached
-        for a in cached:
+        for a in s._moments:
             assert not a.flags.writeable
 
     @pytest.mark.parametrize("n", [8, 60, 700])
@@ -483,10 +487,20 @@ class TestNonFiniteStatistic:
 
     @pytest.mark.parametrize("test", [spms_test, sqrt_b1_test, shapiro_wilk_test])
     def test_reports_undefined(self, test):
-        with np.errstate(over="ignore", invalid="ignore"):
-            r = test(self._huge_sample())
+        r = test(self._huge_sample())
         assert not r.defined
         assert not any(r.reject_at(level) for level in (0.01, 0.05, 0.1, 0.2))
+
+    @pytest.mark.parametrize("scale", [1e100, 1e150, 1e155, 1e200, 1e300])
+    def test_no_numpy_warning_at_large_scales(self, scale):
+        # the library silences the overflow of its own moments and kernels
+        x = _seeded(60, seed=11, skew=0.4) * scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = Sample(x)
+            for test in TestSampleSharing.TESTS:
+                test(s)
+            spms_statistic(central_moments(s))
 
 
 class TestCrossTestSanity:
