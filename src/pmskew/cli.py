@@ -384,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", help="null rejection rates of the spms test")
     p.add_argument("--n", required=True, help="comma-separated sample sizes")
     p.add_argument("--reps", type=int, default=100_000)
-    p.add_argument("--levels", default="0.01,0.05,0.10,0.20")
+    p.add_argument("--levels", default=",".join(map(str, REPORT_LEVELS)))
     _add_common(p)
     p.set_defaults(func=cmd_calibrate)
 

@@ -43,7 +43,6 @@ __all__ = [
     "SeededStream",
     "sample",
     "draw_values",
-    "row_filler",
     "population_moments",
     "POWER_STUDY_ALTERNATIVES",
 ]

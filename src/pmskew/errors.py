@@ -2,6 +2,18 @@
 
 An undefined statistic is not an error: it is NaN, with defined=False."""
 
+__all__ = [
+    "PmskewError",
+    "NonFiniteError",
+    "ZeroVarianceError",
+    "SampleTooSmallError",
+    "SampleTooLargeError",
+    "InvalidParamsError",
+    "InvalidLevelError",
+    "InvalidConfigError",
+    "ParseError",
+]
+
 
 class PmskewError(Exception):
     """Base class for all errors raised by this package."""

@@ -25,7 +25,6 @@ __all__ = [
     "Sample",
     "MomentSummary",
     "central_moments",
-    "central_moment_arrays",
 ]
 
 

@@ -115,12 +115,7 @@ CALIBRATION_STREAM_BASE = 2**48
 
 _NORMAL = AlternativeSpec(Family.NORMAL)
 
-ALL_TESTS = (
-    TestName.SPMS,
-    TestName.SQRT_B1,
-    TestName.SHAPIRO_WILK,
-    TestName.LIN_MUDHOLKAR,
-)
+ALL_TESTS = tuple(TestName)
 _SPMS = (TestName.SPMS,)
 
 
@@ -295,7 +290,8 @@ def _null_statistics(n, reps, seed, tests, threads, base=0, sizes=()):
     runs = _null_runs(reps, seed, tests, threads, base)
     if n in runs:
         return runs[n]
-    missing = sorted({n, *sizes} - runs.keys())
+    # n stays missing even if a racing thread stored it since the lookup
+    missing = sorted({n} | ({*sizes} - runs.keys()))
     sus = [su_params(m) for m in missing]
 
     def work(span):
@@ -561,7 +557,8 @@ def null_histogram(
     """Histogram of the null spms statistic or its normalized Z.
 
     Bin edges span the empirical mean +- 5 standard deviations unless
-    value_range overrides them.
+    value_range overrides them; a value_range that cannot hold bins
+    finite-sized bins raises InvalidParamsError before any draw.
     """
     n = check_n(n)
     reps, seed, threads = _check_common(reps, seed, threads)
@@ -580,6 +577,14 @@ def null_histogram(
             raise InvalidParamsError(
                 "value_range must be two finite increasing numbers (lo, hi), "
                 f"got {value_range!r}"
+            )
+        # the uniform edges np.histogram would build, checked before the draw
+        with np.errstate(over="ignore", invalid="ignore"):
+            edges = np.linspace(lo, hi, bins + 1)
+        if not (np.isfinite(edges).all() and (edges[:-1] < edges[1:]).all()):
+            raise InvalidParamsError(
+                f"value_range {value_range!r} cannot be split into "
+                f"bins={bins} finite-sized bins"
             )
     raw, z = _null_statistics(n, reps, seed, _SPMS, threads)[TestName.SPMS]
     values = z if statistic is Statistic.SPMS_Z else raw

@@ -57,7 +57,6 @@ __all__ = [
     "sqrt_b1_test",
     "shapiro_wilk_test",
     "lin_mudholkar_test",
-    "SW_MAX_N",
 ]
 
 SW_MAX_N = 5000

@@ -48,7 +48,6 @@ from .distributions import check_int
 from .errors import InvalidParamsError, SampleTooSmallError
 
 __all__ = [
-    "NullMomentSeries",
     "SuTransform",
     "NULL_MOMENT_SERIES",
     "lambda2",
@@ -60,10 +59,9 @@ __all__ = [
 # the smallest sample size the series, the tests and the experiments accept
 MIN_N = 8
 
-# Number of series terms (powers of 1/n) retained by the calibrated
-# transform; see the module docstring.
-CALIBRATED_LAMBDA2_TERMS = 2
-CALIBRATED_BETA2_TERMS = 2
+# Powers of 1/n the calibrated transform keeps in lambda2 and in beta2_spms:
+# each series through its n^-2 term; see the module docstring.
+CALIBRATED_TERMS = 2
 
 
 @dataclass(frozen=True)
@@ -200,8 +198,8 @@ def su_params(n: int, series: str = "calibrated") -> SuTransform:
     """
     n = check_n(n)
     if series == "calibrated":
-        lam2 = lambda2(n, terms=CALIBRATED_LAMBDA2_TERMS)
-        bet2 = beta2_spms(n, terms=CALIBRATED_BETA2_TERMS)
+        lam2 = lambda2(n, terms=CALIBRATED_TERMS)
+        bet2 = beta2_spms(n, terms=CALIBRATED_TERMS)
     elif series == "full":
         lam2 = lambda2(n)
         bet2 = beta2_spms(n)

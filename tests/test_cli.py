@@ -508,6 +508,17 @@ class TestHistCommand:
             assert out == ""
             assert len(err.splitlines()) == 1
 
+    def test_range_numpy_cannot_bin_is_config_error(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(
+                capsys, "hist", "--n", "20", "--reps", "100", "--range=-1e308,1e308"
+            )
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "value_range" in err
+
 
 class TestMomentsCommand:
     def test_single_rep_is_config_error(self, capsys):

@@ -399,6 +399,20 @@ class TestNullHistogram:
         with pytest.raises(InvalidParamsError):
             null_histogram("z", 20, 100, 10, 0, value_range=(0.0, np.inf))
 
+    @pytest.mark.parametrize("value_range", [(1.0, 1.0 + 1e-15), (-1e308, 1e308)])
+    def test_range_numpy_cannot_bin_raises_before_the_draw(self, value_range, draws):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParamsError, match="value_range.*bins=60"):
+                null_histogram("z", 20, 100, 60, 1, value_range=value_range)
+        assert draws == []
+
+    def test_subnormal_range_still_bins(self):
+        h = null_histogram("z", 20, 100, 60, 1, value_range=(0.0, 1e-320))
+        assert (h.bin_edges[0], h.bin_edges[-1]) == (0.0, 1e-320)
+        assert len(h.bin_edges) == 61
+        assert h.counts.sum() + h.out_of_range == 100
+
 
 class TestMomentValidation:
     def test_matches_scalar_values_exactly(self):
@@ -857,6 +871,17 @@ class TestSharedNullRun:
             calibrate(n, 700, [0.05], 33)
         assert draws == []
         assert montecarlo._null_runs.cache_info().currsize == 2
+
+    def test_run_stored_by_another_thread_after_the_lookup(self, monkeypatch):
+        want = calibrate(20, 300, [0.05], 5)
+
+        class StoredMeanwhile(dict):
+            def __contains__(self, key):  # the lookup ran before the store
+                return False
+
+        runs = StoredMeanwhile({20: "stored by a racing thread"})
+        monkeypatch.setattr(montecarlo, "_null_runs", lambda *key: runs)
+        assert calibrate(20, 300, [0.05], 5) == want
 
     def test_concurrent_summaries_equal_serial(self):
         # no lock: racing threads may each build the run, with equal bytes
