@@ -5,7 +5,8 @@ test statistics are built on. Computation is two-pass: the mean is removed
 first, then centered powers are accumulated, which avoids the cancellation
 that single-pass formulas suffer for fourth powers. Summation uses numpy's
 pairwise reduction over the stored value order, so results for a given
-value order are bit-reproducible.
+value order are bit-reproducible. Every row mean is _row_mean's
+np.add.reduce / n, the bits ndarray.mean gives without its Python wrapper.
 """
 
 from __future__ import annotations
@@ -70,10 +71,10 @@ class Sample:
             raise SampleTooSmallError(
                 f"need at least 3 observations, got {arr.size}"
             )
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NonFiniteError("sample contains NaN or infinite values")
         with np.errstate(over="ignore", invalid="ignore"):
-            mean = arr.mean()
+            mean = _row_mean(arr[None, :])[0]
             d = arr - mean
             moments = centred_moment_arrays(d[None, :])
         m2 = float(moments[0][0])
@@ -149,7 +150,14 @@ def central_moment_arrays(x: np.ndarray):
         Rows with zero variance yield NaN in sqrt_b1 and b2.
     """
     x = np.asarray(x, dtype=np.float64)
-    return centred_moment_arrays(x - x.mean(axis=1, keepdims=True))
+    return centred_moment_arrays(x - _row_mean(x, keepdims=True))
+
+
+def _row_mean(x: np.ndarray, keepdims: bool = False):
+    """x.mean(axis=1, keepdims=keepdims), bitwise: numpy's mean is this
+    pairwise sum divided by the row length, here without the Python
+    wrapper that ndarray.mean goes through."""
+    return np.add.reduce(x, axis=1, keepdims=keepdims) / x.shape[1]
 
 
 def centred_moment_arrays(d: np.ndarray, p=None):
@@ -163,12 +171,12 @@ def centred_moment_arrays(d: np.ndarray, p=None):
     exactly as the expressions (d*d)*d and (d*d)*(d*d) are.
     """
     p = np.multiply(d, d, out=p)
-    m2 = p.mean(axis=1)
+    m2 = _row_mean(p)
     p *= d
-    m3 = p.mean(axis=1)
+    m3 = _row_mean(p)
     np.multiply(d, d, out=p)
     p *= p
-    m4 = p.mean(axis=1)
+    m4 = _row_mean(p)
     with np.errstate(divide="ignore", invalid="ignore"):
         sqrt_b1 = m3 / m2**1.5
         b2 = m4 / (m2 * m2)

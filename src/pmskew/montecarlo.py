@@ -80,7 +80,7 @@ from .distributions import (
     stream_rekeyer,
 )
 from .errors import InvalidLevelError, InvalidParamsError
-from .moments import centred_moment_arrays
+from .moments import _row_mean, centred_moment_arrays
 from .skewtests import (
     TestName,
     _batch_lm_z,
@@ -392,7 +392,7 @@ def _chunk_statistics(x, tests, su, tmp=None, y=None, s1=None):
         if TestName.SHAPIRO_WILK in tests:
             out[TestName.SHAPIRO_WILK] = _batch_sw(x, tmp)
         if tests != (TestName.SHAPIRO_WILK,):
-            x -= x.mean(axis=1, keepdims=True)
+            x -= _row_mean(x, keepdims=True)
         if TestName.SPMS in tests or TestName.SQRT_B1 in tests:
             moments = centred_moment_arrays(x, tmp)
         if TestName.SPMS in tests:

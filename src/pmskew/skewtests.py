@@ -42,9 +42,10 @@ from scipy.special import ndtr, ndtri
 
 from . import su_transform
 from .errors import InvalidLevelError, SampleTooLargeError
+from .moments import MomentSummary, Sample, _row_mean, central_moments
 # central_moment_arrays is no longer called here; the benchmark's tracer
 # (bench/tracing.py) times the moments layer through this name
-from .moments import MomentSummary, Sample, central_moment_arrays, central_moments
+from .moments import central_moment_arrays
 
 __all__ = [
     "TestName",
@@ -148,11 +149,11 @@ def _spms(sqrt_b1, b2):
     denominator may legitimately be negative for small skewed samples;
     the sign is kept as-is.
     """
-    b1 = sqrt_b1 * sqrt_b1
-    den = 5.0 * b2 - 6.0 * b1 - 9.0
-    eps = 1e-12 * (1.0 + np.abs(5.0 * b2) + np.abs(6.0 * b1) + 9.0)
+    five_b2, six_b1 = 5.0 * b2, 6.0 * (sqrt_b1 * sqrt_b1)
+    den = five_b2 - six_b1 - 9.0
+    eps = 1e-12 * (1.0 + abs(five_b2) + abs(six_b1) + 9.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        den = np.where(np.abs(den) <= eps, np.nan, den)
+        den = np.where(abs(den) <= eps, np.nan, den)
         return sqrt_b1 * (b2 + 3.0) / (2.0 * den)
 
 
@@ -215,7 +216,7 @@ def spms_series(state: SeriesState) -> float:
 
 
 def _two_sided_p(z):
-    return 2.0 * ndtr(-np.abs(z))
+    return 2.0 * ndtr(-abs(z))
 
 
 def _one_row(name: TestName, kernel_out, p_value=_two_sided_p) -> TestResult:
@@ -322,31 +323,29 @@ def _horner(coeffs, x: float) -> float:
 def _sw_coefficients(n: int) -> np.ndarray:
     """Ascending-order AS R94 weight vector for sample size n."""
     n2 = n // 2
-    i = np.arange(1, n2 + 1, dtype=np.float64)
-    m = ndtri((i - 0.375) / (n + 0.25))  # lower-half scores, all negative
-    summ2 = 2.0 * float(np.sum(m * m))
+    m = (np.arange(1, n2 + 1, dtype=np.float64) - 0.375) / (n + 0.25)
+    ndtri(m, out=m)  # lower-half scores, all negative
+    m0, m1 = float(m[0]), float(m[1])
+    summ2 = 2.0 * float(np.add.reduce(m * m))
     ssumm2 = math.sqrt(summ2)
     rsn = 1.0 / math.sqrt(n)
-    a1 = _horner(_SW_C1, rsn) - m[0] / ssumm2
-    a2 = _horner(_SW_C2, rsn) - m[1] / ssumm2
+    a1 = _horner(_SW_C1, rsn) - m0 / ssumm2
+    a2 = _horner(_SW_C2, rsn) - m1 / ssumm2
     fac = math.sqrt(
-        (summ2 - 2.0 * m[0] ** 2 - 2.0 * m[1] ** 2)
-        / (1.0 - 2.0 * a1**2 - 2.0 * a2**2)
+        (summ2 - 2.0 * m0**2 - 2.0 * m1**2) / (1.0 - 2.0 * a1**2 - 2.0 * a2**2)
     )
-    a = np.empty(n2)
-    a[0] = a1
-    a[1] = a2
-    a[2:] = -m[2:] / fac
+    # the minimum gets the most negative weight: -a = (-a1, -a2, m[2:]/fac)
     c = np.zeros(n)
-    c[:n2] = -a  # minimum gets the most negative weight
-    c[n - n2 :] = a[::-1]
+    low = np.divide(m, fac, out=c[:n2])
+    low[:2] = -a1, -a2
+    np.negative(low[::-1], out=c[n - n2 :])
     c.flags.writeable = False
     return c
 
 
 def _sw_z_from_w(w, n: int):
     """AS R94 normal equivalent deviate of W; large z means small W."""
-    w1 = np.maximum(1.0 - np.asarray(w, dtype=np.float64), _SW_TINY)
+    w1 = np.maximum(1.0 - w, _SW_TINY)
     y = np.log(w1)
     if n <= 11:
         gamma = _horner(_SW_G, n)
@@ -375,9 +374,9 @@ def _batch_sw(x: np.ndarray, xs=None):
     # row count, which would make a replication's W depend on chunk size
     with np.errstate(over="ignore", invalid="ignore"):
         num = np.einsum("ij,j->i", xs, c)
-        xs -= xs.mean(axis=1, keepdims=True)
+        xs -= _row_mean(xs, keepdims=True)
         w = (num * num) / np.einsum("ij,ij->i", xs, xs)
-    np.clip(w, 0.0, 1.0, out=w)
+    w = np.minimum(w, 1.0)  # np.clip(w, 0, 1): w is NaN or at least +0.0
     return w, _sw_z_from_w(w, n), np.isfinite(w)
 
 
@@ -414,20 +413,20 @@ def _batch_lm_z(xc: np.ndarray, y=None, s1=None):
     n = xc.shape[1]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         y = np.multiply(xc, xc, out=y)
-        np.subtract(y.sum(axis=1, keepdims=True), y, out=y)
-        s1 = np.subtract(xc.sum(axis=1, keepdims=True), xc, out=s1)
+        np.subtract(np.add.reduce(y, axis=1, keepdims=True), y, out=y)
+        s1 = np.subtract(np.add.reduce(xc, axis=1, keepdims=True), xc, out=s1)
         s1 *= s1
         s1 /= n - 1.0
         y -= s1
         np.cbrt(y, out=y)
-        y -= y.mean(axis=1, keepdims=True)
+        y -= _row_mean(y, keepdims=True)
         sxx = np.einsum("ij,ij->i", xc, xc)
         syy = np.einsum("ij,ij->i", y, y)
         sxy = np.einsum("ij,ij->i", xc, y)
         ss = sxx * syy
         ss[np.isinf(ss)] = np.nan  # an overflowed product would read as r = 0
         r = sxy / np.sqrt(ss)
-        np.clip(r, -1.0, 1.0, out=r)
+        r = np.minimum(np.maximum(r, -1.0), 1.0)  # np.clip's bits, NaN kept
         z = np.arctanh(r) * math.sqrt(n / 3.0)
         return r, z, np.isfinite(z)
 

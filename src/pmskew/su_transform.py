@@ -107,6 +107,14 @@ def check_n(n) -> int:
     return n
 
 
+def _series(coeffs, n: int, first: int) -> float:
+    """sum(c / n**(first + k)) over coeffs, added left to right from 0."""
+    total, power = 0.0, n**first  # an exact int, as n ** (first + k) is
+    for c in coeffs:
+        total, power = total + c / power, power * n
+    return total
+
+
 def lambda2(n: int, terms: int = 3) -> float:
     """Asymptotic null variance of spms.
 
@@ -119,7 +127,7 @@ def lambda2(n: int, terms: int = 3) -> float:
     """
     n = check_n(n)
     terms = check_int("terms", terms, lo=1, hi=4)
-    return float(sum(c / n ** (k + 1) for k, c in enumerate(_LAMBDA2[:terms])))
+    return _series(_LAMBDA2[:terms], n, 1)
 
 
 def lambda4(n: int, terms: int = 2) -> float:
@@ -134,7 +142,7 @@ def lambda4(n: int, terms: int = 2) -> float:
     """
     n = check_n(n)
     terms = check_int("terms", terms, lo=1, hi=3)
-    return float(sum(c / n ** (k + 2) for k, c in enumerate(_LAMBDA4[:terms])))
+    return _series(_LAMBDA4[:terms], n, 2)
 
 
 def beta2_spms(n: int, terms: int = 3) -> float:
@@ -150,7 +158,7 @@ def beta2_spms(n: int, terms: int = 3) -> float:
     """
     n = check_n(n)
     terms = check_int("terms", terms, lo=1, hi=4)
-    return float(sum(c / n**k for k, c in enumerate(_BETA2[: terms + 1])))
+    return _series(_BETA2[: terms + 1], n, 0)
 
 
 @dataclass(frozen=True)
@@ -178,9 +186,7 @@ class SuTransform:
         """
         y = np.asarray(spms_value, dtype=np.float64) / math.sqrt(self.lambda2)
         out = self.delta * np.arcsinh(y / self.alpha)
-        if np.isscalar(spms_value) or out.ndim == 0:
-            return float(out)
-        return out
+        return float(out) if out.ndim == 0 else out
 
 
 def su_params(n: int, series: str = "calibrated") -> SuTransform:
@@ -198,18 +204,16 @@ def su_params(n: int, series: str = "calibrated") -> SuTransform:
     """
     n = check_n(n)
     if series == "calibrated":
-        lam2 = lambda2(n, terms=CALIBRATED_TERMS)
-        bet2 = beta2_spms(n, terms=CALIBRATED_TERMS)
+        terms = CALIBRATED_TERMS
     elif series == "full":
-        lam2 = lambda2(n)
-        bet2 = beta2_spms(n)
+        terms = len(_LAMBDA2)
     else:
         raise InvalidParamsError(
             f'series must be "calibrated" or "full", got {series!r}'
         )
+    lam2 = _series(_LAMBDA2[:terms], n, 1)
+    bet2 = _series(_BETA2[: terms + 1], n, 0)
     w2 = -1.0 + math.sqrt(2.0 * (bet2 - 1.0))
     delta = 1.0 / math.sqrt(math.log(math.sqrt(w2)))
     alpha = math.sqrt(2.0 / (w2 - 1.0))
-    return SuTransform(
-        n=n, lambda2=lam2, beta2_spms=bet2, W2=w2, delta=delta, alpha=alpha
-    )
+    return SuTransform(n, lam2, bet2, w2, delta, alpha)

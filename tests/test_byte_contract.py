@@ -12,7 +12,9 @@ TestResult over seeded samples from the null and the six power-study
 alternatives, and the `pmskew test` CSV output for two data files, one
 of them degenerate for the Lin-Mudholkar test. The sizes cover both
 branches of the Shapiro-Wilk z approximation (n <= 11 and n >= 12) and
-its upper limit, n = 5000.
+its upper limit, n = 5000. Two further digests pin the per-n constants
+at every n: Shapiro-Wilk's W, z and p for n = 8..5000, and the S_U
+constants of both series for n = 8..20000.
 """
 
 import hashlib
@@ -22,6 +24,7 @@ import pytest
 from pmskew import (
     POWER_STUDY_ALTERNATIVES,
     AlternativeSpec,
+    Sample,
     SeededStream,
     central_moments,
     lin_mudholkar_test,
@@ -31,6 +34,7 @@ from pmskew import (
     spms_statistic,
     spms_test,
     sqrt_b1_test,
+    su_params,
 )
 from pmskew.cli import main
 
@@ -148,3 +152,37 @@ def test_cli_test_degenerate_stdout_digest(tmp_path, capsys):
     assert main(["test", str(path)]) == 1
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CLI_DEGENERATE_DIGEST
+
+
+# Every per-n constant through the public API: the Shapiro-Wilk weights
+# at every n it accepts, and the S_U constants of both series, so a
+# rewrite of a builder that runs at every n is pinned at every n, not
+# only at SCALAR_SIZES.
+SW_EVERY_N_DIGEST = (
+    "0fd7bc6febb494ba50d45d1382dd5f0b320e84e70c947387fd1b042179142530"
+)
+SU_EVERY_N_DIGESTS = {
+    "calibrated": "91199698d9b8754f3e64f84808e131e5b9e6a87e59d30480afce2fbab925b8a1",
+    "full": "b84051ed179c488a0ea06f43d821bd6fc0dc4eb59a600136da2a26167dc988c8",
+}
+
+
+def test_shapiro_wilk_every_n_digest():
+    # prefixes of one seeded normal sample, one per n in 8..5000
+    base = sample(AlternativeSpec.parse("normal"), 5000, SeededStream(13, 0)).values
+    h = hashlib.sha256()
+    for n in range(8, 5001):
+        r = shapiro_wilk_test(Sample(base[:n]))
+        fields = (r.raw_statistic, r.z_value, r.p_value)
+        h.update((f"{n} " + " ".join(v.hex() for v in fields) + "\n").encode())
+    assert h.hexdigest() == SW_EVERY_N_DIGEST
+
+
+@pytest.mark.parametrize("series", sorted(SU_EVERY_N_DIGESTS))
+def test_su_params_every_n_digest(series):
+    h = hashlib.sha256()
+    for n in range(8, 20001):
+        s = su_params(n, series)
+        fields = (s.lambda2, s.beta2_spms, s.W2, s.delta, s.alpha)
+        h.update((f"{n} " + " ".join(v.hex() for v in fields) + "\n").encode())
+    assert h.hexdigest() == SU_EVERY_N_DIGESTS[series]

@@ -16,7 +16,7 @@ from pmskew import (
     ZeroVarianceError,
     central_moments,
 )
-from pmskew.moments import central_moment_arrays
+from pmskew.moments import _row_mean, central_moment_arrays
 
 
 class TestSample:
@@ -112,6 +112,24 @@ class TestCentralMoments:
         _, _, _, sqrt_b1, b2 = central_moment_arrays(x)
         assert np.isnan(sqrt_b1[0]) and np.isnan(b2[0])
         assert np.isfinite(sqrt_b1[1]) and np.isfinite(b2[1])
+
+
+class TestRowMean:
+    """Every row mean is np.add.reduce / n, which must keep the bits of
+    ndarray.mean: numpy's mean is that sum and divide. A numpy whose mean
+    stops being sum-then-divide fails here by name."""
+
+    @pytest.mark.parametrize("shape", [(1, 8), (1, 5000), (1310, 100), (4000, 57)])
+    @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+    def test_bits_of_ndarray_mean(self, shape, scale):
+        rng = np.random.default_rng(shape[0] * shape[1])
+        x = rng.gamma(2.0, 1.0, shape) * scale
+        mean = _row_mean(x, keepdims=True)
+        assert mean.tobytes() == x.mean(axis=1, keepdims=True).tobytes()
+        assert _row_mean(x).tobytes() == x.mean(axis=1).tobytes()
+        # the mean of all values, as a one-dimensional ndarray.mean takes it
+        flat = x.reshape(1, -1)
+        assert _row_mean(flat)[0].hex() == float(x.mean()).hex()
 
 
 class TestShiftScale:

@@ -1,7 +1,9 @@
 """The spms statistic, its series expansion, and the comparison tests."""
 
+import cProfile
 import itertools
 import math
+import pstats
 import warnings
 from fractions import Fraction
 
@@ -580,3 +582,31 @@ class TestUndefinedConvention:
                     assert (raw[i], z[i]) == (r.raw_statistic, r.z_value)
                 else:
                     assert math.isnan(raw[i]) and math.isnan(r.raw_statistic)
+
+
+class TestScalarPathOverhead:
+    """Sample() and the four scalar tests call none of numpy's Python
+    wrappers around a row mean or a clip (_methods._mean behind
+    ndarray.mean, _methods._clip behind np.clip): on a one-row batch the
+    wrapper costs more than the arithmetic. A numpy without those
+    wrappers passes trivially."""
+
+    WRAPPERS = {"_mean", "_clip"}
+
+    def test_no_numpy_mean_or_clip_wrapper(self):
+        x = _seeded(50, seed=12, skew=0.5)
+        skewtests._sw_coefficients.cache_clear()  # the weight build runs too
+        profiler = cProfile.Profile()
+        profiler.enable()
+        try:
+            s = Sample(x)
+            results = [test(s) for test in TestSampleSharing.TESTS]
+        finally:
+            profiler.disable()
+        assert all(r.defined for r in results)
+        called = {
+            (filename, func): stats[1]
+            for (filename, _, func), stats in pstats.Stats(profiler).stats.items()
+            if func in self.WRAPPERS and filename.endswith("_methods.py")
+        }
+        assert called == {}

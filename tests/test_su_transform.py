@@ -166,6 +166,23 @@ class TestSuParams:
             su_params(7)
         su_params(8)
 
+    @pytest.mark.parametrize(
+        "n", [100.0, np.float64(100), [100], "100"],
+        ids=["float", "np_float64", "list", "str"],
+    )
+    def test_argument_rule_after_a_valid_call(self, n):
+        # the rule is checked ahead of any shortcut: a memo keyed on n
+        # would answer 100.0 from the int 100 entry, and [100] with a
+        # TypeError
+        su_params(100)
+        with pytest.raises(InvalidParamsError):
+            su_params(n)
+
+    def test_bool_is_a_too_small_integer(self):
+        su_params(100)
+        with pytest.raises(SampleTooSmallError):
+            su_params(True)
+
 
 class TestZTransform:
     def test_zero_maps_to_zero(self):
