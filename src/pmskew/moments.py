@@ -29,7 +29,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sample:
     """A finite list of real observations with positive variance.
 
@@ -37,7 +37,8 @@ class Sample:
     centred_moment_arrays as one row, once, and keeps them read-only;
     central_moments and the scalar tests in skewtests read them, however
     many tests a Sample goes through. Moments that overflow near the
-    float64 limits are inf or NaN, without a numpy warning.
+    float64 limits are inf or NaN, without a numpy warning. Samples
+    compare, and hash, by identity.
 
     Parameters
     ----------

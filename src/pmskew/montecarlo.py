@@ -279,19 +279,17 @@ def _null_runs(reps, seed, tests, threads, base):
     return {}
 
 
-def _null_statistics(n, reps, seed, tests, threads, base=0, sizes=()):
-    """The null pipeline: per test, read-only (raw, z) arrays of the
-    defined rows among the standard normal replications base..base+reps-1,
-    in order. A run is kept under its own arguments, so a later call with
-    the same ones reads it and a call at another thread count runs its own.
-    A run of n that is not kept is drawn together with those of every
-    other n in sizes that is not kept either, in one pass at the largest.
+def _null_statistics(sizes, reps, seed, tests, threads, base=0):
+    """The null pipeline: the null run of each n of sizes, keyed by n. A
+    run holds, per test, read-only (raw, z) arrays of the defined rows
+    among the standard normal replications base..base+reps-1, in order.
+    Runs are kept under their own arguments, so a later call with the same
+    ones reads them and a call at another thread count runs its own. The
+    sizes not kept at the lookup are drawn together, in one pass at the
+    largest.
     """
     runs = _null_runs(reps, seed, tests, threads, base)
-    if n in runs:
-        return runs[n]
-    # n stays missing even if a racing thread stored it since the lookup
-    missing = sorted({n} | ({*sizes} - runs.keys()))
+    missing = sorted({n for n in sizes if n not in runs})
     sus = [su_params(m) for m in missing]
 
     def work(span):
@@ -300,7 +298,7 @@ def _null_statistics(n, reps, seed, tests, threads, base=0, sizes=()):
             for stats in _chunk_kernels(_NORMAL, missing, seed, span, tests, sus, base)
         ]
 
-    parts = _map_chunks(work, reps, missing[-1], threads)
+    parts = _map_chunks(work, reps, missing[-1], threads) if missing else ()
     for m, chunks in zip(missing, zip(*parts)):
         null = {}
         for t in tests:
@@ -308,17 +306,22 @@ def _null_statistics(n, reps, seed, tests, threads, base=0, sizes=()):
             raw.flags.writeable = z.flags.writeable = False  # shared by later hits
             null[t] = raw, z
         runs[m] = null  # no lock: threads racing on one run build equal bytes
-    return runs[n]
+    return {n: runs[n] for n in sizes}
+
+
+def _items(name, items, what, check, error=InvalidParamsError) -> list:
+    """items, a nonempty collection that is not a string, as a list of
+    check(item); a non-collection raises error, saying name must be what."""
+    if isinstance(items, str) or not isinstance(items, Iterable):
+        raise error(f"{name} must be {what}, got {items!r}")
+    items = [check(i) for i in items]
+    if not items:
+        raise InvalidParamsError(f"{name} must be nonempty")
+    return items
 
 
 def _check_ns(ns) -> list[int]:
-    """ns, a nonempty collection (not a string), as a list of checked n."""
-    if isinstance(ns, str) or not isinstance(ns, Iterable):
-        raise InvalidParamsError(f"ns must be a collection of sample sizes, got {ns!r}")
-    ns = [check_n(n) for n in ns]
-    if not ns:
-        raise InvalidParamsError("ns must be nonempty")
-    return ns
+    return _items("ns", ns, "a collection of sample sizes", check_n)
 
 
 def calibrate_curve(
@@ -336,15 +339,13 @@ def calibrate_curve(
     """
     ns = _check_ns(ns)
     reps, seed, threads = _check_common(reps, seed, threads)
-    if isinstance(levels, str) or not isinstance(levels, Iterable):
-        raise InvalidLevelError(f"levels must be a list of levels, got {levels!r}")
-    levels = tuple(check_level(l) for l in levels)
-    if not levels:
-        raise InvalidParamsError("levels must be nonempty")
+    levels = tuple(
+        _items("levels", levels, "a list of levels", check_level, InvalidLevelError)
+    )
+    runs = _null_statistics(ns, reps, seed, _SPMS, threads)
     rows = []
     for n in ns:
-        null = _null_statistics(n, reps, seed, _SPMS, threads, sizes=ns)
-        raw, z = null[TestName.SPMS]
+        raw, z = runs[n][TestName.SPMS]
         counts = [
             np.count_nonzero(_rejects(TestName.SPMS, l)(raw, z, True)) for l in levels
         ]
@@ -361,16 +362,10 @@ def calibrate(n: int, reps: int, levels, seed: int, threads: int = 1) -> Calibra
 
 
 def _normalize_tests(tests) -> tuple[TestName, ...]:
-    if isinstance(tests, str) or not isinstance(tests, Iterable):
-        raise InvalidParamsError(
-            f"tests must be a collection of test names, got {tests!r}"
-        )
     try:
-        wanted = {TestName(t) for t in tests}
+        wanted = _items("tests", tests, "a collection of test names", TestName)
     except ValueError:
         raise InvalidParamsError(f"unknown test name in {tuple(tests)!r}")
-    if not wanted:
-        raise InvalidParamsError("tests must be nonempty")
     return tuple(t for t in ALL_TESTS if t in wanted)
 
 
@@ -439,8 +434,8 @@ def _null_reference(n, seed, null_reps, tests, threads, sizes=()):
     streams (seed, CALIBRATION_STREAM_BASE + j). A run that is not kept is
     drawn with every other missing n of sizes (see _null_statistics)."""
     null = _null_statistics(
-        n, null_reps, seed, tests, threads, CALIBRATION_STREAM_BASE, sizes
-    )
+        (n, *sizes), null_reps, seed, tests, threads, CALIBRATION_STREAM_BASE
+    )[n]
     return {t: _tail_statistic(t, *null[t]) for t in tests}
 
 
@@ -586,7 +581,7 @@ def null_histogram(
                 f"value_range {value_range!r} cannot be split into "
                 f"bins={bins} finite-sized bins"
             )
-    raw, z = _null_statistics(n, reps, seed, _SPMS, threads)[TestName.SPMS]
+    raw, z = _null_statistics((n,), reps, seed, _SPMS, threads)[n][TestName.SPMS]
     values = z if statistic is Statistic.SPMS_Z else raw
     if value_range is None:
         mean = float(values.mean())
@@ -620,7 +615,7 @@ def moment_validation(
     """
     n = check_n(n)
     reps, seed, threads = _check_common(reps, seed, threads, min_reps=2)
-    values, _ = _null_statistics(n, reps, seed, _SPMS, threads)[TestName.SPMS]
+    values, _ = _null_statistics((n,), reps, seed, _SPMS, threads)[n][TestName.SPMS]
     lam2 = lambda2(n)
     bet2 = beta2_spms(n)
     mean = float(values.mean())

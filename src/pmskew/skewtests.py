@@ -262,7 +262,6 @@ def spms_test(sample: Sample) -> TestResult:
 # sqrt(b1) test (exact-moment S_U normalization)
 
 
-@lru_cache(maxsize=128)
 def _sqrt_b1_constants(n: int):
     # exact null moments of sqrt(b1) under normality
     var = 6.0 * (n - 2) / ((n + 1.0) * (n + 3.0))

@@ -676,6 +676,26 @@ class TestDeterminismAndOutput:
         assert out == ""
         assert err == "pmskew: error: threads must be >= 1, got 0\n"
 
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (["calibrate", "--n", "1,x"],
+             "expected comma-separated integers: '1,x'"),
+            (["calibrate", "--n", "20", "--levels", "0.05,x"],
+             "expected comma-separated numbers: '0.05,x'"),
+            (["hist", "--n", "20", "--range", "1,x"],
+             "expected comma-separated numbers: '1,x'"),
+            (["power", "--alt", "gamma:2", "--n", "20", "--tests", ","],
+             "tests must be nonempty"),
+        ],
+        ids=["n_not_integer", "levels_not_number", "range_not_number", "tests_empty"],
+    )
+    def test_malformed_list_exact_error_line(self, capsys, argv, err):
+        code, out, got = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert got == f"pmskew: error: {err}\n"
+
     def test_test_command_takes_no_threads(self, capsys, normal_file):
         # `test` draws nothing, so a thread count there is a usage error
         with pytest.raises(SystemExit) as exc:

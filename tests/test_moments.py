@@ -53,6 +53,15 @@ class TestSample:
         with pytest.raises(ZeroVarianceError):
             Sample([7e-208, 0.0, 0.0])
 
+    def test_equality_and_hash_are_identity(self):
+        # a field-wise == would compare arrays and raise; an unhashable
+        # Sample could not go in a set
+        x = [1.0, 2.0, 4.0]
+        s = Sample(x)
+        assert s == s
+        assert s != Sample(x)
+        assert len({s, s}) == 1
+
 
 class TestCentralMoments:
     def test_symmetric_three_points(self):

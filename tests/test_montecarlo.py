@@ -623,7 +623,7 @@ class TestWorkspace:
 
     def test_kept_null_run_owns_its_arrays(self):
         montecarlo._null_runs.cache_clear()
-        null = montecarlo._null_statistics(20, 5000, 3, ALL_TESTS, 1)
+        null = montecarlo._null_statistics((20,), 5000, 3, ALL_TESTS, 1)[20]
         before = _kernel_bytes(null)
         calibrate(8, 3000, [0.05], 3)
         power_study(
@@ -706,12 +706,12 @@ class TestNullReferenceCache:
         assert cell.level == 0.01
 
     def test_table_builds_each_pool_once(self, monkeypatch):
-        log = []  # (n, null run) of every lookup
+        log = []  # the null runs of every request, keyed by n
         orig = montecarlo._null_statistics
 
-        def recording(n, *args):
-            log.append((n, orig(n, *args)))
-            return log[-1][1]
+        def recording(sizes, *args):
+            log.append(orig(sizes, *args))
+            return log[-1]
 
         monkeypatch.setattr(montecarlo, "_null_statistics", recording)
         montecarlo._null_runs.cache_clear()
@@ -719,9 +719,9 @@ class TestNullReferenceCache:
         for alt in ("gamma:2", "beta:2,1"):
             for n in (20, 50):
                 power_study(AlternativeSpec.parse(alt), n, 50, 0.05, **kw)
-        assert [n for n, _ in log] == [20, 50, 20, 50]
-        assert log[2][1] is log[0][1]
-        assert log[3][1] is log[1][1]
+        assert [list(runs) for runs in log] == [[20], [50], [20], [50]]
+        assert log[2][20] is log[0][20]
+        assert log[3][50] is log[1][50]
         assert montecarlo._null_runs.cache_info().currsize == 1
 
     @pytest.mark.parametrize(
@@ -1064,6 +1064,7 @@ _MALFORMED = {
     "levels_bare_string": ("calibrate", "levels", "0.05", InvalidLevelError),
     "tests_none": ("power_study", "tests", None, InvalidParamsError),
     "tests_bare_string": ("power_study", "tests", "spms", InvalidParamsError),
+    "tests_empty": ("power_study", "tests", [], InvalidParamsError),
     "value_range_not_numbers": (
         "null_histogram", "value_range", ("a", "b"), InvalidParamsError
     ),
