@@ -4,13 +4,14 @@ import itertools
 import math
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
@@ -567,6 +568,74 @@ def _kernel_bytes(stats):
     return {t: tuple(a.tobytes() for a in out) for t, out in stats.items()}
 
 
+_SERIAL_N = montecarlo._SERIAL_DRAW_MAX_N
+
+
+def _curve(name, ns, reps, threads, seed=3):
+    """calibrate_curve or power_curve (gamma:2, simulated criticals) at ns."""
+    if name == "calibrate_curve":
+        return calibrate_curve(ns, reps, [0.01, 0.05], seed, threads=threads)
+    return power_curve(
+        _GAMMA2, ns, reps, 0.05, seed=seed, threads=threads, null_reps=reps
+    )
+
+
+class TestDrawRule:
+    """A chunk whose largest n is at most _SERIAL_DRAW_MAX_N draws while no
+    other chunk of the process draws; above it, chunks draw concurrently.
+    Either way every thread count gives the bytes of threads=1."""
+
+    @staticmethod
+    def _overlap(monkeypatch, wait):
+        """Record the most _draw_chunk calls running at once; each call
+        runs wait() before it draws."""
+        guard, seen = threading.Lock(), {"now": 0, "most": 0}
+        draw = montecarlo._draw_chunk
+
+        def recording(*args, **kwargs):
+            with guard:
+                seen["now"] += 1
+                seen["most"] = max(seen["most"], seen["now"])
+            try:
+                wait()
+                return draw(*args, **kwargs)
+            finally:
+                with guard:
+                    seen["now"] -= 1
+
+        monkeypatch.setattr(montecarlo, "_draw_chunk", recording)
+        return seen
+
+    @pytest.mark.parametrize("ns", [(20,), (20, _SERIAL_N)])
+    @pytest.mark.parametrize("name", ["calibrate_curve", "power_curve"])
+    def test_small_n_draws_one_chunk_at_a_time(self, name, ns, monkeypatch):
+        montecarlo._null_runs.cache_clear()
+        # the sleep holds each draw open long enough for another to start
+        seen = self._overlap(monkeypatch, lambda: time.sleep(0.005))
+        _curve(name, ns, 4 * _chunk_rows(max(ns)), threads=3)
+        assert seen["most"] == 1
+
+    @pytest.mark.parametrize("name", ["calibrate_curve", "power_curve"])
+    def test_larger_n_draws_concurrently(self, name, monkeypatch):
+        montecarlo._null_runs.cache_clear()
+        # three chunks on three threads: each draw waits for the other two,
+        # which a serial draw would never let in
+        barrier = threading.Barrier(3, timeout=30)
+        seen = self._overlap(monkeypatch, barrier.wait)
+        ns = (20, _SERIAL_N + 1)
+        _curve(name, ns, 3 * _chunk_rows(max(ns)), threads=3)
+        assert seen["most"] == 3
+
+    @pytest.mark.parametrize(
+        "ns", [(20, 1000), (_SERIAL_N,), (_SERIAL_N + 1,)], ids=str
+    )
+    @pytest.mark.parametrize("name", ["calibrate_curve", "power_curve"])
+    def test_thread_counts_give_equal_results(self, name, ns):
+        reps = 2 * _chunk_rows(max(ns)) + 5  # three chunks, the last short
+        results = [_curve(name, ns, reps, threads=t) for t in (1, 2, 3)]
+        assert results[0] == results[1] == results[2]
+
+
 class TestWorkspace:
     """Chunks reuse pooled blocks; no output byte depends on them, and no
     result a chunk returns or a kept run holds is a view of one."""
@@ -1112,7 +1181,11 @@ _VALID = dict(
     null_reps=_count(1, 64),
     level=st.floats(0.001, 0.999),
     levels=st.lists(st.floats(0.001, 0.999), min_size=1, max_size=3),
+    ns=st.lists(_count(8, 200), min_size=1, max_size=3),
+    tests=st.lists(st.sampled_from([*ALL_TESTS, "spms"]), min_size=1, max_size=4),
 )
+# the collection arguments: a bad value is one more item, or the whole
+_COLLECTIONS = ("levels", "ns", "tests")
 # out-of-range integers, and values that are not integers or numbers
 _BAD = st.one_of(
     st.sampled_from([-3, -1, 0, 1, 7, 2**64]),
@@ -1122,35 +1195,72 @@ _BAD = st.one_of(
     st.none(),
     st.integers(-3, 300).map(str),
 )
+# numpy-shaped and collection-like values: 0-d and 2-d arrays, numpy
+# scalars, bools, bytes, generators and dicts
+_SHAPED = st.one_of(
+    st.sampled_from([
+        np.array(20), np.array(0.05), np.array("spms"), np.array([[20, 50]]),
+        np.array([[0.05]]), np.int64(20), np.float64(0.05), np.bool_(True),
+        True, False, b"20", b"spms", {20: 1}, {},
+    ]),
+    st.builds(lambda xs: (x for x in xs), st.lists(st.integers(8, 60), max_size=2)),
+)
+# one valid value of each argument
+_ARGS = dict(
+    n=20, reps=20, seed=1, threads=1, bins=8, null_reps=20, level=0.05,
+    levels=[0.05], ns=[20], tests=["spms"],
+)
+# every experiment, with the multi-n ones
+_PROPERTY_EXPERIMENTS = {
+    **_EXPERIMENTS,
+    "calibrate_curve": _CALIBRATE_CURVE,
+    "power_curve": _POWER_CURVE,
+}
 
 
 class TestArgumentProperty:
-    """Whatever its counts and levels, an experiment returns a result or
-    raises a PmskewError, never another exception. About half the
-    examples are valid calls; in the others one argument is bad (for
-    levels, one of the list's items)."""
+    """Whatever its counts, sizes, levels and tests, an experiment returns
+    a result or raises a PmskewError, never another exception. About half
+    the examples are valid calls; in the others one argument is bad (for
+    levels, ns and tests, one of the list's items or the whole argument)."""
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=250, deadline=None)
     @given(
-        name=st.sampled_from(sorted(_EXPERIMENTS)),
+        name=st.sampled_from(sorted(_PROPERTY_EXPERIMENTS)),
         args=st.fixed_dictionaries(_VALID),
-        bad=st.one_of(st.none(), st.tuples(st.sampled_from(sorted(_VALID)), _BAD)),
+        bad=st.one_of(
+            st.none(),
+            st.tuples(
+                st.sampled_from(sorted(_VALID)), _BAD | _SHAPED, st.booleans()
+            ),
+        ),
         critical_values=st.sampled_from(["simulated", "asymptotic"]),
     )
+    # a 0-d array as a whole collection argument, which iterating raises on
+    @example("calibrate_curve", _ARGS, ("ns", np.array(20), True), "asymptotic")
+    @example("calibrate", _ARGS, ("levels", np.array(0.05), True), "asymptotic")
+    @example("power_study", _ARGS, ("tests", np.array("spms"), True), "asymptotic")
+    @example("power_curve", _ARGS, ("ns", np.array(20), True), "asymptotic")
     def test_result_or_typed_error(self, name, args, bad, critical_values):
+        args = dict(args)
         if bad is not None:
-            arg, value = bad
-            args[arg] = args[arg] + [value] if arg == "levels" else value
-        func, kw = _EXPERIMENTS[name]
+            arg, value, whole = bad
+            item = arg in _COLLECTIONS and not whole
+            args[arg] = args[arg] + [value] if item else value
+        func, kw = _PROPERTY_EXPERIMENTS[name]
         call = {k: args[k] for k in kw if k in args}
         call["threads"] = args["threads"]
-        if name == "power_study":
+        if name.startswith("power"):
             call["critical_values"] = critical_values
+            call["tests"] = args["tests"]
         try:
             result = func(**{**kw, **call})
         except PmskewError:
             return
-        assert result.n == args["n"] and result.reps == args["reps"]
+        if isinstance(result, list):
+            assert result and all(r.reps == args["reps"] for r in result)
+        else:
+            assert result.n == args["n"] and result.reps == args["reps"]
 
 
 class TestStreamContract:
