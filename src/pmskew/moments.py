@@ -49,7 +49,8 @@ class Sample:
     Raises
     ------
     InvalidParamsError
-        If values is not one-dimensional.
+        If values is not a one-dimensional sequence of real numbers (a
+        generator, a dict, a string or complex values, for instance).
     SampleTooSmallError
         If fewer than 3 observations are supplied.
     NonFiniteError
@@ -63,7 +64,16 @@ class Sample:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64)
+        try:
+            arr = np.asarray(self.values)
+            if arr.dtype.kind == "c":
+                raise TypeError("complex values")
+            arr = arr.astype(np.float64, copy=False)
+        except (TypeError, ValueError, OverflowError) as e:
+            raise InvalidParamsError(
+                "a sample is a sequence of real float64 values, got "
+                f"{type(self.values).__name__}: {e}"
+            ) from None
         if arr.ndim != 1:
             raise InvalidParamsError(
                 f"a sample is one-dimensional, got shape {arr.shape}"

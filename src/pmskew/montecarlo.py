@@ -58,7 +58,11 @@ reproduces the reference power table; the spms and Lin-Mudholkar z
 approximations are visibly miscalibrated at n <= 100, where asymptotic
 thresholds distort power by up to 0.11. critical_values="asymptotic"
 selects plain |z| > z_{1-level/2} rejection instead. Both, and calibrate's
-counts, go through one tail rule, _rejects.
+counts, go through one tail rule, _rejects. A kept null run sorts each
+test's tail pool (W for Shapiro-Wilk, |z| for the others) on its first
+simulated use and keeps it, with the critical value of each level asked
+of it, until _null_runs evicts the run: a warm power call takes its
+critical values without an np.abs, sort or np.quantile.
 """
 
 from __future__ import annotations
@@ -292,6 +296,38 @@ def _null_runs(reps, seed, tests, threads, base):
     return {}
 
 
+class _TailPool(np.ndarray):
+    """One test's _tail_statistic values over a null run, sorted and
+    read-only, with each quantile asked of them kept in quantiles."""
+
+    def __new__(cls, values):
+        pool = np.sort(values).view(cls)
+        pool.flags.writeable = False
+        return pool
+
+    def __array_finalize__(self, obj):
+        self.quantiles = {}  # a view holds other values: its own memo
+
+    def quantile(self, q: float) -> float:
+        """float(np.quantile(self, q)), computed once per q. np.quantile
+        gives the same bits on the sorted values as on the unsorted ones:
+        the two order statistics it interpolates do not depend on their
+        order."""
+        try:
+            return self.quantiles[q]
+        except KeyError:
+            crit = float(np.quantile(self.view(np.ndarray), q))
+            return self.quantiles.setdefault(q, crit)
+
+
+class _NullRun(dict):
+    """One n's null run, {test: (raw, z)}. Its tail pools, built on first
+    simulated use (see _null_reference), are kept in pools, so they go
+    when _null_runs evicts the run."""
+
+    pools = None
+
+
 def _null_statistics(sizes, reps, seed, tests, threads, base=0):
     """The null pipeline: the null run of each n of sizes, keyed by n. A
     run holds, per test, read-only (raw, z) arrays of the defined rows
@@ -313,7 +349,7 @@ def _null_statistics(sizes, reps, seed, tests, threads, base=0):
 
     parts = _map_chunks(work, reps, missing[-1], threads) if missing else ()
     for m, chunks in zip(missing, zip(*parts)):
-        null = {}
+        null = _NullRun()
         for t in tests:
             raw, z = (np.concatenate(col) for col in zip(*(c[t] for c in chunks)))
             raw.flags.writeable = z.flags.writeable = False  # shared by later hits
@@ -376,11 +412,15 @@ def calibrate(n: int, reps: int, levels, seed: int, threads: int = 1) -> Calibra
     return row
 
 
-def _normalize_tests(tests) -> tuple[TestName, ...]:
+def _test_name(item) -> TestName:
     try:
-        wanted = _items("tests", tests, "a collection of test names", TestName)
+        return TestName(item)
     except ValueError:
-        raise InvalidParamsError(f"unknown test name in {tuple(tests)!r}")
+        raise InvalidParamsError(f"unknown test name {item!r}") from None
+
+
+def _normalize_tests(tests) -> tuple[TestName, ...]:
+    wanted = _items("tests", tests, "a collection of test names", _test_name)
     return tuple(t for t in ALL_TESTS if t in wanted)
 
 
@@ -424,34 +464,41 @@ def _rejects(test, level, pool=None):
     """The tail rule: a function of a test's kernel output (raw, z,
     defined) marking the defined rows that reject at level.
 
-    With the test's null pool of _tail_statistic values the critical value
-    is simulated: Shapiro-Wilk rejects a W below the pool's level
-    quantile, the others a |z| above its 1 - level quantile. Without a
-    pool it is asymptotic: z > z_{1-level} for Shapiro-Wilk (one-tailed,
-    like its p-value), |z| > z_{1-level/2} for the others.
+    With the test's _TailPool from _null_reference the critical value is
+    simulated: Shapiro-Wilk rejects a W below the pool's level quantile,
+    the others a |z| above its 1 - level quantile; the pool computes each
+    quantile once. Without a pool it is asymptotic: z > z_{1-level} for
+    Shapiro-Wilk (one-tailed, like its p-value), |z| > z_{1-level/2} for
+    the others.
     """
     if test is TestName.SHAPIRO_WILK:
         if pool is None:
             crit = float(ndtri(1.0 - level))
             return lambda raw, z, defined: (z > crit) & defined
-        crit = float(np.quantile(pool, level))
+        crit = pool.quantile(level)
         return lambda raw, z, defined: (raw < crit) & defined
     if pool is None:
         crit = float(ndtri(1.0 - level / 2.0))
     else:
-        crit = float(np.quantile(pool, 1.0 - level))
+        crit = pool.quantile(1.0 - level)
     return lambda raw, z, defined: (np.abs(z) > crit) & defined
 
 
 def _null_reference(n, seed, null_reps, tests, threads, sizes=()):
-    """Null pools for simulated critical values: each test's
-    _tail_statistic over the cached null run of null_reps replications on
-    streams (seed, CALIBRATION_STREAM_BASE + j). A run that is not kept is
-    drawn with every other missing n of sizes (see _null_statistics)."""
-    null = _null_statistics(
+    """Null pools for simulated critical values, {test: _TailPool}: each
+    test's _tail_statistic over the kept null run of null_reps
+    replications on streams (seed, CALIBRATION_STREAM_BASE + j). The pools
+    are sorted on the run's first simulated use and kept with it, so a
+    later call reads them, and the quantiles they keep, without another
+    sort, np.abs or np.quantile. A run that is not kept is drawn with
+    every other missing n of sizes (see _null_statistics)."""
+    run = _null_statistics(
         (n, *sizes), null_reps, seed, tests, threads, CALIBRATION_STREAM_BASE
     )[n]
-    return {t: _tail_statistic(t, *null[t]) for t in tests}
+    if run.pools is None:
+        # no lock: racing threads sort equal pools, and either may be kept
+        run.pools = {t: _TailPool(_tail_statistic(t, *run[t])) for t in tests}
+    return run.pools
 
 
 def power_curve(
@@ -471,9 +518,11 @@ def power_curve(
     Every requested test is applied to the same sample in each replication
     (common random numbers). critical_values="simulated" (default) rejects
     beyond empirical null quantiles at the same n, taken over null_reps
-    (>= 1) null replications that later calls with the same seed, null_reps,
-    tests and threads reuse; "asymptotic" uses each test's nominal normal
-    approximation directly and ignores null_reps.
+    (>= 1) null replications. Later calls with the same seed, null_reps,
+    tests and threads reuse the null run, its sorted tail pools and the
+    critical value of every level already asked, so a warm call only draws
+    and tests the alternative; "asymptotic" uses each test's nominal
+    normal approximation directly and ignores null_reps.
 
     Replication r is drawn once, at the largest n, and a smaller n takes
     the first n values of its row: a stream's first n variates do not

@@ -6,6 +6,8 @@ threads 1 and 2. The first six digests were recorded with fixed
 value-budget rule; the reps are chosen so that most runs cross a chunk
 boundary under both rules, so a change to how work is chunked, how rows
 are drawn, or how a kernel reduces them shows up as a changed digest.
+Two more power runs take simulated critical values at levels 0.01 and
+0.2, from an odd and an even null pool.
 
 The scalar tests are pinned the same way: the exact bits of every
 TestResult over seeded samples from the null and the six power-study
@@ -80,6 +82,18 @@ GOLDEN = {
          "--tests", "sqrt_b1,lin_mudholkar", "--null-reps", "6000",
          "--seed", "9"],
         "60796980bef04e80372cdc3366f42c55ddbac64fd6b43213daf327b1986fd761",
+    ),
+    # simulated criticals at the two extreme levels the kept critical
+    # values serve; an odd null pool at 0.01, an even one at 0.2
+    "power_simulated_level_0.01": (
+        ["power", "--alt", "gamma:2", "--n", "20,50", "--reps", "3000",
+         "--null-reps", "5001", "--level", "0.01", "--seed", "10"],
+        "dd991d27ad9d114cfa9e3510d57c271f8bc117c22d436c33bb1df2058be07e75",
+    ),
+    "power_simulated_level_0.2": (
+        ["power", "--alt", "lognormal:0,0.5", "--n", "15,40", "--reps", "3000",
+         "--null-reps", "4096", "--level", "0.2", "--seed", "12"],
+        "2585dc6b5df0d4baf084f9f29892ef20edbee2f8080193f06ed4a75583ec36a6",
     ),
 }
 

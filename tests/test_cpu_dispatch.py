@@ -65,5 +65,5 @@ def test_cli_digests_with_dispatch_targets_disabled():
         timeout=600,
     )
     assert child.returncode == 0, child.stdout[-4000:] + child.stderr[-4000:]
-    # the 16 Monte Carlo digests and the two `pmskew test` digests
-    assert child.stdout.splitlines()[-1].startswith("18 passed"), child.stdout
+    # the 20 Monte Carlo digests and the two `pmskew test` digests
+    assert child.stdout.splitlines()[-1].startswith("22 passed"), child.stdout

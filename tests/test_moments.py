@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 from pmskew import (
     InvalidParamsError,
     NonFiniteError,
+    PmskewError,
     Sample,
     SampleTooSmallError,
     ZeroVarianceError,
@@ -61,6 +62,69 @@ class TestSample:
         assert s == s
         assert s != Sample(x)
         assert len({s, s}) == 1
+
+
+# items a caller might put in a sample, valid or not
+_ITEMS = st.one_of(
+    st.floats(),
+    st.integers(),
+    st.sampled_from([10**400, -(10**400)]),  # beyond float64
+    st.booleans(),
+    st.complex_numbers(),
+    st.text(max_size=3),
+    st.binary(max_size=3),
+    st.none(),
+)
+# whole arguments: lists and tuples of items, generators, dicts, nested
+# and ragged lists, bare items and numpy arrays of several dtypes
+_SAMPLE_ARGUMENTS = st.one_of(
+    st.lists(_ITEMS, max_size=6),
+    st.lists(_ITEMS, max_size=6).map(tuple),
+    st.lists(_ITEMS, max_size=6).map(lambda xs: (x for x in xs)),
+    st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=6),
+    st.lists(st.lists(st.floats(-9, 9), max_size=3), max_size=3),
+    st.dictionaries(st.integers(), st.floats(), max_size=4),
+    _ITEMS,
+    arrays(
+        st.sampled_from([np.float64, np.float32, np.int64, np.bool_,
+                         np.complex128, np.dtype("U3")]),
+        st.integers(0, 6),
+    ),
+)
+
+
+class TestSampleArguments:
+    """Whatever it is given, Sample returns a sample of float64 values or
+    raises a PmskewError, never another exception."""
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            (x for x in [1.0, 2.0, 3.0]),
+            {1: 2, 3: 4, 5: 6},
+            [1 + 2j, 3, 4],
+            np.array([1.0, 2.0, 3.0], dtype=np.complex128),
+            ["a", "b", "c"],
+            "abc",
+            [1.0, [2.0, 3.0], 4.0],
+            [10**400, 1, 2],
+        ],
+        ids=["generator", "dict", "complex", "complex_array", "strings",
+             "string", "ragged", "huge_int"],
+    )
+    def test_non_real_values_raise_typed_error(self, values):
+        with pytest.raises(InvalidParamsError, match="real float64 values"):
+            Sample(values)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_SAMPLE_ARGUMENTS)
+    def test_sample_or_typed_error(self, values):
+        try:
+            s = Sample(values)
+        except PmskewError:
+            return
+        assert s.values.dtype == np.float64 and s.values.ndim == 1
+        assert s.n >= 3 and np.isfinite(s.values).all()
 
 
 class TestCentralMoments:

@@ -1,5 +1,6 @@
 """Replication engine: brute-force oracles, determinism, conservation."""
 
+import gc
 import itertools
 import math
 import sys
@@ -7,6 +8,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -977,6 +979,146 @@ class TestSharedNullRun:
         assert montecarlo._null_runs.cache_info().currsize <= 2
 
 
+class TestKeptCriticalValues:
+    """A kept null run sorts each test's tail pool once, on first simulated
+    use, and keeps the critical value of each level beside it."""
+
+    LEVELS = (0.01, 0.05, 0.10, 0.20, 0.037)
+
+    @staticmethod
+    def _unsorted(test, raw, z):
+        return raw if test is TN.SHAPIRO_WILK else np.abs(z)
+
+    @staticmethod
+    def _q(test, level):
+        return level if test is TN.SHAPIRO_WILK else 1.0 - level
+
+    def _check_pools(self, n, seed, null_reps):
+        pools = montecarlo._null_reference(n, seed, null_reps, ALL_TESTS, 1)
+        run = montecarlo._null_runs(
+            null_reps, seed, ALL_TESTS, 1, CALIBRATION_STREAM_BASE
+        )[n]
+        assert tuple(pools) == ALL_TESTS
+        for t in ALL_TESTS:
+            values = self._unsorted(t, *run[t])
+            assert pools[t].tobytes() == np.sort(values).tobytes()
+            assert not pools[t].flags.writeable
+            for level in self.LEVELS:
+                q = self._q(t, level)
+                want = float(np.quantile(values, q))
+                assert pools[t].quantile(q).hex() == want.hex(), (t, level)
+        return pools
+
+    @pytest.mark.parametrize("null_reps", [4161, 8192, 10001])
+    def test_kept_quantiles_equal_those_of_the_unsorted_pool(self, null_reps):
+        montecarlo._null_runs.cache_clear()
+        pools = self._check_pools(20, 41, null_reps)
+        assert {p.size for p in pools.values()} == {null_reps}
+
+    def test_pool_with_undefined_rows_dropped(self, monkeypatch):
+        orig = montecarlo._chunk_statistics
+
+        def every_fifth_undefined(x, *args):
+            out = orig(x, *args)
+            for raw, z, defined in out.values():
+                raw[::5] = z[::5] = np.nan
+                defined[::5] = False
+            return out
+
+        monkeypatch.setattr(montecarlo, "_chunk_statistics", every_fifth_undefined)
+        montecarlo._null_runs.cache_clear()
+        pools = self._check_pools(30, 42, 4164)
+        kept = sum(b - a - len(range(0, b - a, 5)) for a, b in _spans(4164, 30))
+        assert kept == 3331  # an odd pool
+        assert {p.size for p in pools.values()} == {kept}
+        assert all(np.isfinite(p).all() for p in pools.values())
+
+    def test_rejects_reads_the_kept_critical_value(self):
+        montecarlo._null_runs.cache_clear()
+        pools = montecarlo._null_reference(25, 43, 5001, ALL_TESTS, 1)
+        run = montecarlo._null_runs(5001, 43, ALL_TESTS, 1, CALIBRATION_STREAM_BASE)
+        raw, z = run[25][TN.SQRT_B1]
+        for level in self.LEVELS:
+            crit = float(np.quantile(np.abs(z), 1.0 - level))
+            got = montecarlo._rejects(TN.SQRT_B1, level, pools[TN.SQRT_B1])
+            ok = np.ones(z.size, bool)
+            assert np.array_equal(got(raw, z, ok), np.abs(z) > crit)
+
+    def test_warm_power_call_runs_no_quantile(self, monkeypatch):
+        alt = AlternativeSpec.parse("gamma:2")
+        calls = {"quantile": 0, "tail": 0}
+        quantile, tail = np.quantile, montecarlo._tail_statistic
+
+        def counting_quantile(*args, **kwargs):
+            calls["quantile"] += 1
+            return quantile(*args, **kwargs)
+
+        def counting_tail(*args):
+            calls["tail"] += 1
+            return tail(*args)
+
+        monkeypatch.setattr(montecarlo.np, "quantile", counting_quantile)
+        monkeypatch.setattr(montecarlo, "_tail_statistic", counting_tail)
+        montecarlo._null_runs.cache_clear()
+        kw = dict(seed=44, null_reps=3000)
+        cold = power_curve(alt, [20, 50], 200, 0.05, **kw)
+        assert calls == {"quantile": 8, "tail": 8}  # 2 sizes x 4 tests
+        warm = power_curve(alt, [20, 50], 200, 0.05, **kw)
+        assert calls == {"quantile": 8, "tail": 8}
+        assert warm == cold
+        power_curve(alt, [50, 20], 200, 0.2, **kw)  # a new level: 8 more
+        power_curve(alt, [20], 200, 0.2, **kw)
+        assert calls == {"quantile": 16, "tail": 8}
+
+    def test_racing_threads_keep_equal_bytes(self):
+        alt = AlternativeSpec.parse("beta:2,1")
+        kw = dict(seed=45, null_reps=2000)
+
+        def call(level):
+            return power_curve(alt, [20, 30], 100, level, **kw)
+
+        montecarlo._null_runs.cache_clear()
+        serial = {level: call(level) for level in (0.05, 0.1)}
+        pools = {n: {t: p.tobytes() for t, p in montecarlo._null_reference(
+            n, 45, 2000, ALL_TESTS, 1).items()} for n in (20, 30)}
+        montecarlo._null_runs.cache_clear()
+        jobs = [(0.05, 0.1)[i % 2] for i in range(8)]
+        start = threading.Barrier(len(jobs), timeout=60)
+
+        def racing(level):
+            start.wait()
+            return call(level)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
+                results = list(pool.map(racing, jobs))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [serial[level] for level in jobs]
+        for n in (20, 30):
+            kept = montecarlo._null_reference(n, 45, 2000, ALL_TESTS, 1)
+            assert {t: p.tobytes() for t, p in kept.items()} == pools[n]
+            for t, p in kept.items():
+                for level in (0.05, 0.1):
+                    q = self._q(t, level)
+                    assert p.quantile(q) == float(np.quantile(p, q))
+
+    def test_evicted_configuration_drops_its_pools(self):
+        montecarlo._null_runs.cache_clear()
+        pools = montecarlo._null_reference(20, 46, 1500, ALL_TESTS, 1)
+        pools[TN.SPMS].quantile(0.95)
+        gone = [weakref.ref(p) for p in pools.values()]
+        del pools
+        gc.collect()
+        assert all(ref() is not None for ref in gone)  # kept with the run
+        for seed in (47, 48):  # two newer configurations evict it
+            calibrate(20, 300, [0.05], seed)
+        gc.collect()
+        assert all(ref() is None for ref in gone)
+
+
 class TestResultScalarTypes:
     """Result records hold plain Python scalars whatever the numpy version,
     so they serialize to JSON as they are."""
@@ -1164,6 +1306,18 @@ class TestMalformedArguments:
         with pytest.raises(error, match=arg):
             func(**{**kw, arg: value})
         assert montecarlo._null_runs.cache_info() == kept
+
+    @pytest.mark.parametrize(
+        "tests",
+        [lambda: (t for t in ["spms", "bogus"]), lambda: ["spms", "bogus"]],
+        ids=["generator", "list"],
+    )
+    def test_unknown_test_name_is_named(self, tests):
+        # a generator is consumed by the check, so the message names the
+        # item itself, not what is left of the argument
+        with pytest.raises(InvalidParamsError, match="unknown test name 'bogus'"):
+            power_study(AlternativeSpec.parse("gamma:2"), 20, 10, 0.05,
+                        tests=tests(), critical_values="asymptotic")
 
 
 def _count(lo, hi):
