@@ -125,26 +125,21 @@ def _summary(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _int_list(text: str) -> list[int]:
+def _list(text: str, convert=float, what="numbers") -> list:
+    """The comma-separated items of text, each through convert; blank
+    items are skipped."""
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
+        return [convert(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        raise InvalidConfigError(f"expected comma-separated integers: {text!r}")
+        raise InvalidConfigError(f"expected comma-separated {what}: {text!r}")
 
 
 def _sizes(text: str) -> list[int]:
     """The --n list of sample sizes; at least one is required."""
-    ns = _int_list(text)
+    ns = _list(text, int, "integers")
     if not ns:
         raise InvalidConfigError(f"--n needs at least one sample size: {text!r}")
     return ns
-
-
-def _float_list(text: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise InvalidConfigError(f"expected comma-separated numbers: {text!r}")
 
 
 def _resolve_threads(value) -> int:
@@ -228,7 +223,7 @@ def cmd_test(args) -> int:
 
 def cmd_calibrate(args) -> int:
     ns = _sizes(args.n)
-    levels = _float_list(args.levels)
+    levels = _list(args.levels)
     threads = _resolve_threads(args.threads)
     rows = [
         [row.n, row.reps, level, rate, row.undefined_count]
@@ -289,7 +284,7 @@ def cmd_hist(args) -> int:
     threads = _resolve_threads(args.threads)
     value_range = None
     if args.range is not None:
-        bounds = _float_list(args.range)
+        bounds = _list(args.range)
         if len(bounds) != 2:
             raise InvalidConfigError(f"--range needs two numbers: {args.range!r}")
         value_range = (bounds[0], bounds[1])

@@ -12,18 +12,19 @@ so a chunk and the temporaries its statistics need stay small enough
 for the CPU caches at every n. Chunks follow the largest n of a call,
 never the thread count, and the rows at a smaller n of the call are
 prefixes of its rows: a stream's first n variates do not depend on how
-many follow, so each replication is drawn once, at the largest n. A
-running chunk takes its blocks (the draw, the Shapiro-Wilk sort buffer
-that then holds the moments' powers, and Lin-Mudholkar's y and s1) from a
-workspace of four buffers of max(CHUNK_SIZE, n) values, with a fifth for
-the copied prefix rows of a smaller n if the call has several, built on
-first use and kept on a free list for later chunks, so no chunk faults
-its blocks in afresh; _draw_chunk,
-_batch_sw, centred_moment_arrays and _batch_lm_z take them as
-caller-supplied arrays. No array a chunk returns is a view of one. Every
-statistic of a row is computed from that row alone, with summation orders
-that do not depend on how many rows share its chunk, so the rows per
-chunk change no result either.
+many follow, so each replication is drawn once, at the largest n, and
+every n reads a view of the drawn rows' first n values. A running chunk
+takes its four blocks (the draw; the centred rows; the Shapiro-Wilk sort
+buffer that then holds the moments' powers and Lin-Mudholkar's s1; and
+Lin-Mudholkar's y) from a workspace of four buffers of max(CHUNK_SIZE, n)
+values, at any number of sizes, built on first use and kept on a free
+list for later chunks, so no chunk faults its blocks in afresh;
+_draw_chunk, _batch_sw, centred_moment_arrays and _batch_lm_z take them
+as caller-supplied arrays. No kernel writes to the drawn block, and no
+array a chunk returns is a view of one. Every statistic of a row is
+computed from that row alone, with summation orders that do not depend
+on how many rows share its chunk, so the rows per chunk change no result
+either.
 
 Each chunk builds one Philox generator and, before each replication r,
 re-keys it to (seed, r) with counter 0 (distributions.stream_rekeyer).
@@ -36,11 +37,11 @@ and a job of one chunk runs on the calling thread. A chunk whose largest
 n is at most _SERIAL_DRAW_MAX_N draws under one process-wide lock, while
 other chunks run their kernels: its rows are too short for numpy's fill
 to free the GIL for long. So threads=k pays as far as the kernels are a
-large share of a chunk. The chunk is then centred in place once, and that
-one block feeds the central moments and the Lin-Mudholkar kernel. Every
-test's kernel gives each chunk the same three row-wise arrays, (raw, z,
-defined) (see skewtests for when a row is defined); rows that are not
-defined are counted as undefined and never as rejections.
+large share of a chunk. At each n the rows are then centred once, into a
+block of their own, which feeds the central moments and the Lin-Mudholkar
+kernel. Every test's kernel gives each chunk the same three row-wise
+arrays, (raw, z, defined) (see skewtests for when a row is defined); rows
+that are not defined are counted as undefined and never as rejections.
 
 One null pipeline, _null_statistics (draw normal rows, run the kernels,
 keep the defined rows), serves calibrate_curve (and calibrate, its one-n
@@ -236,27 +237,28 @@ def _draw_chunk(spec, n, seed, span, base=0, out=None):
     return x
 
 
-# idle workspaces: each is k flat float64 buffers, reused by one running
-# chunk at a time; list.pop and list.append are atomic, so no lock
+# idle workspaces: each is four flat float64 buffers, reused by one
+# running chunk at a time; list.pop and list.append are atomic, so no lock
 _workspaces = []
 
 
 @contextlib.contextmanager
-def _chunk_blocks(rows, n, k=4):
-    """k C-contiguous (rows, n) float64 blocks for one chunk, viewed from a
-    workspace of the free list; one of k buffers of max(CHUNK_SIZE,
-    rows * n) values is built if the list is empty or its workspace has
-    fewer or smaller buffers. The workspace goes back to the list
-    afterwards, so its pages stay faulted in for the next chunk."""
+def _chunk_blocks(rows, n):
+    """Four C-contiguous (rows, n) float64 blocks for one chunk (the draw,
+    and _chunk_statistics' d, tmp and y), viewed from a workspace of the
+    free list; one of four buffers of max(CHUNK_SIZE, rows * n) values is
+    built if the list is empty or its workspace is smaller. The workspace
+    goes back to the list afterwards, so its pages stay faulted in for
+    the next chunk."""
     size = rows * n
     try:
         ws = _workspaces.pop()
     except IndexError:
         ws = None
-    if ws is None or ws.shape[0] < k or ws.shape[1] < size:
-        ws = np.empty((k, max(CHUNK_SIZE, size)))
+    if ws is None or ws.shape[1] < size:
+        ws = np.empty((4, max(CHUNK_SIZE, size)))
     try:
-        yield [b[:size].reshape(rows, n) for b in ws[:k]]
+        yield [b[:size].reshape(rows, n) for b in ws]
     finally:
         _workspaces.append(ws)
 
@@ -264,22 +266,22 @@ def _chunk_blocks(rows, n, k=4):
 def _chunk_kernels(spec, sizes, seed, span, tests, sus, base=0):
     """Per n of sizes (sorted, distinct; sus holds su_params of each),
     _chunk_statistics of the chunk of rows span drawn from spec. Each row
-    is drawn once, at the largest n; a smaller n runs on a contiguous copy
-    of the rows' first n values, which are the variates a draw at that n
-    gives. The blocks are those of a pooled workspace, with a fifth for
-    the copy when sizes holds more than one n. No returned array is a
-    workspace view."""
+    is drawn once, at the largest n, and every n reads a view of the
+    rows' first n values, which are the variates a draw at that n gives;
+    no kernel writes to the drawn block. The other three blocks of the
+    chunk's workspace serve every n, viewed at (rows, n). No returned
+    array is a workspace view."""
     rows, m = span[1] - span[0], sizes[-1]
-    with _chunk_blocks(rows, m, 4 + (len(sizes) > 1)) as (x, *spare):
+    with _chunk_blocks(rows, m) as (x, *work):
         with _draw_lock if m <= _SERIAL_DRAW_MAX_N else contextlib.nullcontext():
             x = _draw_chunk(spec, m, seed, span, base, out=x)
-        out = []
-        for n, su in zip(sizes[:-1], sus):
-            *tmp, prefix = (b.ravel()[: rows * n].reshape(rows, n) for b in spare)
-            np.copyto(prefix, x[:, :n])
-            out.append(_chunk_statistics(prefix, tests, su, *tmp))
-        out.append(_chunk_statistics(x, tests, sus[-1], *spare[:3]))
-        return out
+        return [
+            _chunk_statistics(
+                x[:, :n], tests, su,
+                *(b.ravel()[: rows * n].reshape(rows, n) for b in work),
+            )
+            for n, su in zip(sizes, sus)
+        ]
 
 
 def _map_chunks(work, reps: int, n: int, threads: int) -> list:
@@ -424,16 +426,16 @@ def _normalize_tests(tests) -> tuple[TestName, ...]:
     return tuple(t for t in ALL_TESTS if t in wanted)
 
 
-def _chunk_statistics(x, tests, su, tmp=None, y=None, s1=None):
+def _chunk_statistics(x, tests, su, d=None, tmp=None, y=None):
     """Per-test kernel output (raw, z, defined) for one chunk of samples.
 
-    su is the S_U transform of the spms test at this n. x is overwritten:
-    once Shapiro-Wilk has sorted a copy, its rows are centred in place
-    (unless Shapiro-Wilk is the only test), and that block feeds the
-    central moments (computed once, for spms and sqrt(b1)) and
-    Lin-Mudholkar. tmp, y and s1 are optional float64 blocks of x's shape
-    for the kernels' temporaries: tmp for the Shapiro-Wilk sort and then
-    the moments' powers, y and s1 for the Lin-Mudholkar proxy.
+    su is the S_U transform of the spms test at this n. x is left as it
+    is: Shapiro-Wilk sorts a copy, and (unless it is the only test) the
+    rows are centred once into d, which feeds the central moments
+    (computed once, for spms and sqrt(b1)) and Lin-Mudholkar. d, tmp and
+    y are optional float64 blocks of x's shape for the kernels' arrays:
+    tmp holds the Shapiro-Wilk sort, then the moments' powers, then
+    Lin-Mudholkar's s1, and y its proxy.
     """
     out = {}
     # rows of overflowing, degenerate or all-zero samples are reported as
@@ -442,15 +444,15 @@ def _chunk_statistics(x, tests, su, tmp=None, y=None, s1=None):
         if TestName.SHAPIRO_WILK in tests:
             out[TestName.SHAPIRO_WILK] = _batch_sw(x, tmp)
         if tests != (TestName.SHAPIRO_WILK,):
-            x -= _row_mean(x, keepdims=True)
+            d = np.subtract(x, _row_mean(x, keepdims=True), out=d)
         if TestName.SPMS in tests or TestName.SQRT_B1 in tests:
-            moments = centred_moment_arrays(x, tmp)
+            moments = centred_moment_arrays(d, tmp)
         if TestName.SPMS in tests:
             out[TestName.SPMS] = _batch_spms(moments, su)
         if TestName.SQRT_B1 in tests:
             out[TestName.SQRT_B1] = _batch_sqrt_b1_z(moments, x.shape[1])
         if TestName.LIN_MUDHOLKAR in tests:
-            out[TestName.LIN_MUDHOLKAR] = _batch_lm_z(x, y, s1)
+            out[TestName.LIN_MUDHOLKAR] = _batch_lm_z(d, y, tmp)
     return out
 
 

@@ -407,7 +407,7 @@ def _batch_lm_z(xc: np.ndarray, y=None, s1=None):
     Centering first leaves r unchanged (the proxy is shift-invariant)
     and avoids large cancellations. The proxy is built in place in two
     block-sized temporaries, y and s1: float64 arrays of xc's shape,
-    overwritten, if given, else new ones.
+    overwritten without being read, if given, else new ones.
     """
     n = xc.shape[1]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):

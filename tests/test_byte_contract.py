@@ -7,7 +7,9 @@ value-budget rule; the reps are chosen so that most runs cross a chunk
 boundary under both rules, so a change to how work is chunked, how rows
 are drawn, or how a kernel reduces them shows up as a changed digest.
 Two more power runs take simulated critical values at levels 0.01 and
-0.2, from an odd and an even null pool.
+0.2, from an odd and an even null pool, and a calibrate and a power run
+at three sizes each pin the rows that a chunk drawn at the largest n
+gives every smaller n.
 
 The scalar tests are pinned the same way: the exact bits of every
 TestResult over seeded samples from the null and the six power-study
@@ -94,6 +96,19 @@ GOLDEN = {
         ["power", "--alt", "lognormal:0,0.5", "--n", "15,40", "--reps", "3000",
          "--null-reps", "4096", "--level", "0.2", "--seed", "12"],
         "2585dc6b5df0d4baf084f9f29892ef20edbee2f8080193f06ed4a75583ec36a6",
+    ),
+    # three sizes drawn in one pass at the largest, each chunk running
+    # every smaller n on its rows' first n values; Shapiro-Wilk and
+    # Lin-Mudholkar together share the chunk's temporaries
+    "calibrate_three_n": (
+        ["calibrate", "--n", "8,21,100", "--reps", "3000", "--seed", "11"],
+        "87936b6a9b18e2323208e9e8b2e9665ee9fd2e1db9fd7a049b28288215707850",
+    ),
+    "power_sw_lm_three_n": (
+        ["power", "--alt", "beta:2,1", "--n", "8,20,33", "--reps", "5000",
+         "--null-reps", "4001", "--tests", "shapiro_wilk,lin_mudholkar",
+         "--seed", "12"],
+        "c29dd54f6f055dd224bff7464d3f3932a5860f40f043f49f441365c8f515dff5",
     ),
 }
 

@@ -639,8 +639,9 @@ class TestDrawRule:
 
 
 class TestWorkspace:
-    """Chunks reuse pooled blocks; no output byte depends on them, and no
-    result a chunk returns or a kept run holds is a view of one."""
+    """Chunks reuse pooled blocks of four buffers at any number of sizes;
+    no output byte depends on them, no kernel writes to the drawn block,
+    and no result a chunk returns or a kept run holds is a view of one."""
 
     SUBSETS = [
         tests
@@ -671,7 +672,26 @@ class TestWorkspace:
                     assert not any(
                         np.shares_memory(a, b) for b in (block, *spare)
                     )
+            assert block.tobytes() == x.tobytes()  # the input is read only
         assert _kernel_bytes(got) == _kernel_bytes(want)
+
+    def test_chunk_kernels_leave_the_draw_intact(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_workspaces", [])
+        alt, sizes, span = AlternativeSpec.parse("beta:2,1"), (8, 20, 33), (5, 400)
+        montecarlo._chunk_kernels(
+            alt, sizes, 4, span, ALL_TESTS, [su_params(n) for n in sizes]
+        )
+        ((draw, *_),) = montecarlo._workspaces
+        want = _draw_chunk(alt, sizes[-1], 4, span)
+        assert draw[: want.size].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", ["calibrate_curve", "power_curve"])
+    def test_several_n_use_four_buffer_workspaces(self, name, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_workspaces", [])
+        montecarlo._null_runs.cache_clear()
+        _curve(name, (8, 20, 33), 2 * _chunk_rows(33) + 5, threads=2)
+        assert montecarlo._workspaces
+        assert all(ws.shape[0] == 4 for ws in montecarlo._workspaces)
 
     def test_sample_larger_than_a_buffer_grows_it(self):
         n, reps, seed = montecarlo.CHUNK_SIZE + 1, 3, 6
@@ -734,7 +754,7 @@ class TestWorkspace:
         kw = dict(reps=2048, level=0.05, critical_values="asymptotic")
         cells = {
             "one n": lambda: power_study(alt, 1000, **kw),
-            "two n": lambda: power_curve(alt, (500, 1000), **kw),  # five blocks
+            "two n": lambda: power_curve(alt, (500, 1000), **kw),
         }
         for name, cell in cells.items():
             cell()
