@@ -5,8 +5,9 @@ test statistics are built on. Computation is two-pass: the mean is removed
 first, then centered powers are accumulated, which avoids the cancellation
 that single-pass formulas suffer for fourth powers. Summation uses numpy's
 pairwise reduction over the stored value order, so results for a given
-value order are bit-reproducible. Every row mean is _row_mean's
-np.add.reduce / n, the bits ndarray.mean gives without its Python wrapper.
+value order are bit-reproducible. Every row mean, of a Sample's 1-D row
+or a chunk's rows, is _row_mean's np.add.reduce / n over the last axis:
+the bits ndarray.mean gives without its Python wrapper.
 """
 
 from __future__ import annotations
@@ -34,11 +35,12 @@ class Sample:
     """A finite list of real observations with positive variance.
 
     Validation computes the mean, the deviations from it and their
-    centred_moment_arrays as one row, once, and keeps them read-only;
-    central_moments and the scalar tests in skewtests read them, however
-    many tests a Sample goes through. Moments that overflow near the
-    float64 limits are inf or NaN, without a numpy warning. Samples
-    compare, and hash, by identity.
+    centred_moment_arrays on the 1-D row, once, and keeps the deviations
+    read-only and the five moments as Python floats; central_moments and
+    the scalar tests in skewtests read them, however many tests a Sample
+    goes through. Moments that overflow near the float64 limits are inf
+    or NaN, without a numpy warning. Samples compare, and hash, by
+    identity.
 
     Parameters
     ----------
@@ -82,13 +84,13 @@ class Sample:
             raise SampleTooSmallError(
                 f"need at least 3 observations, got {arr.size}"
             )
-        if not np.isfinite(arr).all():
+        if not np.logical_and.reduce(np.isfinite(arr)):
             raise NonFiniteError("sample contains NaN or infinite values")
         with np.errstate(over="ignore", invalid="ignore"):
-            mean = _row_mean(arr[None, :])[0]
+            mean = _row_mean(arr)
             d = arr - mean
-            moments = centred_moment_arrays(d[None, :])
-        m2 = float(moments[0][0])
+            moments = tuple(map(float, centred_moment_arrays(d)))
+        m2 = moments[0]
         if m2 * m2 == 0.0:
             # equal values, or a spread so small that m2 or its square
             # underflows; either way b2 = m4/m2^2 is 0/0 downstream
@@ -97,7 +99,7 @@ class Sample:
                 "moment ratios"
             )
         arr = arr.copy()
-        for a in (arr, d) + moments:
+        for a in (arr, d):
             a.flags.writeable = False
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "_mean", float(mean))
@@ -136,28 +138,20 @@ def central_moments(sample: Sample) -> MomentSummary:
     -------
     MomentSummary
     """
-    m2, m3, m4, sqrt_b1, b2 = sample._moments
-    return MomentSummary(
-        mean=sample._mean,
-        m2=float(m2[0]),
-        m3=float(m3[0]),
-        m4=float(m4[0]),
-        sqrt_b1=float(sqrt_b1[0]),
-        b2=float(b2[0]),
-    )
+    return MomentSummary(sample._mean, *sample._moments)
 
 
 def central_moment_arrays(x: np.ndarray):
-    """Row-wise divisor-n central moments of a 2-D array.
+    """Row-wise divisor-n central moments along the last axis.
 
     Parameters
     ----------
-    x : ndarray, shape (reps, n)
+    x : ndarray, shape (..., n)
         One sample per row.
 
     Returns
     -------
-    m2, m3, m4, sqrt_b1, b2 : ndarray, shape (reps,)
+    m2, m3, m4, sqrt_b1, b2 : ndarray, shape (...); scalars for a 1-D x
         Rows with zero variance yield NaN in sqrt_b1 and b2.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -165,21 +159,24 @@ def central_moment_arrays(x: np.ndarray):
 
 
 def _row_mean(x: np.ndarray, keepdims: bool = False):
-    """x.mean(axis=1, keepdims=keepdims), bitwise: numpy's mean is this
+    """x.mean(axis=-1, keepdims=keepdims), bitwise: numpy's mean is this
     pairwise sum divided by the row length, here without the Python
-    wrapper that ndarray.mean goes through."""
-    return np.add.reduce(x, axis=1, keepdims=keepdims) / x.shape[1]
+    wrapper that ndarray.mean goes through. A 1-D x gives a numpy scalar
+    (or a one-element array with keepdims)."""
+    return np.add.reduce(x, axis=-1, keepdims=keepdims) / x.shape[-1]
 
 
 def centred_moment_arrays(d: np.ndarray, p=None):
     """central_moment_arrays of rows already centred by their own mean.
 
-    d, the deviations x - x.mean(axis=1, keepdims=True), is left as it
+    d, the deviations x - x.mean(axis=-1, keepdims=True), is left as it
     is, so a caller can share one centred block between several
     statistics. Apart from d, one block-sized temporary is used: p, a
     float64 array of d's shape, overwritten, if given, else a new one. It
     holds d^2, then d^2*d, then d^2 again and d^2*d^2, each rounded
-    exactly as the expressions (d*d)*d and (d*d)*(d*d) are.
+    exactly as the expressions (d*d)*d and (d*d)*(d*d) are. A 1-D d gives
+    numpy scalars, so m2^1.5 is np.power: ** on a numpy scalar goes
+    through numpy's scalar math, which rounds unlike the ufunc.
     """
     p = np.multiply(d, d, out=p)
     m2 = _row_mean(p)
@@ -189,6 +186,6 @@ def centred_moment_arrays(d: np.ndarray, p=None):
     p *= p
     m4 = _row_mean(p)
     with np.errstate(divide="ignore", invalid="ignore"):
-        sqrt_b1 = m3 / m2**1.5
+        sqrt_b1 = m3 / np.power(m2, 1.5)
         b2 = m4 / (m2 * m2)
     return m2, m3, m4, sqrt_b1, b2

@@ -5,22 +5,24 @@ equivalent deviate z, and a p-value. The spms, sqrt(b1), and Lin-Mudholkar
 tests are two-sided in z; Shapiro-Wilk is one-tailed (small W rejects) and
 its p-value is reported accordingly.
 
-Each test has a private batch kernel over an array of samples (one per
-row), used by the Monte Carlo harness, and every kernel returns the same
-three row-wise arrays: (raw, z, defined), where raw is the test statistic,
-z its normal deviate and defined = isfinite(raw). An undefined row (a
-degenerate spms denominator or Lin-Mudholkar correlation, or moments that
-overflow near the float64 limits) has raw = NaN. Lin-Mudholkar alone uses
-defined = isfinite(z): its z = arctanh(r) is infinite at |r| = 1. The
-scalar entry points take a Sample and are one-row views of the kernels
-through one adapter, so both compute identical values and every test
-reports an undefined statistic the same way: defined=False with NaN
-fields, never an error and never a NaN result marked defined.
+Each test has a private batch kernel over samples along the last axis,
+and every kernel returns the same three row-wise results: (raw, z,
+defined), where raw is the test statistic, z its normal deviate and
+defined = isfinite(raw). An undefined row (a degenerate spms denominator
+or Lin-Mudholkar correlation, or moments that overflow near the float64
+limits) has raw = NaN. Lin-Mudholkar alone uses defined = isfinite(z):
+its z = arctanh(r) is infinite at |r| = 1. The Monte Carlo harness runs
+the kernels on 2-D chunks; the scalar entry points run them on a
+Sample's 1-D row, whose numpy scalars one adapter turns into a
+TestResult. numpy uses the same loops for both, so both compute
+identical values and every test reports an undefined statistic the same
+way: defined=False with NaN fields, never an error and never a NaN
+result marked defined.
 
 The spms expression and its degenerate-denominator guard live in _spms
 alone, which the kernel and population_pms share.
 
-The spms and sqrt(b1) kernels take the arrays returned by
+The spms and sqrt(b1) kernels take the moments returned by
 centred_moment_arrays and the Lin-Mudholkar kernel rows already centred,
 so a chunk centres its samples and computes their moments once; the
 scalar tests read both from the Sample, which computes them at
@@ -220,12 +222,12 @@ def _two_sided_p(z):
 
 
 def _one_row(name: TestName, kernel_out, p_value=_two_sided_p) -> TestResult:
-    """The TestResult of a kernel's (raw, z, defined) for a one-row batch."""
+    """The TestResult of a kernel's (raw, z, defined) on a 1-D row."""
     raw, z, defined = kernel_out
-    if not defined[0]:
+    if not defined:
         return TestResult(name, math.nan, math.nan, math.nan, False)
-    z = float(z[0])
-    return TestResult(name, float(raw[0]), z, float(p_value(z)))
+    z = float(z)
+    return TestResult(name, float(raw), z, float(p_value(z)))
 
 
 # ---------------------------------------------------------------------------
@@ -360,21 +362,21 @@ def _sw_z_from_w(w, n: int):
 
 
 def _batch_sw(x: np.ndarray, xs=None):
-    """Row-wise (W, z, defined) for a (reps, n) array. x is not changed;
+    """Row-wise (W, z, defined) for an (..., n) array. x is not changed;
     its rows are sorted in xs, a float64 array of x's shape if given (its
     values are overwritten), else in a new one."""
-    n = x.shape[1]
+    n = x.shape[-1]
     c = _sw_coefficients(n)
     if xs is None:
         xs = np.empty(x.shape)
     np.copyto(xs, x)
-    xs.sort(axis=1)  # in place: np.sort too copies, then sorts the copy
+    xs.sort(axis=-1)  # in place: np.sort too copies, then sorts the copy
     # einsum, not matmul: BLAS kernels change summation order with the
     # row count, which would make a replication's W depend on chunk size
     with np.errstate(over="ignore", invalid="ignore"):
-        num = np.einsum("ij,j->i", xs, c)
+        num = np.einsum("...j,j->...", xs, c)
         xs -= _row_mean(xs, keepdims=True)
-        w = (num * num) / np.einsum("ij,ij->i", xs, xs)
+        w = (num * num) / np.einsum("...j,...j->...", xs, xs)
     w = np.minimum(w, 1.0)  # np.clip(w, 0, 1): w is NaN or at least +0.0
     return w, _sw_z_from_w(w, n), np.isfinite(w)
 
@@ -387,7 +389,7 @@ def shapiro_wilk_test(sample: Sample) -> TestResult:
     yields defined=False.
     """
     check_sw_n(su_transform.check_n(sample.n))
-    kernel_out = _batch_sw(sample.values[None, :])
+    kernel_out = _batch_sw(sample.values)
     return _one_row(TestName.SHAPIRO_WILK, kernel_out, lambda z: ndtr(-z))
 
 
@@ -396,8 +398,8 @@ def shapiro_wilk_test(sample: Sample) -> TestResult:
 
 
 def _batch_lm_z(xc: np.ndarray, y=None, s1=None):
-    """Row-wise Lin-Mudholkar (r, z, defined) for a (reps, n) array whose
-    rows are already centred (x - x.mean(axis=1, keepdims=True)); xc is
+    """Row-wise Lin-Mudholkar (r, z, defined) for an (..., n) array whose
+    rows are already centred (x - x.mean(axis=-1, keepdims=True)); xc is
     not changed. A row whose centred proxies are all zero (all proxies
     equal) gets r = 0/0 = NaN, and so does a row whose sxx * syy
     overflows (scales near 1e100 and above). |r| = 1 gives z = +-inf.
@@ -409,21 +411,21 @@ def _batch_lm_z(xc: np.ndarray, y=None, s1=None):
     block-sized temporaries, y and s1: float64 arrays of xc's shape,
     overwritten without being read, if given, else new ones.
     """
-    n = xc.shape[1]
+    n = xc.shape[-1]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         y = np.multiply(xc, xc, out=y)
-        np.subtract(np.add.reduce(y, axis=1, keepdims=True), y, out=y)
-        s1 = np.subtract(np.add.reduce(xc, axis=1, keepdims=True), xc, out=s1)
+        np.subtract(np.add.reduce(y, axis=-1, keepdims=True), y, out=y)
+        s1 = np.subtract(np.add.reduce(xc, axis=-1, keepdims=True), xc, out=s1)
         s1 *= s1
         s1 /= n - 1.0
         y -= s1
         np.cbrt(y, out=y)
         y -= _row_mean(y, keepdims=True)
-        sxx = np.einsum("ij,ij->i", xc, xc)
-        syy = np.einsum("ij,ij->i", y, y)
-        sxy = np.einsum("ij,ij->i", xc, y)
+        sxx = np.einsum("...j,...j->...", xc, xc)
+        syy = np.einsum("...j,...j->...", y, y)
+        sxy = np.einsum("...j,...j->...", xc, y)
         ss = sxx * syy
-        ss[np.isinf(ss)] = np.nan  # an overflowed product would read as r = 0
+        ss = np.where(np.isinf(ss), np.nan, ss)  # an overflow would read r = 0
         r = sxy / np.sqrt(ss)
         r = np.minimum(np.maximum(r, -1.0), 1.0)  # np.clip's bits, NaN kept
         z = np.arctanh(r) * math.sqrt(n / 3.0)
@@ -438,5 +440,5 @@ def lin_mudholkar_test(sample: Sample) -> TestResult:
     result has defined=False.
     """
     su_transform.check_n(sample.n)
-    kernel_out = _batch_lm_z(sample._centred[None, :])
+    kernel_out = _batch_lm_z(sample._centred)
     return _one_row(TestName.LIN_MUDHOLKAR, kernel_out)

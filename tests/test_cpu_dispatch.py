@@ -5,8 +5,11 @@ built for, and a few of those loops (np.log, np.exp, np.cbrt, a ** 1.5)
 round differently by target. This test re-runs the CLI digest cases of
 test_byte_contract.py in a child process with every dispatch target this
 CPU supports switched off through NPY_DISABLE_CPU_FEATURES, so the printed
-output is also checked on numpy's baseline loops. The variable is set in
-the child's environment only.
+output is also checked on numpy's baseline loops. The child also runs the
+check that each scalar test on a Sample equals its chunk row bit for bit:
+a Sample's tests finish on numpy scalars, and numpy must use the same loop
+for a scalar as for a chunk row on the baseline loops too. The variable is
+set in the child's environment only.
 """
 
 import os
@@ -18,6 +21,7 @@ import pytest
 
 import pmskew
 from test_byte_contract import GOLDEN
+from test_skewtests import AGREEMENT_SIZES
 
 try:
     from numpy._core import _multiarray_umath as _umath
@@ -27,6 +31,7 @@ except ImportError:  # numpy < 2
 TESTS = Path(__file__).resolve().parent
 
 # run in the child: fail unless every target is off, then the digest cases
+# and the chunk-against-scalar agreement
 _CHILD = """
 import sys
 import pytest
@@ -37,8 +42,9 @@ except ImportError:
 on = [t for t in sys.argv[1:] if umath.__cpu_features__.get(t)]
 if on:
     sys.exit(f"dispatch targets still on: {on}")
-sys.exit(pytest.main(["-q", "-p", "no:cacheprovider", "-k", "stdout_digest",
-                      "test_byte_contract.py"]))
+sys.exit(pytest.main(["-q", "-p", "no:cacheprovider",
+                      "-k", "stdout_digest or chunk_masks_match_scalar_results",
+                      "test_byte_contract.py", "test_skewtests.py"]))
 """
 
 
@@ -66,7 +72,7 @@ def test_cli_digests_with_dispatch_targets_disabled():
         timeout=600,
     )
     assert child.returncode == 0, child.stdout[-4000:] + child.stderr[-4000:]
-    # every Monte Carlo digest at threads 1 and 2, and the two `pmskew
-    # test` digests
-    expected = f"{2 * len(GOLDEN) + 2} passed"
+    # every Monte Carlo digest at threads 1 and 2, the two `pmskew test`
+    # digests and the agreement check at each of its row lengths
+    expected = f"{2 * len(GOLDEN) + 2 + len(AGREEMENT_SIZES)} passed"
     assert child.stdout.splitlines()[-1].startswith(expected), child.stdout

@@ -192,14 +192,16 @@ class TestRowMean:
     ndarray.mean: numpy's mean is that sum and divide. A numpy whose mean
     stops being sum-then-divide fails here by name."""
 
-    @pytest.mark.parametrize("shape", [(1, 8), (1, 5000), (1310, 100), (4000, 57)])
+    @pytest.mark.parametrize(
+        "shape", [(8,), (5000,), (1, 8), (1, 5000), (1310, 100), (4000, 57)]
+    )
     @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
     def test_bits_of_ndarray_mean(self, shape, scale):
-        rng = np.random.default_rng(shape[0] * shape[1])
+        rng = np.random.default_rng(math.prod(shape))
         x = rng.gamma(2.0, 1.0, shape) * scale
         mean = _row_mean(x, keepdims=True)
-        assert mean.tobytes() == x.mean(axis=1, keepdims=True).tobytes()
-        assert _row_mean(x).tobytes() == x.mean(axis=1).tobytes()
+        assert mean.tobytes() == x.mean(axis=-1, keepdims=True).tobytes()
+        assert _row_mean(x).tobytes() == x.mean(axis=-1).tobytes()
         # the mean of all values, as a one-dimensional ndarray.mean takes it
         flat = x.reshape(1, -1)
         assert _row_mean(flat)[0].hex() == float(x.mean()).hex()

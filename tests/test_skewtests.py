@@ -43,6 +43,9 @@ from pmskew.skewtests import (
 )
 
 N_BATTERY = (8, 11, 12, 25, 50, 100, 500, 2000)
+# row lengths at which each scalar test must equal its chunk row, each a
+# multiple of 4 so the degenerate rows of TestUndefinedConvention repeat whole
+AGREEMENT_SIZES = (8, 12, 100, 1000)
 
 
 def _degenerate_sample() -> Sample:
@@ -460,9 +463,11 @@ class TestSampleSharing:
 
     def test_cached_arrays_are_read_only(self):
         s = Sample(_seeded(40, seed=9))
+        assert not s.values.flags.writeable
         assert not s._centred.flags.writeable
-        for a in s._moments:
-            assert not a.flags.writeable
+        # the five moments are Python floats, which cannot be changed
+        assert len(s._moments) == 5
+        assert all(type(m) is float for m in s._moments)
 
     @pytest.mark.parametrize("n", [8, 60, 700])
     def test_results_do_not_depend_on_call_order(self, n):
@@ -535,14 +540,14 @@ class TestUndefinedConvention:
 
     N = 8
 
-    def _mixed_chunk(self):
+    def _mixed_chunk(self, n=N):
         c = math.sqrt(5.0) - 2.0
         rows = [
-            _seeded(self.N, seed=1, skew=0.5),
-            [1.0, -1.0, c, -c] * 2,  # b2 = 1.8: spms denominator is zero
-            _seeded(self.N, seed=2),
-            [1.0, -1.0] * 4,  # equal Lin-Mudholkar proxies
-            _seeded(self.N, seed=3, skew=1.0),
+            _seeded(n, seed=1, skew=0.5),
+            [1.0, -1.0, c, -c] * (n // 4),  # b2 = 1.8: spms denominator is zero
+            _seeded(n, seed=2),
+            [1.0, -1.0] * (n // 2),  # equal Lin-Mudholkar proxies
+            _seeded(n, seed=3, skew=1.0),
         ]
         return np.array(rows, dtype=float)
 
@@ -563,10 +568,19 @@ class TestUndefinedConvention:
         assert outs["spms"][2].tolist() == [True, False, True, True, True]
         assert outs["lin_mudholkar"][2].tolist() == [True, True, True, False, True]
 
-    def test_chunk_masks_match_scalar_results(self):
-        x = self._mixed_chunk()
+    @pytest.mark.parametrize("n", AGREEMENT_SIZES)
+    def test_chunk_masks_match_scalar_results(self, n):
+        # a Sample runs the kernels on its 1-D row and ends on numpy
+        # scalars; each result must keep the bits of its chunk row
+        x = self._mixed_chunk(n)
         tests = pk.ALL_TESTS
-        stats = _chunk_statistics(x.copy(), tests, su_params(self.N))
+        stats = _chunk_statistics(x.copy(), tests, su_params(n))
+        assert not stats[pk.TestName.SPMS][2][1]
+        # the equal Lin-Mudholkar proxies centre to exact zeros (r = 0/0)
+        # only where their row mean rounds back to their value, which
+        # depends on n and on numpy's SIMD target; else r = 0, defined
+        r_lm, _, defined_lm = stats[pk.TestName.LIN_MUDHOLKAR]
+        assert not defined_lm[3] or r_lm[3] == 0.0
         scalar = {
             pk.TestName.SPMS: spms_test,
             pk.TestName.SQRT_B1: sqrt_b1_test,
@@ -579,19 +593,22 @@ class TestUndefinedConvention:
                 r = scalar[test](Sample(row))
                 assert defined[i] == r.defined, (test, i)
                 if r.defined:
-                    assert (raw[i], z[i]) == (r.raw_statistic, r.z_value)
+                    assert (raw[i].hex(), z[i].hex()) == (
+                        r.raw_statistic.hex(),
+                        r.z_value.hex(),
+                    ), (test, i)
                 else:
                     assert math.isnan(raw[i]) and math.isnan(r.raw_statistic)
 
 
 class TestScalarPathOverhead:
     """Sample() and the four scalar tests call none of numpy's Python
-    wrappers around a row mean or a clip (_methods._mean behind
-    ndarray.mean, _methods._clip behind np.clip): on a one-row batch the
-    wrapper costs more than the arithmetic. A numpy without those
-    wrappers passes trivially."""
+    wrappers around a row mean, a clip or an all (_methods._mean behind
+    ndarray.mean, _methods._clip behind np.clip, _methods._all behind
+    ndarray.all): on one sample the wrapper costs more than the
+    arithmetic. A numpy without those wrappers passes trivially."""
 
-    WRAPPERS = {"_mean", "_clip"}
+    WRAPPERS = {"_mean", "_clip", "_all"}
 
     def test_no_numpy_mean_or_clip_wrapper(self):
         x = _seeded(50, seed=12, skew=0.5)
