@@ -12,6 +12,7 @@ the bits ndarray.mean gives without its Python wrapper.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,10 +85,15 @@ class Sample:
             raise SampleTooSmallError(
                 f"need at least 3 observations, got {arr.size}"
             )
-        if not np.logical_and.reduce(np.isfinite(arr)):
-            raise NonFiniteError("sample contains NaN or infinite values")
         with np.errstate(over="ignore", invalid="ignore"):
             mean = _row_mean(arr)
+            # a NaN or an infinity makes the sum non-finite, so a finite
+            # mean needs no look at the values; an overflowing sum of
+            # finite values passes, and its moments are not finite
+            if not math.isfinite(mean) and not np.logical_and.reduce(
+                np.isfinite(arr)
+            ):
+                raise NonFiniteError("sample contains NaN or infinite values")
             d = arr - mean
             moments = tuple(map(float, centred_moment_arrays(d)))
         m2 = moments[0]

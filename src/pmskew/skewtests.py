@@ -29,6 +29,14 @@ scalar tests read both from the Sample, which computes them at
 validation. The kernels work in place on their own temporaries and
 silence the float overflow they can hit: no test emits a numpy warning
 at any scale a Sample accepts.
+
+Shapiro-Wilk's weights depend on n alone. The lower half of each n's
+weight vector is built on its first use and kept read-only in a
+module-level store until the kept halves fill 16 MiB (every n in
+8..5000 would take 48 MiB); nothing is evicted, and an n past the budget
+is built afresh on every call. Each call gets a new full vector made
+from the half, so the weights have the same bits whether n was kept or
+not.
 """
 
 from __future__ import annotations
@@ -36,8 +44,8 @@ from __future__ import annotations
 import enum
 import math
 import numbers
+import threading
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -320,9 +328,17 @@ def _horner(coeffs, x: float) -> float:
     return y
 
 
-@lru_cache(maxsize=64)
-def _sw_coefficients(n: int) -> np.ndarray:
-    """Ascending-order AS R94 weight vector for sample size n."""
+# Shapiro-Wilk lower-half weights by n, read without the lock: an entry
+# is only ever added, whole, under _sw_store_lock
+_SW_STORE_BYTES = 16 * 2**20
+_sw_store: dict[int, np.ndarray] = {}
+_sw_store_nbytes = 0
+_sw_store_lock = threading.Lock()
+
+
+def _sw_half(n: int) -> np.ndarray:
+    """The n // 2 lowest AS R94 weights for sample size n, most negative
+    first, as a new array: the scores m / fac with the two end weights."""
     n2 = n // 2
     m = (np.arange(1, n2 + 1, dtype=np.float64) - 0.375) / (n + 0.25)
     ndtri(m, out=m)  # lower-half scores, all negative
@@ -336,11 +352,36 @@ def _sw_coefficients(n: int) -> np.ndarray:
         (summ2 - 2.0 * m0**2 - 2.0 * m1**2) / (1.0 - 2.0 * a1**2 - 2.0 * a2**2)
     )
     # the minimum gets the most negative weight: -a = (-a1, -a2, m[2:]/fac)
+    m /= fac
+    m[:2] = -a1, -a2
+    return m
+
+
+def _sw_coefficients(n: int) -> np.ndarray:
+    """Ascending-order AS R94 weight vector for sample size n, a new array:
+    the lower half, zeros, and the lower half negated in reverse order.
+
+    The lower half of each n is built once and kept read-only in _sw_store
+    until the kept halves fill _SW_STORE_BYTES (16 MiB); past that, a new
+    n is built on every call. Nothing is evicted: sizes that cycle through
+    more than the budget holds would make a least-recently-used cache miss
+    on every call.
+    """
+    global _sw_store_nbytes
+    low = _sw_store.get(n)
+    if low is None:
+        low = _sw_half(n)
+        low.flags.writeable = False
+        with _sw_store_lock:
+            kept = _sw_store.get(n)
+            if kept is not None:
+                low = kept  # another thread stored n first
+            elif _sw_store_nbytes + low.nbytes <= _SW_STORE_BYTES:
+                _sw_store[n] = low
+                _sw_store_nbytes += low.nbytes
     c = np.zeros(n)
-    low = np.divide(m, fac, out=c[:n2])
-    low[:2] = -a1, -a2
-    np.negative(low[::-1], out=c[n - n2 :])
-    c.flags.writeable = False
+    c[: low.size] = low
+    np.negative(low[::-1], out=c[n - low.size :])
     return c
 
 
@@ -400,9 +441,12 @@ def shapiro_wilk_test(sample: Sample) -> TestResult:
 def _batch_lm_z(xc: np.ndarray, y=None, s1=None):
     """Row-wise Lin-Mudholkar (r, z, defined) for an (..., n) array whose
     rows are already centred (x - x.mean(axis=-1, keepdims=True)); xc is
-    not changed. A row whose centred proxies are all zero (all proxies
-    equal) gets r = 0/0 = NaN, and so does a row whose sxx * syy
-    overflows (scales near 1e100 and above). |r| = 1 gives z = +-inf.
+    not changed. A row whose proxies are all equal gets r = 0/0 = NaN:
+    so does every row whose centred proxies have a root mean square
+    within 1e-12 of the proxies' mean (the row mean of equal proxies need
+    not round back to their value, so they centre to rounding residue,
+    not zeros), and a row whose sxx * syy overflows (scales near 1e100
+    and above). |r| = 1 gives z = +-inf.
 
     Correlates each observation with the cube root of the leave-one-out
     variance proxy sum(x_j^2, j != i) - (sum(x_j, j != i))^2/(n - 1).
@@ -420,12 +464,17 @@ def _batch_lm_z(xc: np.ndarray, y=None, s1=None):
         s1 /= n - 1.0
         y -= s1
         np.cbrt(y, out=y)
-        y -= _row_mean(y, keepdims=True)
+        ym = _row_mean(y, keepdims=True)
+        y -= ym
         sxx = np.einsum("...j,...j->...", xc, xc)
         syy = np.einsum("...j,...j->...", y, y)
         sxy = np.einsum("...j,...j->...", xc, y)
         ss = sxx * syy
-        ss = np.where(np.isinf(ss), np.nan, ss)  # an overflow would read r = 0
+        # an overflow would read r = 0; centred proxies whose root mean
+        # square is within 1e-12 of their mean are the rounding residue of
+        # equal proxies, whose r is 0/0
+        tol = 1e-12 * ym[..., 0]
+        ss = np.where(np.isinf(ss) | (syy <= n * tol * tol), np.nan, ss)
         r = sxy / np.sqrt(ss)
         r = np.minimum(np.maximum(r, -1.0), 1.0)  # np.clip's bits, NaN kept
         z = np.arctanh(r) * math.sqrt(n / 3.0)

@@ -4,12 +4,15 @@ import cProfile
 import itertools
 import math
 import pstats
+import sys
+import threading
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import ndtri
 
 import pmskew as pk
 from pmskew import (
@@ -362,11 +365,27 @@ class TestLinMudholkar:
         r = lin_mudholkar_test(Sample(x))
         assert r.p_value < 1e-4
 
-    # equal leave-one-out proxies: r is undefined; two distinct values
-    # (seven zeros and a one): |r| = 1, where z = arctanh(r) is infinite;
-    # either is reported, not raised
+    # two values repeated give equal leave-one-out proxies: r is undefined
+    # at every n, though at some n the proxies' row mean does not round
+    # back to their value and they centre to rounding residue, not zeros;
+    # two distinct values (seven zeros and a one): |r| = 1, where
+    # z = arctanh(r) is infinite; either is reported, not raised
     @pytest.mark.parametrize(
-        "x", [[1.0, -1.0] * 4, [0.0] * 7 + [1.0]], ids=["equal", "two_valued"]
+        "x",
+        [
+            pytest.param([1.0, -1.0] * 4, id="equal"),
+            pytest.param([0.0] * 7 + [1.0], id="two_valued"),
+        ]
+        + [
+            pytest.param([a, b] * k, id=f"equal-{a!r},{b!r}-n{2 * k}")
+            for a, b in (
+                (1.0, -1.0),
+                (0.1, 2.1),
+                (1e5 + 0.3, 1e5 - 0.7),
+                (-1e-50, 2e-50),
+            )
+            for k in (6, 50, 500, 2499)
+        ],
     )
     def test_degenerate_correlation(self, x):
         r = lin_mudholkar_test(Sample(np.array(x)))
@@ -498,6 +517,16 @@ class TestNonFiniteStatistic:
         assert not r.defined
         assert not any(r.reject_at(level) for level in (0.01, 0.05, 0.1, 0.2))
 
+    def test_sample_whose_mean_overflows(self):
+        # finite values whose sum overflows: Sample's finite check reads the
+        # mean (inf) and then the values, which are all finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = Sample([1e308] * 7 + [-1e308])
+            results = [test(s) for test in TestSampleSharing.TESTS]
+        assert s._mean == math.inf
+        assert [r.defined for r in results] == [False] * 4
+
     @pytest.mark.parametrize("scale", [1e100, 1e150, 1e155, 1e200, 1e300])
     def test_no_numpy_warning_at_large_scales(self, scale):
         # the library silences the overflow of its own moments and kernels
@@ -576,11 +605,10 @@ class TestUndefinedConvention:
         tests = pk.ALL_TESTS
         stats = _chunk_statistics(x.copy(), tests, su_params(n))
         assert not stats[pk.TestName.SPMS][2][1]
-        # the equal Lin-Mudholkar proxies centre to exact zeros (r = 0/0)
-        # only where their row mean rounds back to their value, which
-        # depends on n and on numpy's SIMD target; else r = 0, defined
-        r_lm, _, defined_lm = stats[pk.TestName.LIN_MUDHOLKAR]
-        assert not defined_lm[3] or r_lm[3] == 0.0
+        # the equal Lin-Mudholkar proxies centre to exact zeros or, where
+        # their row mean does not round back to their value (which depends
+        # on n and on numpy's SIMD target), to rounding residue: r = 0/0
+        assert not stats[pk.TestName.LIN_MUDHOLKAR][2][3]
         scalar = {
             pk.TestName.SPMS: spms_test,
             pk.TestName.SQRT_B1: sqrt_b1_test,
@@ -610,9 +638,11 @@ class TestScalarPathOverhead:
 
     WRAPPERS = {"_mean", "_clip", "_all"}
 
-    def test_no_numpy_mean_or_clip_wrapper(self):
+    def test_no_numpy_mean_or_clip_wrapper(self, monkeypatch):
         x = _seeded(50, seed=12, skew=0.5)
-        skewtests._sw_coefficients.cache_clear()  # the weight build runs too
+        # an empty weight store, so the weight build runs too
+        monkeypatch.setattr(skewtests, "_sw_store", {})
+        monkeypatch.setattr(skewtests, "_sw_store_nbytes", 0)
         profiler = cProfile.Profile()
         profiler.enable()
         try:
@@ -627,3 +657,121 @@ class TestScalarPathOverhead:
             if func in self.WRAPPERS and filename.endswith("_methods.py")
         }
         assert called == {}
+
+
+def _independent_sw_weights(n):
+    """The full AS R94 weight vector, built directly from the published
+    constants (Royston 1995) and np.polyval, in the rounding order of the
+    construction: scores m/fac, end weights -a1 and -a2, antisymmetric."""
+    c1 = [-2.706056, 4.434685, -2.07119, -0.147981, 0.221157, 0.0]
+    c2 = [-3.582633, 5.682633, -1.752461, -0.293762, 0.042981, 0.0]
+    n2 = n // 2
+    m = ndtri((np.arange(1, n2 + 1, dtype=np.float64) - 0.375) / (n + 0.25))
+    m0, m1 = float(m[0]), float(m[1])
+    summ2 = 2.0 * float(np.sum(m * m))
+    rsn = 1.0 / math.sqrt(n)
+    a1 = float(np.polyval(c1, rsn)) - m0 / math.sqrt(summ2)
+    a2 = float(np.polyval(c2, rsn)) - m1 / math.sqrt(summ2)
+    fac = math.sqrt(
+        (summ2 - 2.0 * m0**2 - 2.0 * m1**2) / (1.0 - 2.0 * a1**2 - 2.0 * a2**2)
+    )
+    low = m / fac
+    low[:2] = -a1, -a2
+    c = np.zeros(n)
+    c[:n2] = low
+    c[n - n2 :] = -low[::-1]
+    return c
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestShapiroWilkWeightStore:
+    """skewtests keeps each n's lower-half Shapiro-Wilk weights, read-only,
+    until they fill a byte budget, and never evicts one; every call returns
+    a new full vector with the bits of a fresh build."""
+
+    @pytest.fixture
+    def store(self, monkeypatch):
+        monkeypatch.setattr(skewtests, "_sw_store", {})
+        monkeypatch.setattr(skewtests, "_sw_store_nbytes", 0)
+        return skewtests._sw_store
+
+    @staticmethod
+    def _ndtri_spy(monkeypatch):
+        calls = []
+
+        def spy(*a, **kw):
+            calls.append(a[0].size)
+            return ndtri(*a, **kw)
+
+        monkeypatch.setattr(skewtests, "ndtri", spy)
+        return calls
+
+    def test_revisited_size_runs_no_ndtri(self, store, monkeypatch):
+        # 65 other sizes in between: a 64-entry LRU would rebuild n = 100
+        for n in range(100, 166):
+            skewtests._sw_coefficients(n)
+        calls = self._ndtri_spy(monkeypatch)
+        c = skewtests._sw_coefficients(100)
+        assert calls == []
+        assert _same_bits(c, _independent_sw_weights(100))
+
+    def test_store_never_exceeds_its_budget(self, store, monkeypatch):
+        budget = 4096
+        monkeypatch.setattr(skewtests, "_SW_STORE_BYTES", budget)
+        sizes = list(range(8, 400, 7))
+        for n in sizes + sizes:
+            c = skewtests._sw_coefficients(n)
+            kept = sum(a.nbytes for a in store.values())
+            assert kept == skewtests._sw_store_nbytes <= budget
+            assert _same_bits(c, _independent_sw_weights(n)), n
+        refused = [n for n in sizes if n not in store]
+        assert store and refused
+        assert all(not a.flags.writeable for a in store.values())
+        # a refused size is built afresh on every call
+        calls = self._ndtri_spy(monkeypatch)
+        for n in refused:
+            c = skewtests._sw_coefficients(n)
+            assert _same_bits(c, _independent_sw_weights(n))
+        assert calls == [n // 2 for n in refused]
+
+    def test_racing_threads_keep_one_entry_and_equal_bytes(self, store):
+        sizes = range(2000, 2016)
+        threads = 8
+        barrier = threading.Barrier(threads, timeout=60)
+        got = [[] for _ in range(threads)]
+
+        def race(k):
+            for n in sizes:
+                barrier.wait()
+                got[k].append(skewtests._sw_coefficients(n).tobytes())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [
+                threading.Thread(target=race, args=(k,)) for k in range(threads)
+            ]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        for i, n in enumerate(sizes):
+            assert {g[i] for g in got} == {_independent_sw_weights(n).tobytes()}
+        assert sorted(store) == list(sizes)
+        assert skewtests._sw_store_nbytes == sum(a.nbytes for a in store.values())
+
+    @pytest.mark.parametrize("n", [8, 9, 20, 21, 4999, 5000])
+    def test_full_vectors_equal_an_independent_build(self, store, n):
+        expected = _independent_sw_weights(n)
+        cold = skewtests._sw_coefficients(n)
+        assert _same_bits(cold, expected)
+        cold[:] = 0.0  # a caller's vector is its own: the store is untouched
+        warm = skewtests._sw_coefficients(n)
+        assert n in store
+        assert _same_bits(warm, expected)
