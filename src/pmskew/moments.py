@@ -30,6 +30,10 @@ __all__ = [
     "central_moments",
 ]
 
+# every kernel's numpy error state, entered as a decorator (thread-safe from
+# numpy 2.0): an inf or NaN is reported as undefined, so warnings are noise
+_quiet = np.errstate(over="ignore", divide="ignore", invalid="ignore")
+
 
 @dataclass(frozen=True, eq=False)
 class Sample:
@@ -66,6 +70,7 @@ class Sample:
 
     values: np.ndarray = field(repr=False)
 
+    @_quiet
     def __post_init__(self):
         try:
             arr = np.asarray(self.values)
@@ -85,17 +90,14 @@ class Sample:
             raise SampleTooSmallError(
                 f"need at least 3 observations, got {arr.size}"
             )
-        with np.errstate(over="ignore", invalid="ignore"):
-            mean = _row_mean(arr)
-            # a NaN or an infinity makes the sum non-finite, so a finite
-            # mean needs no look at the values; an overflowing sum of
-            # finite values passes, and its moments are not finite
-            if not math.isfinite(mean) and not np.logical_and.reduce(
-                np.isfinite(arr)
-            ):
-                raise NonFiniteError("sample contains NaN or infinite values")
-            d = arr - mean
-            moments = tuple(map(float, centred_moment_arrays(d)))
+        mean = _row_mean(arr)
+        # a NaN or an infinity makes the sum non-finite, so a finite mean
+        # needs no look at the values; an overflowing sum of finite values
+        # passes, and its moments are not finite
+        if not math.isfinite(mean) and not np.logical_and.reduce(np.isfinite(arr)):
+            raise NonFiniteError("sample contains NaN or infinite values")
+        d = arr - mean
+        moments = tuple(map(float, centred_moment_arrays(d)))
         m2 = moments[0]
         if m2 * m2 == 0.0:
             # equal values, or a spread so small that m2 or its square
@@ -147,6 +149,7 @@ def central_moments(sample: Sample) -> MomentSummary:
     return MomentSummary(sample._mean, *sample._moments)
 
 
+@_quiet
 def central_moment_arrays(x: np.ndarray):
     """Row-wise divisor-n central moments along the last axis.
 
@@ -182,7 +185,8 @@ def centred_moment_arrays(d: np.ndarray, p=None):
     holds d^2, then d^2*d, then d^2 again and d^2*d^2, each rounded
     exactly as the expressions (d*d)*d and (d*d)*(d*d) are. A 1-D d gives
     numpy scalars, so m2^1.5 is np.power: ** on a numpy scalar goes
-    through numpy's scalar math, which rounds unlike the ufunc.
+    through numpy's scalar math, which rounds unlike the ufunc. Its
+    callers, not it, enter _quiet.
     """
     p = np.multiply(d, d, out=p)
     m2 = _row_mean(p)
@@ -191,7 +195,6 @@ def centred_moment_arrays(d: np.ndarray, p=None):
     np.multiply(d, d, out=p)
     p *= p
     m4 = _row_mean(p)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sqrt_b1 = m3 / np.power(m2, 1.5)
-        b2 = m4 / (m2 * m2)
+    sqrt_b1 = m3 / np.power(m2, 1.5)
+    b2 = m4 / (m2 * m2)
     return m2, m3, m4, sqrt_b1, b2

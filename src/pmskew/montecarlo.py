@@ -89,7 +89,7 @@ from .distributions import (
     stream_rekeyer,
 )
 from .errors import InvalidLevelError, InvalidParamsError
-from .moments import _row_mean, centred_moment_arrays
+from .moments import _quiet, _row_mean, centred_moment_arrays
 from .skewtests import (
     TestName,
     _batch_lm_z,
@@ -426,6 +426,7 @@ def _normalize_tests(tests) -> tuple[TestName, ...]:
     return tuple(t for t in ALL_TESTS if t in wanted)
 
 
+@_quiet
 def _chunk_statistics(x, tests, su, d=None, tmp=None, y=None):
     """Per-test kernel output (raw, z, defined) for one chunk of samples.
 
@@ -438,21 +439,18 @@ def _chunk_statistics(x, tests, su, d=None, tmp=None, y=None):
     Lin-Mudholkar's s1, and y its proxy.
     """
     out = {}
-    # rows of overflowing, degenerate or all-zero samples are reported as
-    # undefined, so numpy's floating-point warnings would only add noise
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if TestName.SHAPIRO_WILK in tests:
-            out[TestName.SHAPIRO_WILK] = _batch_sw(x, tmp)
-        if tests != (TestName.SHAPIRO_WILK,):
-            d = np.subtract(x, _row_mean(x, keepdims=True), out=d)
-        if TestName.SPMS in tests or TestName.SQRT_B1 in tests:
-            moments = centred_moment_arrays(d, tmp)
-        if TestName.SPMS in tests:
-            out[TestName.SPMS] = _batch_spms(moments, su)
-        if TestName.SQRT_B1 in tests:
-            out[TestName.SQRT_B1] = _batch_sqrt_b1_z(moments, x.shape[1])
-        if TestName.LIN_MUDHOLKAR in tests:
-            out[TestName.LIN_MUDHOLKAR] = _batch_lm_z(d, y, tmp)
+    if TestName.SHAPIRO_WILK in tests:
+        out[TestName.SHAPIRO_WILK] = _batch_sw(x, tmp)
+    if tests != (TestName.SHAPIRO_WILK,):
+        d = np.subtract(x, _row_mean(x, keepdims=True), out=d)
+    if TestName.SPMS in tests or TestName.SQRT_B1 in tests:
+        moments = centred_moment_arrays(d, tmp)
+    if TestName.SPMS in tests:
+        out[TestName.SPMS] = _batch_spms(moments, su)
+    if TestName.SQRT_B1 in tests:
+        out[TestName.SQRT_B1] = _batch_sqrt_b1_z(moments, x.shape[1])
+    if TestName.LIN_MUDHOLKAR in tests:
+        out[TestName.LIN_MUDHOLKAR] = _batch_lm_z(d, y, tmp)
     return out
 
 

@@ -27,16 +27,17 @@ centred_moment_arrays and the Lin-Mudholkar kernel rows already centred,
 so a chunk centres its samples and computes their moments once; the
 scalar tests read both from the Sample, which computes them at
 validation. The kernels work in place on their own temporaries and
-silence the float overflow they can hit: no test emits a numpy warning
-at any scale a Sample accepts.
+silence the float overflow they can hit, each entering numpy's error
+state once through the decorator moments._quiet: no test emits a numpy
+warning at any scale a Sample accepts.
 
-Shapiro-Wilk's weights depend on n alone. The lower half of each n's
-weight vector is built on its first use and kept read-only in a
-module-level store until the kept halves fill 16 MiB (every n in
-8..5000 would take 48 MiB); nothing is evicted, and an n past the budget
-is built afresh on every call. Each call gets a new full vector made
-from the half, so the weights have the same bits whether n was kept or
-not.
+Every constant a test takes from n alone (the spms S_U transform,
+sqrt(b1)'s S_U constants, Shapiro-Wilk's lower-half weights and z
+constants, Lin-Mudholkar's sqrt(n/3)) sits in one _SizeConstants record
+per n, built on first use and kept until the records fill 16 MiB (every
+n in 8..5000 would count 52.6 MiB, 47.7 of it weights). Nothing
+is evicted, an n past the budget is rebuilt on every call, and each
+value has the same bits either way.
 """
 
 from __future__ import annotations
@@ -50,9 +51,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from . import su_transform
 from .errors import InvalidLevelError, SampleTooLargeError
-from .moments import MomentSummary, Sample, _row_mean, central_moments
+from .moments import MomentSummary, Sample, _quiet, _row_mean, central_moments
+# bound at import, so a record never keeps bench/tracing.py's su_params wrapper
+from .su_transform import SuTransform, check_n, su_params
 # central_moment_arrays is no longer called here; the benchmark's tracer
 # (bench/tracing.py) times the moments layer through this name
 from .moments import central_moment_arrays
@@ -152,6 +154,7 @@ class SeriesState:
         )
 
 
+@_quiet
 def _spms(sqrt_b1, b2):
     """sqrt(b1)*(b2 + 3) / (2*(5*b2 - 6*b1 - 9)) elementwise, b1 = sqrt_b1**2.
 
@@ -162,9 +165,8 @@ def _spms(sqrt_b1, b2):
     five_b2, six_b1 = 5.0 * b2, 6.0 * (sqrt_b1 * sqrt_b1)
     den = five_b2 - six_b1 - 9.0
     eps = 1e-12 * (1.0 + abs(five_b2) + abs(six_b1) + 9.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        den = np.where(abs(den) <= eps, np.nan, den)
-        return sqrt_b1 * (b2 + 3.0) / (2.0 * den)
+    den = np.where(abs(den) <= eps, np.nan, den)
+    return sqrt_b1 * (b2 + 3.0) / (2.0 * den)
 
 
 def population_pms(sqrt_beta1: float, beta2: float) -> float:
@@ -239,6 +241,62 @@ def _one_row(name: TestName, kernel_out, p_value=_two_sided_p) -> TestResult:
 
 
 # ---------------------------------------------------------------------------
+# per-n constants
+
+
+@dataclass(frozen=True, slots=True)
+class _SizeConstants:
+    """What the four tests take from the sample size n alone. sw is None
+    above SW_MAX_N, else (_sw_half(n), read-only, and _sw_z_from_w's mu,
+    sigma and gamma), gamma None above n = 11."""
+
+    su: SuTransform  # the calibrated spms transform, su_params(n)
+    b1_scale: float  # sqrt of sqrt(b1)'s exact null variance
+    b1_delta: float
+    b1_alpha: float
+    sw: tuple | None
+    lm_scale: float  # Lin-Mudholkar's sqrt(n / 3)
+    nbytes: int  # what the record counts against _STORE_BYTES
+
+
+# a record's Python objects, weights aside: 530 to 790 bytes (tracemalloc)
+_RECORD_BYTES = 1024
+# records by n, read without the lock: an entry is only ever added, whole,
+# under _store_lock
+_STORE_BYTES = 16 * 2**20
+_store: dict[int, _SizeConstants] = {}
+_store_nbytes = 0
+_store_lock = threading.Lock()
+
+
+def _size_constants(n) -> _SizeConstants:
+    """A new record for n, or check_n's error for an n no test accepts."""
+    n = check_n(n)
+    var, delta, alpha = _sqrt_b1_constants(n)
+    sw = _sw_constants(n) if n <= SW_MAX_N else None
+    nbytes = _RECORD_BYTES + (sw[0].nbytes if sw else 0)
+    return _SizeConstants(
+        su_params(n), math.sqrt(var), delta, alpha, sw, math.sqrt(n / 3.0), nbytes
+    )
+
+
+def _constants(n) -> _SizeConstants:
+    """n's record, kept from its first use until the records fill
+    _STORE_BYTES. Nothing is evicted: sizes cycling through more than the
+    budget holds would make a least-recently-used cache always miss."""
+    global _store_nbytes
+    rec = _store.get(n)
+    if rec is None:
+        rec = _size_constants(n)
+        with _store_lock:
+            rec = _store.get(n, rec)  # another thread may have stored n first
+            if n not in _store and _store_nbytes + rec.nbytes <= _STORE_BYTES:
+                _store[n] = rec
+                _store_nbytes += rec.nbytes
+    return rec
+
+
+# ---------------------------------------------------------------------------
 # spms test
 
 
@@ -264,7 +322,7 @@ def spms_test(sample: Sample) -> TestResult:
     small n, compare against simulated critical values instead
     (power_study's default).
     """
-    su = su_transform.su_params(sample.n)
+    su = _constants(sample.n).su
     return _one_row(TestName.SPMS, _batch_spms(sample._moments, su))
 
 
@@ -291,19 +349,17 @@ def _sqrt_b1_constants(n: int):
 def _batch_sqrt_b1_z(moments, n: int):
     """Row-wise (sqrt(b1), z, defined) from centred_moment_arrays at
     sample size n."""
-    var, delta, alpha = _sqrt_b1_constants(n)
+    c = _constants(n)
     _, _, _, sqrt_b1, _ = moments
-    y = sqrt_b1 / math.sqrt(var)
-    z = delta * np.arcsinh(y / alpha)
+    y = sqrt_b1 / c.b1_scale
+    z = c.b1_delta * np.arcsinh(y / c.b1_alpha)
     return sqrt_b1, z, np.isfinite(sqrt_b1)
 
 
 def sqrt_b1_test(sample: Sample) -> TestResult:
     """Two-sided skewness test normalizing sqrt(b1) by its exact null
     moments through the same asinh-form transform as the spms test."""
-    su_transform.check_n(sample.n)
-    kernel_out = _batch_sqrt_b1_z(sample._moments, sample.n)
-    return _one_row(TestName.SQRT_B1, kernel_out)
+    return _one_row(TestName.SQRT_B1, _batch_sqrt_b1_z(sample._moments, sample.n))
 
 
 # ---------------------------------------------------------------------------
@@ -328,14 +384,6 @@ def _horner(coeffs, x: float) -> float:
     return y
 
 
-# Shapiro-Wilk lower-half weights by n, read without the lock: an entry
-# is only ever added, whole, under _sw_store_lock
-_SW_STORE_BYTES = 16 * 2**20
-_sw_store: dict[int, np.ndarray] = {}
-_sw_store_nbytes = 0
-_sw_store_lock = threading.Lock()
-
-
 def _sw_half(n: int) -> np.ndarray:
     """The n // 2 lowest AS R94 weights for sample size n, most negative
     first, as a new array: the scores m / fac with the two end weights."""
@@ -357,69 +405,56 @@ def _sw_half(n: int) -> np.ndarray:
     return m
 
 
-def _sw_coefficients(n: int) -> np.ndarray:
-    """Ascending-order AS R94 weight vector for sample size n, a new array:
-    the lower half, zeros, and the lower half negated in reverse order.
+def _sw_constants(n: int):
+    """(_sw_half(n), read-only, mu, sigma, gamma): AS R94's weights and
+    the constants that map log(1 - W) to z, gamma None above n = 11."""
+    low = _sw_half(n)
+    low.flags.writeable = False
+    if n <= 11:
+        gamma = _horner(_SW_G, n)
+        return low, _horner(_SW_C3, n), math.exp(_horner(_SW_C4, n)), gamma
+    u = math.log(n)
+    return low, _horner(_SW_C5, u), math.exp(_horner(_SW_C6, u)), None
 
-    The lower half of each n is built once and kept read-only in _sw_store
-    until the kept halves fill _SW_STORE_BYTES (16 MiB); past that, a new
-    n is built on every call. Nothing is evicted: sizes that cycle through
-    more than the budget holds would make a least-recently-used cache miss
-    on every call.
-    """
-    global _sw_store_nbytes
-    low = _sw_store.get(n)
-    if low is None:
-        low = _sw_half(n)
-        low.flags.writeable = False
-        with _sw_store_lock:
-            kept = _sw_store.get(n)
-            if kept is not None:
-                low = kept  # another thread stored n first
-            elif _sw_store_nbytes + low.nbytes <= _SW_STORE_BYTES:
-                _sw_store[n] = low
-                _sw_store_nbytes += low.nbytes
+
+def _sw_coefficients(low: np.ndarray, n: int) -> np.ndarray:
+    """Ascending-order AS R94 weight vector for sample size n, a new array:
+    the lower half low, zeros, and low negated in reverse order."""
     c = np.zeros(n)
     c[: low.size] = low
     np.negative(low[::-1], out=c[n - low.size :])
     return c
 
 
-def _sw_z_from_w(w, n: int):
+def _sw_z_from_w(w, mu: float, sigma: float, gamma):
     """AS R94 normal equivalent deviate of W; large z means small W."""
-    w1 = np.maximum(1.0 - w, _SW_TINY)
-    y = np.log(w1)
-    if n <= 11:
-        gamma = _horner(_SW_G, n)
+    y = np.log(np.maximum(1.0 - w, _SW_TINY))
+    if gamma is not None:
         inside = y < gamma
-        yg = np.where(inside, -np.log(np.where(inside, gamma - y, 1.0)), np.inf)
-        mu = _horner(_SW_C3, n)
-        sigma = math.exp(_horner(_SW_C4, n))
-        return (yg - mu) / sigma
-    u = math.log(n)
-    mu = _horner(_SW_C5, u)
-    sigma = math.exp(_horner(_SW_C6, u))
+        y = np.where(inside, -np.log(np.where(inside, gamma - y, 1.0)), np.inf)
     return (y - mu) / sigma
 
 
+@_quiet
 def _batch_sw(x: np.ndarray, xs=None):
-    """Row-wise (W, z, defined) for an (..., n) array. x is not changed;
-    its rows are sorted in xs, a float64 array of x's shape if given (its
-    values are overwritten), else in a new one."""
+    """Row-wise (W, z, defined) for an (..., n) array, n <= SW_MAX_N. x is
+    not changed; its rows are sorted in xs, a float64 array of x's shape if
+    given (its values are overwritten), else in a float64 copy of x."""
     n = x.shape[-1]
-    c = _sw_coefficients(n)
+    low, mu, sigma, gamma = _constants(check_sw_n(n)).sw
+    c = _sw_coefficients(low, n)
     if xs is None:
-        xs = np.empty(x.shape)
-    np.copyto(xs, x)
+        xs = x.astype(np.float64)
+    else:
+        np.copyto(xs, x)
     xs.sort(axis=-1)  # in place: np.sort too copies, then sorts the copy
     # einsum, not matmul: BLAS kernels change summation order with the
     # row count, which would make a replication's W depend on chunk size
-    with np.errstate(over="ignore", invalid="ignore"):
-        num = np.einsum("...j,j->...", xs, c)
-        xs -= _row_mean(xs, keepdims=True)
-        w = (num * num) / np.einsum("...j,...j->...", xs, xs)
+    num = np.einsum("...j,j->...", xs, c)
+    xs -= _row_mean(xs, keepdims=True)
+    w = (num * num) / np.einsum("...j,...j->...", xs, xs)
     w = np.minimum(w, 1.0)  # np.clip(w, 0, 1): w is NaN or at least +0.0
-    return w, _sw_z_from_w(w, n), np.isfinite(w)
+    return w, _sw_z_from_w(w, mu, sigma, gamma), np.isfinite(w)
 
 
 def shapiro_wilk_test(sample: Sample) -> TestResult:
@@ -429,15 +464,14 @@ def shapiro_wilk_test(sample: Sample) -> TestResult:
     8 <= n <= 5000, the approximation's published range. A non-finite W
     yields defined=False.
     """
-    check_sw_n(su_transform.check_n(sample.n))
-    kernel_out = _batch_sw(sample.values)
-    return _one_row(TestName.SHAPIRO_WILK, kernel_out, lambda z: ndtr(-z))
+    return _one_row(TestName.SHAPIRO_WILK, _batch_sw(sample.values), lambda z: ndtr(-z))
 
 
 # ---------------------------------------------------------------------------
 # Lin-Mudholkar test
 
 
+@_quiet
 def _batch_lm_z(xc: np.ndarray, y=None, s1=None):
     """Row-wise Lin-Mudholkar (r, z, defined) for an (..., n) array whose
     rows are already centred (x - x.mean(axis=-1, keepdims=True)); xc is
@@ -456,29 +490,29 @@ def _batch_lm_z(xc: np.ndarray, y=None, s1=None):
     overwritten without being read, if given, else new ones.
     """
     n = xc.shape[-1]
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        y = np.multiply(xc, xc, out=y)
-        np.subtract(np.add.reduce(y, axis=-1, keepdims=True), y, out=y)
-        s1 = np.subtract(np.add.reduce(xc, axis=-1, keepdims=True), xc, out=s1)
-        s1 *= s1
-        s1 /= n - 1.0
-        y -= s1
-        np.cbrt(y, out=y)
-        ym = _row_mean(y, keepdims=True)
-        y -= ym
-        sxx = np.einsum("...j,...j->...", xc, xc)
-        syy = np.einsum("...j,...j->...", y, y)
-        sxy = np.einsum("...j,...j->...", xc, y)
-        ss = sxx * syy
-        # an overflow would read r = 0; centred proxies whose root mean
-        # square is within 1e-12 of their mean are the rounding residue of
-        # equal proxies, whose r is 0/0
-        tol = 1e-12 * ym[..., 0]
-        ss = np.where(np.isinf(ss) | (syy <= n * tol * tol), np.nan, ss)
-        r = sxy / np.sqrt(ss)
-        r = np.minimum(np.maximum(r, -1.0), 1.0)  # np.clip's bits, NaN kept
-        z = np.arctanh(r) * math.sqrt(n / 3.0)
-        return r, z, np.isfinite(z)
+    scale = _constants(n).lm_scale
+    y = np.multiply(xc, xc, out=y)
+    np.subtract(np.add.reduce(y, axis=-1, keepdims=True), y, out=y)
+    s1 = np.subtract(np.add.reduce(xc, axis=-1, keepdims=True), xc, out=s1)
+    s1 *= s1
+    s1 /= n - 1.0
+    y -= s1
+    np.cbrt(y, out=y)
+    ym = _row_mean(y, keepdims=True)
+    y -= ym
+    sxx = np.einsum("...j,...j->...", xc, xc)
+    syy = np.einsum("...j,...j->...", y, y)
+    sxy = np.einsum("...j,...j->...", xc, y)
+    ss = sxx * syy
+    # an overflow would read r = 0; centred proxies whose root mean
+    # square is within 1e-12 of their mean are the rounding residue of
+    # equal proxies, whose r is 0/0
+    tol = 1e-12 * ym[..., 0]
+    ss = np.where(np.isinf(ss) | (syy <= n * tol * tol), np.nan, ss)
+    r = sxy / np.sqrt(ss)
+    r = np.minimum(np.maximum(r, -1.0), 1.0)  # np.clip's bits, NaN kept
+    z = np.arctanh(r) * scale
+    return r, z, np.isfinite(z)
 
 
 def lin_mudholkar_test(sample: Sample) -> TestResult:
@@ -488,6 +522,4 @@ def lin_mudholkar_test(sample: Sample) -> TestResult:
     leave-one-out variance proxies are all equal, r is undefined and the
     result has defined=False.
     """
-    su_transform.check_n(sample.n)
-    kernel_out = _batch_lm_z(sample._centred)
-    return _one_row(TestName.LIN_MUDHOLKAR, kernel_out)
+    return _one_row(TestName.LIN_MUDHOLKAR, _batch_lm_z(sample._centred))

@@ -34,6 +34,9 @@ of spms at finite n. The spms denominator 5*b2 - 6*b1 - 9 crosses zero
 with positive probability at every finite n, so spms itself has no finite
 variance there. At n = 50, 10^5 null replications (seed 1) give an
 empirical variance of 3.92 against the series value 0.0724.
+
+su_params fits a new transform on every call; the scalar spms test reads
+the one kept in its n's record of per-n constants (see skewtests).
 """
 
 from __future__ import annotations
@@ -182,9 +185,12 @@ class SuTransform:
         Accepts scalars or arrays; Z = delta * asinh(Y/alpha) with
         Y = spms_value / sqrt(lambda2). The asinh form is used instead of
         the literal log(x + sqrt(1 + x^2)) to avoid cancellation for
-        large negative Y.
+        large negative Y. A float64 scalar skips the 0-d array: numpy's
+        scalar division rounds as the ufunc's does.
         """
-        y = np.asarray(spms_value, dtype=np.float64) / math.sqrt(self.lambda2)
+        if not isinstance(spms_value, np.float64):
+            spms_value = np.asarray(spms_value, dtype=np.float64)
+        y = spms_value / math.sqrt(self.lambda2)
         out = self.delta * np.arcsinh(y / self.alpha)
         return float(out) if out.ndim == 0 else out
 

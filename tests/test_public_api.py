@@ -65,15 +65,17 @@ def test_functools_caches_are_the_ones_that_pay():
     - cli.build_parser: an uncached parser build takes 1.43 ms, against
       about 5.5 ms for a warm `pmskew power --n 20,50 --reps 1024` call
       (best of 41 in-process runs, 2-vCPU x86-64 VM).
-    The Shapiro-Wilk weights are not a functools cache: skewtests keeps
-    each n's lower half in its own store (_sw_store), under a 16 MiB
-    budget and with no eviction, because scalar_tests' n log-spread over
-    8..5000 missed a 64-entry LRU on 84% of calls. With the store that
-    workload went from 7,944 to 9,245 samples/s at threads=1 and its
-    peak RSS from 107.4 to 117.2 MB (medians of 10 alternating 20 s
-    bench pairs, better in 10/10, 2-vCPU x86-64 VM).
-    A per-n constant that costs about 1 us, such as sqrt(b1)'s exact null
-    moments, is computed on every call instead."""
+    The per-n constants are not a functools cache: skewtests keeps one
+    record per n in its own store (_store: the S_U transform, sqrt(b1)'s
+    constants, the Shapiro-Wilk lower-half weights and z constants,
+    Lin-Mudholkar's scale), under a 16 MiB budget and with no eviction,
+    because scalar_tests' n log-spread over 8..5000 missed a 64-entry LRU
+    on 84% of calls. Keeping the weights alone took that workload from
+    7,944 to 9,245 samples/s at threads=1 (peak RSS 107.4 to 117.2 MB,
+    medians of 10 alternating 20 s bench pairs, better in 10/10); keeping
+    the whole record, with numpy's error state entered once per kernel
+    call, took it from 9,197 to 10,878 samples/s (medians of 11
+    alternating 20 s pairs, better in 11/11; 2-vCPU x86-64 VM)."""
     cached = {
         f"{module}.{name}"
         for module in MODULES

@@ -638,11 +638,9 @@ class TestScalarPathOverhead:
 
     WRAPPERS = {"_mean", "_clip", "_all"}
 
-    def test_no_numpy_mean_or_clip_wrapper(self, monkeypatch):
+    def test_no_numpy_mean_or_clip_wrapper(self, store):
+        # an empty record store, so the per-n constants are built too
         x = _seeded(50, seed=12, skew=0.5)
-        # an empty weight store, so the weight build runs too
-        monkeypatch.setattr(skewtests, "_sw_store", {})
-        monkeypatch.setattr(skewtests, "_sw_store_nbytes", 0)
         profiler = cProfile.Profile()
         profiler.enable()
         try:
@@ -687,16 +685,40 @@ def _same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-class TestShapiroWilkWeightStore:
-    """skewtests keeps each n's lower-half Shapiro-Wilk weights, read-only,
-    until they fill a byte budget, and never evicts one; every call returns
-    a new full vector with the bits of a fresh build."""
+@pytest.fixture
+def store(monkeypatch):
+    """skewtests' store of per-n records, empty for the test's duration."""
+    monkeypatch.setattr(skewtests, "_store", {})
+    monkeypatch.setattr(skewtests, "_store_nbytes", 0)
+    return skewtests._store
 
-    @pytest.fixture
-    def store(self, monkeypatch):
-        monkeypatch.setattr(skewtests, "_sw_store", {})
-        monkeypatch.setattr(skewtests, "_sw_store_nbytes", 0)
-        return skewtests._sw_store
+
+def _sw_weights(n):
+    """n's full Shapiro-Wilk weight vector as _batch_sw builds it."""
+    return skewtests._sw_coefficients(skewtests._constants(n).sw[0], n)
+
+
+def _scalar_results(x):
+    """The bits of Sample(x) through the four tests: (raw, z, p) as hex per
+    test, or the type of the error it raised."""
+    s = Sample(x)
+    out = []
+    for test in TestSampleSharing.TESTS:
+        try:
+            r = test(s)
+        except pk.PmskewError as e:
+            out.append(type(e))
+        else:
+            out.append((r.raw_statistic.hex(), r.z_value.hex(), r.p_value.hex()))
+    return out
+
+
+class TestSizeConstantStore:
+    """skewtests keeps one record of per-n constants for each n (the S_U
+    transform, sqrt(b1)'s constants, the read-only lower-half Shapiro-Wilk
+    weights and their z constants, Lin-Mudholkar's scale) until the
+    records fill a byte budget, and never evicts one; a kept, a new and a
+    refused record give results with the same bits."""
 
     @staticmethod
     def _ndtri_spy(monkeypatch):
@@ -712,32 +734,81 @@ class TestShapiroWilkWeightStore:
     def test_revisited_size_runs_no_ndtri(self, store, monkeypatch):
         # 65 other sizes in between: a 64-entry LRU would rebuild n = 100
         for n in range(100, 166):
-            skewtests._sw_coefficients(n)
+            _sw_weights(n)
         calls = self._ndtri_spy(monkeypatch)
-        c = skewtests._sw_coefficients(100)
+        c = _sw_weights(100)
         assert calls == []
         assert _same_bits(c, _independent_sw_weights(100))
 
+    def test_warm_revisit_builds_nothing(self, store, monkeypatch):
+        # Sample() and the four tests on an n met before: no S_U fit, no
+        # weight build, no sqrt(b1) constants and no `with np.errstate`
+        x = _seeded(40, seed=13, skew=0.5)
+        cold = _scalar_results(x)
+        calls = []
+
+        def spy(name, orig):
+            def wrapped(*a, **kw):
+                calls.append(name)
+                return orig(*a, **kw)
+
+            return wrapped
+
+        for name in ("su_params", "ndtri", "_sqrt_b1_constants"):
+            monkeypatch.setattr(skewtests, name, spy(name, getattr(skewtests, name)))
+        monkeypatch.setattr(
+            np.errstate, "__enter__", spy("errstate", np.errstate.__enter__)
+        )
+        assert _scalar_results(x) == cold
+        assert calls == []
+
+    def test_size_above_sw_max_n_has_no_weights(self, store):
+        x = _seeded(skewtests.SW_MAX_N + 1, seed=14, skew=0.2)
+        results = _scalar_results(x)
+        assert results[2] is SampleTooLargeError
+        assert all(type(r) is tuple for i, r in enumerate(results) if i != 2)
+        assert store[x.size].sw is None
+        assert store[x.size].nbytes == skewtests._RECORD_BYTES
+
+    @pytest.mark.parametrize("n", [8, 11, 12, 20, 4999, 5000, 5001, 20000])
+    def test_cold_warm_and_refused_results_agree(self, store, monkeypatch, n):
+        x = _seeded(n, seed=n, skew=0.3)
+        cold = _scalar_results(x)
+        assert n in store
+        warm = _scalar_results(x)
+        store.clear()
+        monkeypatch.setattr(skewtests, "_store_nbytes", 0)
+        monkeypatch.setattr(skewtests, "_STORE_BYTES", 0)
+        refused = _scalar_results(x)
+        assert n not in store
+        assert cold == warm == refused
+
+    def test_record_transform_equals_su_params_at_every_n(self, store):
+        for n in range(8, skewtests.SW_MAX_N + 1):
+            su = skewtests._constants(n).su
+            assert type(su) is type(su_params(n))
+            assert su == su_params(n), n
+
     def test_store_never_exceeds_its_budget(self, store, monkeypatch):
-        budget = 4096
-        monkeypatch.setattr(skewtests, "_SW_STORE_BYTES", budget)
+        budget = 16384
+        monkeypatch.setattr(skewtests, "_STORE_BYTES", budget)
         sizes = list(range(8, 400, 7))
         for n in sizes + sizes:
-            c = skewtests._sw_coefficients(n)
-            kept = sum(a.nbytes for a in store.values())
-            assert kept == skewtests._sw_store_nbytes <= budget
+            c = _sw_weights(n)
+            kept = sum(r.nbytes for r in store.values())
+            assert kept == skewtests._store_nbytes <= budget
             assert _same_bits(c, _independent_sw_weights(n)), n
         refused = [n for n in sizes if n not in store]
         assert store and refused
-        assert all(not a.flags.writeable for a in store.values())
+        assert all(not r.sw[0].flags.writeable for r in store.values())
         # a refused size is built afresh on every call
         calls = self._ndtri_spy(monkeypatch)
         for n in refused:
-            c = skewtests._sw_coefficients(n)
+            c = _sw_weights(n)
             assert _same_bits(c, _independent_sw_weights(n))
         assert calls == [n // 2 for n in refused]
 
-    def test_racing_threads_keep_one_entry_and_equal_bytes(self, store):
+    def test_racing_threads_keep_one_record_and_equal_bytes(self, store):
         sizes = range(2000, 2016)
         threads = 8
         barrier = threading.Barrier(threads, timeout=60)
@@ -746,7 +817,7 @@ class TestShapiroWilkWeightStore:
         def race(k):
             for n in sizes:
                 barrier.wait()
-                got[k].append(skewtests._sw_coefficients(n).tobytes())
+                got[k].append(skewtests._constants(n))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -762,16 +833,19 @@ class TestShapiroWilkWeightStore:
             sys.setswitchinterval(interval)
         assert not any(w.is_alive() for w in workers)
         for i, n in enumerate(sizes):
-            assert {g[i] for g in got} == {_independent_sw_weights(n).tobytes()}
+            # every thread holds the kept record, whichever thread built it
+            assert {id(g[i]) for g in got} == {id(store[n])}
+            c = skewtests._sw_coefficients(store[n].sw[0], n)
+            assert _same_bits(c, _independent_sw_weights(n))
         assert sorted(store) == list(sizes)
-        assert skewtests._sw_store_nbytes == sum(a.nbytes for a in store.values())
+        assert skewtests._store_nbytes == sum(r.nbytes for r in store.values())
 
     @pytest.mark.parametrize("n", [8, 9, 20, 21, 4999, 5000])
     def test_full_vectors_equal_an_independent_build(self, store, n):
         expected = _independent_sw_weights(n)
-        cold = skewtests._sw_coefficients(n)
+        cold = _sw_weights(n)
         assert _same_bits(cold, expected)
         cold[:] = 0.0  # a caller's vector is its own: the store is untouched
-        warm = skewtests._sw_coefficients(n)
+        warm = _sw_weights(n)
         assert n in store
         assert _same_bits(warm, expected)
