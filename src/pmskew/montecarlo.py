@@ -42,6 +42,8 @@ block of their own, which feeds the central moments and the Lin-Mudholkar
 kernel. Every test's kernel gives each chunk the same three row-wise
 arrays, (raw, z, defined) (see skewtests for when a row is defined); rows
 that are not defined are counted as undefined and never as rejections.
+The constants the kernels take from n alone, the spms transform among
+them, come from skewtests' record for n, the one the scalar tests read.
 
 One null pipeline, _null_statistics (draw normal rows, run the kernels,
 keep the defined rows), serves calibrate_curve (and calibrate, its one-n
@@ -96,9 +98,11 @@ from .skewtests import (
     _batch_spms,
     _batch_sqrt_b1_z,
     _batch_sw,
+    _constants,
     check_level,
     check_sw_n,
 )
+# su_params is no longer called here; bench/tracing.py wraps this name
 from .su_transform import beta2_spms, check_n, lambda2, su_params
 
 __all__ = [
@@ -263,12 +267,13 @@ def _chunk_blocks(rows, n):
         _workspaces.append(ws)
 
 
-def _chunk_kernels(spec, sizes, seed, span, tests, sus, base=0):
-    """Per n of sizes (sorted, distinct; sus holds su_params of each),
-    _chunk_statistics of the chunk of rows span drawn from spec. Each row
-    is drawn once, at the largest n, and every n reads a view of the
-    rows' first n values, which are the variates a draw at that n gives;
-    no kernel writes to the drawn block. The other three blocks of the
+def _chunk_kernels(spec, sizes, seed, span, tests, base=0):
+    """Per n of sizes (sorted, distinct), _chunk_statistics of the chunk
+    of rows span drawn from spec, with the spms transform of n's record
+    of per-n constants (skewtests._constants). Each row is drawn once,
+    at the largest n, and every n reads a view of the rows' first n
+    values, which are the variates a draw at that n gives; no kernel
+    writes to the drawn block. The other three blocks of the
     chunk's workspace serve every n, viewed at (rows, n). No returned
     array is a workspace view."""
     rows, m = span[1] - span[0], sizes[-1]
@@ -277,10 +282,10 @@ def _chunk_kernels(spec, sizes, seed, span, tests, sus, base=0):
             x = _draw_chunk(spec, m, seed, span, base, out=x)
         return [
             _chunk_statistics(
-                x[:, :n], tests, su,
+                x[:, :n], tests, _constants(n).su,
                 *(b.ravel()[: rows * n].reshape(rows, n) for b in work),
             )
-            for n, su in zip(sizes, sus)
+            for n in sizes
         ]
 
 
@@ -341,12 +346,11 @@ def _null_statistics(sizes, reps, seed, tests, threads, base=0):
     """
     runs = _null_runs(reps, seed, tests, threads, base)
     missing = sorted({n for n in sizes if n not in runs})
-    sus = [su_params(m) for m in missing]
 
     def work(span):
         return [
             {t: (raw[ok], z[ok]) for t, (raw, z, ok) in stats.items()}
-            for stats in _chunk_kernels(_NORMAL, missing, seed, span, tests, sus, base)
+            for stats in _chunk_kernels(_NORMAL, missing, seed, span, tests, base)
         ]
 
     parts = _map_chunks(work, reps, missing[-1], threads) if missing else ()
@@ -545,7 +549,6 @@ def power_curve(
             f"got {critical_values!r}"
         )
     sizes = sorted(set(ns))
-    sus = [su_params(n) for n in sizes]
     rejects = []
     for n in sizes:
         pools = (
@@ -562,7 +565,7 @@ def power_curve(
                 for t in tests
             ]
             for rej, stats in zip(
-                rejects, _chunk_kernels(alternative, sizes, seed, span, tests, sus)
+                rejects, _chunk_kernels(alternative, sizes, seed, span, tests)
             )
         ]
 

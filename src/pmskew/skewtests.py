@@ -31,13 +31,15 @@ silence the float overflow they can hit, each entering numpy's error
 state once through the decorator moments._quiet: no test emits a numpy
 warning at any scale a Sample accepts.
 
-Every constant a test takes from n alone (the spms S_U transform,
-sqrt(b1)'s S_U constants, Shapiro-Wilk's lower-half weights and z
-constants, Lin-Mudholkar's sqrt(n/3)) sits in one _SizeConstants record
-per n, built on first use and kept until the records fill 16 MiB (every
-n in 8..5000 would count 52.6 MiB, 47.7 of it weights). Nothing
-is evicted, an n past the budget is rebuilt on every call, and each
-value has the same bits either way.
+Every constant a test takes from n alone (the S_U transforms of spms and
+sqrt(b1), Shapiro-Wilk's lower-half weights and z constants,
+Lin-Mudholkar's sqrt(n/3)) sits in one _SizeConstants record per n, which
+the scalar tests and the Monte Carlo chunks both read. A record is built
+on first use and kept until the records fill 16 MiB (every n in 8..5000
+would count 52.6 MiB, 47.7 of it weights); nothing is evicted. The last
+n past the budget keeps its record in one slot, so the tests of a Sample
+or the kernels of a chunk build it once. Each value has the same bits
+either way.
 """
 
 from __future__ import annotations
@@ -247,13 +249,11 @@ def _one_row(name: TestName, kernel_out, p_value=_two_sided_p) -> TestResult:
 @dataclass(frozen=True, slots=True)
 class _SizeConstants:
     """What the four tests take from the sample size n alone. sw is None
-    above SW_MAX_N, else (_sw_half(n), read-only, and _sw_z_from_w's mu,
-    sigma and gamma), gamma None above n = 11."""
+    above SW_MAX_N, else _sw_constants(n): read-only lower-half weights
+    and _sw_z_from_w's mu, sigma and gamma (None above n = 11)."""
 
     su: SuTransform  # the calibrated spms transform, su_params(n)
-    b1_scale: float  # sqrt of sqrt(b1)'s exact null variance
-    b1_delta: float
-    b1_alpha: float
+    b1: SuTransform  # sqrt(b1)'s exact-moment transform, _sqrt_b1_constants(n)
     sw: tuple | None
     lm_scale: float  # Lin-Mudholkar's sqrt(n / 3)
     nbytes: int  # what the record counts against _STORE_BYTES
@@ -267,32 +267,40 @@ _STORE_BYTES = 16 * 2**20
 _store: dict[int, _SizeConstants] = {}
 _store_nbytes = 0
 _store_lock = threading.Lock()
+# (n, record) of the last n the budget refused, replaced whole under
+# _store_lock and read without it
+_refused = (None, None)
 
 
 def _size_constants(n) -> _SizeConstants:
     """A new record for n, or check_n's error for an n no test accepts."""
     n = check_n(n)
-    var, delta, alpha = _sqrt_b1_constants(n)
     sw = _sw_constants(n) if n <= SW_MAX_N else None
     nbytes = _RECORD_BYTES + (sw[0].nbytes if sw else 0)
     return _SizeConstants(
-        su_params(n), math.sqrt(var), delta, alpha, sw, math.sqrt(n / 3.0), nbytes
+        su_params(n), _sqrt_b1_constants(n), sw, math.sqrt(n / 3.0), nbytes
     )
 
 
 def _constants(n) -> _SizeConstants:
     """n's record, kept from its first use until the records fill
     _STORE_BYTES. Nothing is evicted: sizes cycling through more than the
-    budget holds would make a least-recently-used cache always miss."""
-    global _store_nbytes
+    budget holds would make a least-recently-used cache always miss. A
+    refused record is kept in _refused until another n is refused."""
+    global _store_nbytes, _refused
     rec = _store.get(n)
     if rec is None:
-        rec = _size_constants(n)
-        with _store_lock:
-            rec = _store.get(n, rec)  # another thread may have stored n first
-            if n not in _store and _store_nbytes + rec.nbytes <= _STORE_BYTES:
-                _store[n] = rec
-                _store_nbytes += rec.nbytes
+        refused_n, rec = _refused
+        if refused_n != n:
+            rec = _size_constants(n)
+            with _store_lock:
+                if n in _store:  # another thread may have stored n first
+                    rec = _store[n]
+                elif _store_nbytes + rec.nbytes <= _STORE_BYTES:
+                    _store[n] = rec
+                    _store_nbytes += rec.nbytes
+                else:
+                    _refused = n, rec
     return rec
 
 
@@ -330,30 +338,26 @@ def spms_test(sample: Sample) -> TestResult:
 # sqrt(b1) test (exact-moment S_U normalization)
 
 
-def _sqrt_b1_constants(n: int):
-    # exact null moments of sqrt(b1) under normality
+def _sqrt_b1_constants(n: int) -> SuTransform:
+    """D'Agostino's (1970) S_U transform of sqrt(b1) at sample size n,
+    fitted to its exact null variance and kurtosis."""
     var = 6.0 * (n - 2) / ((n + 1.0) * (n + 3.0))
     beta2 = (
-        3.0
-        * (n * n + 27.0 * n - 70.0)
-        * (n + 1.0)
-        * (n + 3.0)
+        3.0 * (n * n + 27.0 * n - 70.0) * (n + 1.0) * (n + 3.0)
         / ((n - 2.0) * (n + 5.0) * (n + 7.0) * (n + 9.0))
     )
     w2 = -1.0 + math.sqrt(2.0 * (beta2 - 1.0))
+    # su_params takes log(sqrt(w2)) instead: the last bits differ
     delta = 1.0 / math.sqrt(0.5 * math.log(w2))
     alpha = math.sqrt(2.0 / (w2 - 1.0))
-    return var, delta, alpha
+    return SuTransform(n, var, beta2, w2, delta, alpha)
 
 
 def _batch_sqrt_b1_z(moments, n: int):
     """Row-wise (sqrt(b1), z, defined) from centred_moment_arrays at
     sample size n."""
-    c = _constants(n)
     _, _, _, sqrt_b1, _ = moments
-    y = sqrt_b1 / c.b1_scale
-    z = c.b1_delta * np.arcsinh(y / c.b1_alpha)
-    return sqrt_b1, z, np.isfinite(sqrt_b1)
+    return sqrt_b1, _constants(n).b1.z(sqrt_b1), np.isfinite(sqrt_b1)
 
 
 def sqrt_b1_test(sample: Sample) -> TestResult:
@@ -376,17 +380,11 @@ _SW_G = (0.459, -2.273)
 _SW_TINY = 1e-19
 
 
-def _horner(coeffs, x: float) -> float:
-    """np.polyval(coeffs, x) for a scalar x, rounded identically."""
-    y = 0.0
-    for c in coeffs:
-        y = y * x + c
-    return y
-
-
-def _sw_half(n: int) -> np.ndarray:
-    """The n // 2 lowest AS R94 weights for sample size n, most negative
-    first, as a new array: the scores m / fac with the two end weights."""
+def _sw_constants(n: int):
+    """(low, mu, sigma, gamma): low, read-only, holds the n // 2 lowest
+    AS R94 weights for sample size n, most negative first (the scores
+    m / fac with the two end weights), and mu, sigma and gamma map
+    log(1 - W) to z, gamma None above n = 11."""
     n2 = n // 2
     m = (np.arange(1, n2 + 1, dtype=np.float64) - 0.375) / (n + 0.25)
     ndtri(m, out=m)  # lower-half scores, all negative
@@ -394,27 +392,20 @@ def _sw_half(n: int) -> np.ndarray:
     summ2 = 2.0 * float(np.add.reduce(m * m))
     ssumm2 = math.sqrt(summ2)
     rsn = 1.0 / math.sqrt(n)
-    a1 = _horner(_SW_C1, rsn) - m0 / ssumm2
-    a2 = _horner(_SW_C2, rsn) - m1 / ssumm2
+    a1 = float(np.polyval(_SW_C1, rsn)) - m0 / ssumm2
+    a2 = float(np.polyval(_SW_C2, rsn)) - m1 / ssumm2
     fac = math.sqrt(
         (summ2 - 2.0 * m0**2 - 2.0 * m1**2) / (1.0 - 2.0 * a1**2 - 2.0 * a2**2)
     )
     # the minimum gets the most negative weight: -a = (-a1, -a2, m[2:]/fac)
     m /= fac
     m[:2] = -a1, -a2
-    return m
-
-
-def _sw_constants(n: int):
-    """(_sw_half(n), read-only, mu, sigma, gamma): AS R94's weights and
-    the constants that map log(1 - W) to z, gamma None above n = 11."""
-    low = _sw_half(n)
-    low.flags.writeable = False
+    m.flags.writeable = False
     if n <= 11:
-        gamma = _horner(_SW_G, n)
-        return low, _horner(_SW_C3, n), math.exp(_horner(_SW_C4, n)), gamma
-    u = math.log(n)
-    return low, _horner(_SW_C5, u), math.exp(_horner(_SW_C6, u)), None
+        u, c_mu, c_sigma, gamma = n, _SW_C3, _SW_C4, float(np.polyval(_SW_G, n))
+    else:
+        u, c_mu, c_sigma, gamma = math.log(n), _SW_C5, _SW_C6, None
+    return m, float(np.polyval(c_mu, u)), math.exp(np.polyval(c_sigma, u)), gamma
 
 
 def _sw_coefficients(low: np.ndarray, n: int) -> np.ndarray:

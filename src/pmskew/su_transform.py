@@ -35,8 +35,10 @@ with positive probability at every finite n, so spms itself has no finite
 variance there. At n = 50, 10^5 null replications (seed 1) give an
 empirical variance of 3.92 against the series value 0.0724.
 
-su_params fits a new transform on every call; the scalar spms test reads
-the one kept in its n's record of per-n constants (see skewtests).
+su_params fits a new transform on every call. No test kernel calls it:
+the scalar tests and the Monte Carlo chunks both read the transform kept
+in n's record of per-n constants (see skewtests), which also holds
+sqrt(b1)'s S_U transform, fitted to its exact null moments.
 """
 
 from __future__ import annotations
@@ -169,7 +171,9 @@ class SuTransform:
     """Per-n constants of the S_U normalizing transform.
 
     Invariants: beta2_spms > 3 for n >= 8, hence W2 > 1 and delta and
-    alpha are positive and finite.
+    alpha are positive and finite. The same type normalises sqrt(b1)
+    (skewtests' per-n record): there lambda2 and beta2_spms hold sqrt(b1)'s
+    exact null variance and kurtosis.
     """
 
     n: int
@@ -185,10 +189,10 @@ class SuTransform:
         Accepts scalars or arrays; Z = delta * asinh(Y/alpha) with
         Y = spms_value / sqrt(lambda2). The asinh form is used instead of
         the literal log(x + sqrt(1 + x^2)) to avoid cancellation for
-        large negative Y. A float64 scalar skips the 0-d array: numpy's
+        large negative Y. A Python or numpy float skips the 0-d array:
         scalar division rounds as the ufunc's does.
         """
-        if not isinstance(spms_value, np.float64):
+        if not isinstance(spms_value, float):
             spms_value = np.asarray(spms_value, dtype=np.float64)
         y = spms_value / math.sqrt(self.lambda2)
         out = self.delta * np.arcsinh(y / self.alpha)

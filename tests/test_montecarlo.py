@@ -678,9 +678,7 @@ class TestWorkspace:
     def test_chunk_kernels_leave_the_draw_intact(self, monkeypatch):
         monkeypatch.setattr(montecarlo, "_workspaces", [])
         alt, sizes, span = AlternativeSpec.parse("beta:2,1"), (8, 20, 33), (5, 400)
-        montecarlo._chunk_kernels(
-            alt, sizes, 4, span, ALL_TESTS, [su_params(n) for n in sizes]
-        )
+        montecarlo._chunk_kernels(alt, sizes, 4, span, ALL_TESTS)
         ((draw, *_),) = montecarlo._workspaces
         want = _draw_chunk(alt, sizes[-1], 4, span)
         assert draw[: want.size].tobytes() == want.tobytes()

@@ -1,10 +1,14 @@
 """The exported names: every `__all__` entry resolves, once, and each is
 declared in one module's `__all__` only. Also the package's functools
-caches, each kept for a measured gain."""
+caches, each kept for a measured gain, and its imports, each used,
+exported or wrapped by the benchmark's tracer."""
 
+import ast
 import importlib
+import importlib.util
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +23,7 @@ from pmskew import (
 )
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(pmskew.__path__))
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 
 def test_package_exports_resolve_without_duplicates():
@@ -66,11 +71,11 @@ def test_functools_caches_are_the_ones_that_pay():
       about 5.5 ms for a warm `pmskew power --n 20,50 --reps 1024` call
       (best of 41 in-process runs, 2-vCPU x86-64 VM).
     The per-n constants are not a functools cache: skewtests keeps one
-    record per n in its own store (_store: the S_U transform, sqrt(b1)'s
-    constants, the Shapiro-Wilk lower-half weights and z constants,
-    Lin-Mudholkar's scale), under a 16 MiB budget and with no eviction,
-    because scalar_tests' n log-spread over 8..5000 missed a 64-entry LRU
-    on 84% of calls. Keeping the weights alone took that workload from
+    record per n in its own store (_store: su and b1, the S_U transforms
+    of spms and sqrt(b1); sw, the Shapiro-Wilk lower-half weights and z
+    constants; lm_scale, Lin-Mudholkar's scale), under a 16 MiB budget
+    and with no eviction, because scalar_tests' n log-spread over 8..5000
+    missed a 64-entry LRU on 84% of calls. Keeping the weights alone took that workload from
     7,944 to 9,245 samples/s at threads=1 (peak RSS 107.4 to 117.2 MB,
     medians of 10 alternating 20 s bench pairs, better in 10/10); keeping
     the whole record, with numpy's error state entered once per kernel
@@ -86,3 +91,41 @@ def test_functools_caches_are_the_ones_that_pay():
         "montecarlo._null_runs",
         "cli.build_parser",
     }
+
+
+def _traced_names() -> set[tuple[str, str]]:
+    """(module, name) of every pmskew name bench/tracing.py's Tracer wraps."""
+    spec = importlib.util.spec_from_file_location("pmskew_bench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return {
+        (modname.rpartition(".")[2], attr)
+        for _, modname, attr, _ in tracing.Tracer()._patches()
+    }
+
+
+def _unused_imports(module) -> list[str]:
+    """The names pmskew.<module> imports but neither uses nor lists in
+    its __all__."""
+    mod = importlib.import_module(f"pmskew.{module}")
+    tree = ast.parse(Path(mod.__file__).read_text(), mod.__file__)
+    imported = {
+        alias.asname or alias.name.partition(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+        if alias.name != "*"
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used - set(getattr(mod, "__all__", ())))
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_unused_import_is_a_tracer_shim(module):
+    """A module imports only names it uses or exports, and the names the
+    benchmark's tracer wraps there (today montecarlo's draw_values and
+    su_params, and skewtests' central_moment_arrays). When the tracer
+    stops wrapping one, this names the import to delete."""
+    shims = _traced_names()
+    assert [n for n in _unused_imports(module) if (module, n) not in shims] == []

@@ -31,7 +31,7 @@ from pmskew import (
     sqrt_b1_test,
     su_params,
 )
-from pmskew import moments, skewtests
+from pmskew import montecarlo, moments, skewtests
 from pmskew.moments import central_moment_arrays
 from pmskew.montecarlo import _chunk_statistics
 from pmskew.skewtests import (
@@ -690,12 +690,35 @@ def store(monkeypatch):
     """skewtests' store of per-n records, empty for the test's duration."""
     monkeypatch.setattr(skewtests, "_store", {})
     monkeypatch.setattr(skewtests, "_store_nbytes", 0)
+    monkeypatch.setattr(skewtests, "_refused", (None, None))
     return skewtests._store
 
 
 def _sw_weights(n):
     """n's full Shapiro-Wilk weight vector as _batch_sw builds it."""
     return skewtests._sw_coefficients(skewtests._constants(n).sw[0], n)
+
+
+def _dagostino_sqrt_b1(n):
+    """(var, beta2, W2, delta, alpha): sqrt(b1)'s exact null variance and
+    kurtosis under normality (D'Agostino 1970) and the S_U constants
+    fitted to them, delta = 1/sqrt(ln W) with ln W = log(W2)/2, written out
+    in the rounding order of the record's build. var and beta2 are also
+    checked against their exact rational values."""
+    var = 6.0 * (n - 2) / ((n + 1.0) * (n + 3.0))
+    num = 3.0 * (n * n + 27.0 * n - 70.0) * (n + 1.0) * (n + 3.0)
+    beta2 = num / ((n - 2.0) * (n + 5.0) * (n + 7.0) * (n + 9.0))
+    exact_var = Fraction(6 * (n - 2), (n + 1) * (n + 3))
+    exact_beta2 = Fraction(
+        3 * (n * n + 27 * n - 70) * (n + 1) * (n + 3),
+        (n - 2) * (n + 5) * (n + 7) * (n + 9),
+    )
+    assert abs(var - exact_var) <= 1e-15 * exact_var, n
+    assert abs(beta2 - exact_beta2) <= 1e-15 * exact_beta2, n
+    w2 = -1.0 + math.sqrt(2.0 * (beta2 - 1.0))
+    delta = 1.0 / math.sqrt(0.5 * math.log(w2))
+    alpha = math.sqrt(2.0 / (w2 - 1.0))
+    return var, beta2, w2, delta, alpha
 
 
 def _scalar_results(x):
@@ -784,10 +807,52 @@ class TestSizeConstantStore:
         assert cold == warm == refused
 
     def test_record_transform_equals_su_params_at_every_n(self, store):
+        # and sqrt(b1)'s transform equals D'Agostino's exact-moment fit,
+        # field by field and in its z, on Python, numpy and array input
+        values = [-1.5, -0.2, 0.0, 0.05, 0.9]
         for n in range(8, skewtests.SW_MAX_N + 1):
-            su = skewtests._constants(n).su
-            assert type(su) is type(su_params(n))
-            assert su == su_params(n), n
+            rec = skewtests._constants(n)
+            assert type(rec.su) is type(su_params(n))
+            assert rec.su == su_params(n), n
+            b1 = rec.b1
+            assert type(b1) is type(su_params(n)) and b1.n == n
+            fields = (b1.lambda2, b1.beta2_spms, b1.W2, b1.delta, b1.alpha)
+            want = _dagostino_sqrt_b1(n)
+            assert [f.hex() for f in fields] == [f.hex() for f in want], n
+            var, _, _, delta, alpha = want
+            zs = [
+                float(delta * np.arcsinh((v / math.sqrt(var)) / alpha))
+                for v in values
+            ]
+            for v, z in zip(values, zs):
+                assert b1.z(v).hex() == b1.z(np.float64(v)).hex() == z.hex(), (n, v)
+            assert b1.z(np.array(values)).tobytes() == np.array(zs).tobytes(), n
+
+    def test_refused_size_builds_one_record_per_sample_and_chunk(
+        self, store, monkeypatch
+    ):
+        # past the budget, the four tests of one Sample, and the kernels of
+        # one chunk, share one build of the record
+        x = _seeded(300, seed=15, skew=0.4)
+        kept = _scalar_results(x)
+        store.clear()
+        monkeypatch.setattr(skewtests, "_store_nbytes", 0)
+        monkeypatch.setattr(skewtests, "_STORE_BYTES", 0)
+        builds = []
+        build = skewtests._size_constants
+
+        def spy(n):
+            builds.append(n)
+            return build(n)
+
+        monkeypatch.setattr(skewtests, "_size_constants", spy)
+        assert _scalar_results(x) == kept
+        assert builds == [300]
+        montecarlo._chunk_kernels(
+            pk.AlternativeSpec.parse("gamma:2"), (40,), 3, (0, 64), pk.ALL_TESTS
+        )
+        assert builds == [300, 40]
+        assert not store
 
     def test_store_never_exceeds_its_budget(self, store, monkeypatch):
         budget = 16384
@@ -839,6 +904,39 @@ class TestSizeConstantStore:
             assert _same_bits(c, _independent_sw_weights(n))
         assert sorted(store) == list(sizes)
         assert skewtests._store_nbytes == sum(r.nbytes for r in store.values())
+
+    def test_racing_threads_past_the_budget_get_their_own_record(
+        self, store, monkeypatch
+    ):
+        # every size is refused, so the threads keep replacing the one
+        # refused slot: a lookup must never return another size's record
+        monkeypatch.setattr(skewtests, "_STORE_BYTES", 0)
+        threads, rounds = 8, 40
+        barrier = threading.Barrier(threads, timeout=60)
+        wrong = []
+
+        def race(k):
+            barrier.wait()
+            for i in range(rounds):
+                n = 8 + (k + i) % 3  # three sizes shared by all threads
+                rec = skewtests._constants(n)
+                if not rec.su.n == rec.b1.n == n:
+                    wrong.append((n, rec.su.n))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [
+                threading.Thread(target=race, args=(k,)) for k in range(threads)
+            ]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert wrong == [] and not store
 
     @pytest.mark.parametrize("n", [8, 9, 20, 21, 4999, 5000])
     def test_full_vectors_equal_an_independent_build(self, store, n):
