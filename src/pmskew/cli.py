@@ -1,10 +1,13 @@
 """Command-line interface.
 
 Subcommands: test (apply all four normality tests to a data file),
-calibrate, power, hist, moments (the Monte Carlo experiments). Experiment
-output is CSV (or JSON via --format json) with a `# seed=` comment header
-so every artifact names the seed that reproduces it. Numbers are printed
-with 6 significant digits; output goes to --out, with "-" meaning stdout.
+calibrate, power, hist, moments (the Monte Carlo experiments). Output is
+CSV, or JSON via --format json. A run is described once, by its meta
+items (an experiment's seed, with hist's statistic, n, reps and
+out_of_range; test's n): they are the JSON document's top-level keys and,
+in the same order, the CSV's `# key=value` header lines, so every
+artifact names what reproduces it. Numbers are printed with 6
+significant digits; output goes to --out, with "-" meaning stdout.
 
 Exit codes: 0 success, 1 data error or degenerate statistic, 2 bad
 invocation or configuration, 3 I/O failure.
@@ -90,17 +93,16 @@ def _fmt(value) -> str:
     return format(float(value), ".6g")
 
 
-def _csv(header: list[str], rows: list[list], comments: list[str]) -> str:
-    lines = [f"# {c}" for c in comments]
+# bench/tracing.py times _csv, _json_doc and _write_output by name
+def _csv(header: list[str], rows: list[list], meta: dict) -> str:
+    lines = [f"# {key}={value}" for key, value in meta.items()]
     lines.append(",".join(header))
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
 def _json_doc(meta: dict, rows: list[dict]) -> str:
-    doc = dict(meta)
-    doc["rows"] = rows
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps({**meta, "rows": rows}, indent=2) + "\n"
 
 
 def _write_output(text: str, out: str) -> None:
@@ -112,12 +114,14 @@ def _write_output(text: str, out: str) -> None:
             fh.write(text)
 
 
-def _emit(args, header, rows, meta: dict, comments: list[str]) -> None:
-    """Write rows as CSV or, with --format json, as a JSON document."""
+def _emit(args, header, rows, **meta) -> None:
+    """Write rows as CSV, after one `# key=value` line per meta item, or
+    with --format json as {"command": ..., **meta, "rows": [...]}."""
     if args.format == "json":
-        text = _json_doc(meta, [dict(zip(header, row)) for row in rows])
+        rows = [dict(zip(header, row)) for row in rows]
+        text = _json_doc({"command": args.command, **meta}, rows)
     else:
-        text = _csv(header, rows, comments)
+        text = _csv(header, rows, meta)
     _write_output(text, args.out)
 
 
@@ -213,8 +217,7 @@ def cmd_test(args) -> int:
     header = ["test", "defined", "raw_statistic", "z_value", "p_value"] + [
         f"reject_{level:g}" for level in REPORT_LEVELS
     ]
-    meta = {"command": "test", "n": sample.n}
-    _emit(args, header, rows, meta, [f"n={sample.n}"])
+    _emit(args, header, rows, n=sample.n)
     for message in failures:
         _summary(f"warning: {message}")
     _summary(f"test: n={sample.n}, {len(rows)} tests")
@@ -224,15 +227,13 @@ def cmd_test(args) -> int:
 def cmd_calibrate(args) -> int:
     ns = _sizes(args.n)
     levels = _list(args.levels)
-    threads = _resolve_threads(args.threads)
     rows = [
         [row.n, row.reps, level, rate, row.undefined_count]
-        for row in calibrate_curve(ns, args.reps, levels, args.seed, threads=threads)
+        for row in calibrate_curve(ns, args.reps, levels, args.seed, args.threads)
         for level, rate in zip(row.levels, row.rejection_rates)
     ]
     header = ["n", "reps", "level", "rejection_rate", "undefined"]
-    meta = {"command": "calibrate", "seed": args.seed}
-    _emit(args, header, rows, meta, [f"seed={args.seed}"])
+    _emit(args, header, rows, seed=args.seed)
     _summary(
         f"calibrate: {len(rows)} rows ({len(ns)} n x {len(levels)} levels), "
         f"reps={args.reps}, seed={args.seed}"
@@ -243,8 +244,7 @@ def cmd_calibrate(args) -> int:
 def cmd_power(args) -> int:
     alt = AlternativeSpec.parse(args.alt)
     ns = _sizes(args.n)
-    tests = [t.strip() for t in args.tests.split(",") if t.strip()]
-    threads = _resolve_threads(args.threads)
+    tests = _list(args.tests, str.strip, "test names")
     cells = power_curve(
         alt,
         ns,
@@ -252,7 +252,7 @@ def cmd_power(args) -> int:
         args.level,
         tests=tests,
         seed=args.seed,
-        threads=threads,
+        threads=args.threads,
         critical_values=args.critical_values,
         null_reps=args.null_reps,
     )
@@ -270,8 +270,7 @@ def cmd_power(args) -> int:
         for test in cell.powers
     ]
     header = ["alt", "n", "reps", "level", "test", "power", "undefined"]
-    meta = {"command": "power", "seed": args.seed}
-    _emit(args, header, rows, meta, [f"seed={args.seed}"])
+    _emit(args, header, rows, seed=args.seed)
     _summary(
         f"power: alt={alt.label}, {len(rows)} rows, reps={args.reps}, "
         f"level={args.level:g}, criticals={args.critical_values}, "
@@ -281,7 +280,6 @@ def cmd_power(args) -> int:
 
 
 def cmd_hist(args) -> int:
-    threads = _resolve_threads(args.threads)
     value_range = None
     if args.range is not None:
         bounds = _list(args.range)
@@ -294,22 +292,22 @@ def cmd_hist(args) -> int:
         args.reps,
         args.bins,
         args.seed,
-        threads=threads,
+        threads=args.threads,
         value_range=value_range,
     )
     edges = result.bin_edges.tolist()
     rows = [list(row) for row in zip(edges, edges[1:], result.counts.tolist())]
     header = ["bin_left", "bin_right", "count"]
-    meta = {
-        "command": "hist",
-        "seed": args.seed,
-        "stat": str(result.statistic_name),
-        "n": result.n,
-        "reps": result.reps,
-        "out_of_range": result.out_of_range,
-    }
-    comments = [f"seed={args.seed}", f"out_of_range={result.out_of_range}"]
-    _emit(args, header, rows, meta, comments)
+    _emit(
+        args,
+        header,
+        rows,
+        seed=args.seed,
+        stat=str(result.statistic_name),
+        n=result.n,
+        reps=result.reps,
+        out_of_range=result.out_of_range,
+    )
     _summary(
         f"hist: stat={result.statistic_name}, n={result.n}, "
         f"reps={result.reps}, bins={len(rows)}, "
@@ -319,17 +317,13 @@ def cmd_hist(args) -> int:
 
 
 def cmd_moments(args) -> int:
-    threads = _resolve_threads(args.threads)
-    result = moment_validation(
-        args.n, args.reps, args.seed, threads=threads
-    )
+    result = moment_validation(args.n, args.reps, args.seed, threads=args.threads)
     rows = [
         [result.n, result.reps, row.quantity, row.empirical, row.series, row.se]
         for row in result.rows
     ]
     header = ["n", "reps", "quantity", "empirical", "series", "se"]
-    meta = {"command": "moments", "seed": args.seed}
-    _emit(args, header, rows, meta, [f"seed={args.seed}"])
+    _emit(args, header, rows, seed=args.seed)
     _summary(
         f"moments: n={result.n}, reps={result.reps}, "
         f"undefined={result.undefined_count}, seed={args.seed}"
@@ -434,6 +428,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if "threads" in args:
+            args.threads = _resolve_threads(args.threads)
         return args.func(args)
     except _DATA_ERRORS as exc:
         print(f"pmskew: error: {exc}", file=sys.stderr)

@@ -209,11 +209,12 @@ class MomentValidation:
 
 def _check_common(reps, seed, threads, min_reps=1):
     """(reps, seed, threads) as ints, each checked, before any null run
-    is looked up or drawn."""
+    is looked up or drawn; threads is at most 1024, since a pool starts
+    one OS thread per worker."""
     return (
         check_int("reps", reps, lo=min_reps),
         check_int("seed", seed),
-        check_int("threads", threads, lo=1),
+        check_int("threads", threads, lo=1, hi=1025),
     )
 
 
@@ -620,7 +621,8 @@ def null_histogram(
 
     Bin edges span the empirical mean +- 5 standard deviations unless
     value_range overrides them; a value_range that cannot hold bins
-    finite-sized bins raises InvalidParamsError before any draw.
+    finite-sized bins, or more than 2**20 bins (16 MiB of edges and
+    counts), raises InvalidParamsError before any draw.
     """
     n = check_n(n)
     reps, seed, threads = _check_common(reps, seed, threads)
@@ -628,7 +630,7 @@ def null_histogram(
         statistic = Statistic(statistic)
     except ValueError:
         raise InvalidParamsError(f"unknown statistic {statistic!r}")
-    bins = check_int("bins", bins, lo=2)
+    bins = check_int("bins", bins, lo=2, hi=2**20 + 1)
     if value_range is not None:
         try:
             lo, hi = map(float, value_range)

@@ -60,12 +60,12 @@ GOLDEN = {
     "hist_z": (
         ["hist", "--stat", "z", "--n", "30", "--reps", "5000", "--bins", "12",
          "--seed", "2"],
-        "eac732fd7884c9b38e55e5a1db60176211e241741bf9f0ec60d4ac86e478f1f3",
+        "0aadfa5f5641ad09d10e53e9cca0e7ac00c5e28ff686c57caa333e226638aa09",
     ),
     "hist_spms_range": (
         ["hist", "--stat", "spms", "--n", "50", "--reps", "3000", "--bins",
          "10", "--range=-0.8,0.8", "--seed", "4"],
-        "7d43e17ff38a401dfc24c6f4e89dfd717262ed9093757e3936618a7957288954",
+        "f03e3682a73b26c8f242feaad6c74f6271d9cff1e8823c1a53b52d365ed7886a",
     ),
     "moments": (
         ["moments", "--n", "40", "--reps", "5000", "--seed", "6"],

@@ -476,7 +476,10 @@ class TestHistCommand:
         comments, header, rows = parse_csv(out)
         assert header == ["bin_left", "bin_right", "count"]
         assert len(rows) == 10
-        oor = int(comments[1].split("=")[1])
+        meta = dict(c[2:].split("=", 1) for c in comments)
+        assert meta == {"seed": "1", "stat": "z", "n": "50", "reps": "2000",
+                        "out_of_range": meta["out_of_range"]}
+        oor = int(meta["out_of_range"])
         assert sum(int(r["count"]) for r in rows) + oor == 2000
         lefts = [float(r["bin_left"]) for r in rows]
         rights = [float(r["bin_right"]) for r in rows]
@@ -507,6 +510,19 @@ class TestHistCommand:
             assert code == 2
             assert out == ""
             assert len(err.splitlines()) == 1
+
+    def test_too_many_bins_exact_error_line(self, capsys, monkeypatch):
+        # refused before the draw, so no edges or counts are allocated
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a chunk was drawn before the bins check")
+
+        monkeypatch.setattr("pmskew.montecarlo._draw_chunk", no_draw)
+        code, out, err = run(
+            capsys, "hist", "--n", "8", "--reps", "20", "--bins", "100000000000"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "pmskew: error: bins must be <= 1048576, got 100000000000\n"
 
     def test_range_numpy_cannot_bin_is_config_error(self, capsys):
         with warnings.catch_warnings():
@@ -608,15 +624,37 @@ class TestJsonMatchesCsv:
         assert code == 0
         assert list(json.loads(out)) == ["command", "n", "rows"]
 
-    def test_hist_meta_matches_comments(self, capsys):
-        argv = ["hist", "--n", "20", "--reps", "500", "--bins", "4",
-                "--range=-0.5,0.5", "--seed", "6"]
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["calibrate", "--n", "20", "--reps", "100", "--seed", "6"],
+            ["power", "--alt", "gamma:2", "--n", "20", "--reps", "100",
+             "--critical-values", "asymptotic", "--seed", "6"],
+            ["hist", "--n", "20", "--reps", "500", "--bins", "4",
+             "--range=-0.5,0.5", "--seed", "6"],
+            ["moments", "--n", "20", "--reps", "100", "--seed", "6"],
+        ],
+        ids=["calibrate", "power", "hist", "moments"],
+    )
+    def test_meta_matches_comments(self, capsys, argv):
+        doc = self._meta_matches_comments(capsys, argv)
+        if argv[0] == "hist":
+            assert sum(r["count"] for r in doc["rows"]) + doc["out_of_range"] == 500
+
+    def test_test_meta_matches_comments(self, capsys, normal_file):
+        self._meta_matches_comments(capsys, ["test", normal_file])
+
+    @staticmethod
+    def _meta_matches_comments(capsys, argv):
+        """The JSON document of argv, after checking one description per
+        run: every JSON key but command and rows is a `# key=value` CSV
+        comment, in the same order."""
         _, out_csv, _ = run(capsys, *argv)
         _, out_json, _ = run(capsys, *argv, "--format", "json")
-        comments, _, rows = parse_csv(out_csv)
         doc = json.loads(out_json)
-        assert comments == ["# seed=6", f"# out_of_range={doc['out_of_range']}"]
-        assert sum(r["count"] for r in doc["rows"]) + doc["out_of_range"] == 500
+        meta = [k for k in doc if k not in ("command", "rows")]
+        assert parse_csv(out_csv)[0] == [f"# {k}={doc[k]}" for k in meta]
+        return doc
 
     def test_test_rows(self, capsys, normal_file):
         code, out_csv, _ = run(capsys, "test", normal_file)
@@ -659,22 +697,29 @@ class TestDeterminismAndOutput:
         assert "PMSKEW_THREADS" in err
 
     @pytest.mark.parametrize(
-        "argv, env",
+        "argv, env, rule",
         [
-            (["calibrate", "--n", "20", "--reps", "100", "--threads", "0"], None),
-            (["calibrate", "--n", "20", "--reps", "100"], "0"),
-            (["hist", "--n", "20", "--reps", "100", "--threads", "0"], "2"),
-            (["moments", "--n", "20", "--reps", "100"], "0"),
+            (["calibrate", "--n", "20", "--reps", "100", "--threads", "0"], None,
+             ">= 1, got 0"),
+            (["calibrate", "--n", "20", "--reps", "100"], "0", ">= 1, got 0"),
+            (["hist", "--n", "20", "--reps", "100", "--threads", "0"], "2",
+             ">= 1, got 0"),
+            (["moments", "--n", "20", "--reps", "100"], "0", ">= 1, got 0"),
+            (["calibrate", "--n", "20", "--reps", "100", "--threads", "1025"], None,
+             "<= 1024, got 1025"),
+            (["power", "--alt", "gamma:2", "--n", "20", "--reps", "100"], "1025",
+             "<= 1024, got 1025"),
         ],
-        ids=["flag", "env", "flag_over_env", "env_moments"],
+        ids=["flag", "env", "flag_over_env", "env_moments", "flag_1025", "env_1025"],
     )
-    def test_zero_threads_exact_error_line(self, capsys, monkeypatch, argv, env):
+    def test_zero_threads_exact_error_line(self, capsys, monkeypatch, argv, env, rule):
+        # only the rejection: no pool is started with a large thread count
         if env is not None:
             monkeypatch.setenv("PMSKEW_THREADS", env)
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
-        assert err == "pmskew: error: threads must be >= 1, got 0\n"
+        assert err == f"pmskew: error: threads must be {rule}\n"
 
     @pytest.mark.parametrize(
         "argv, err",

@@ -8,8 +8,9 @@ CPU supports switched off through NPY_DISABLE_CPU_FEATURES, so the printed
 output is also checked on numpy's baseline loops. The child also runs the
 check that each scalar test on a Sample equals its chunk row bit for bit:
 a Sample's tests finish on numpy scalars, and numpy must use the same loop
-for a scalar as for a chunk row on the baseline loops too. The variable is
-set in the child's environment only.
+for a scalar as for a chunk row on the baseline loops too. It also runs
+test_accuracy.py's bounds on each raw statistic's error, which must hold
+on every loop. The variable is set in the child's environment only.
 """
 
 import os
@@ -20,6 +21,7 @@ from pathlib import Path
 import pytest
 
 import pmskew
+from test_accuracy import BOUNDS
 from test_byte_contract import GOLDEN
 from test_skewtests import AGREEMENT_SIZES
 
@@ -30,8 +32,8 @@ except ImportError:  # numpy < 2
 
 TESTS = Path(__file__).resolve().parent
 
-# run in the child: fail unless every target is off, then the digest cases
-# and the chunk-against-scalar agreement
+# run in the child: fail unless every target is off, then the digest cases,
+# the chunk-against-scalar agreement and the accuracy bounds
 _CHILD = """
 import sys
 import pytest
@@ -43,8 +45,10 @@ on = [t for t in sys.argv[1:] if umath.__cpu_features__.get(t)]
 if on:
     sys.exit(f"dispatch targets still on: {on}")
 sys.exit(pytest.main(["-q", "-p", "no:cacheprovider",
-                      "-k", "stdout_digest or chunk_masks_match_scalar_results",
-                      "test_byte_contract.py", "test_skewtests.py"]))
+                      "-k", "stdout_digest or chunk_masks_match_scalar_results"
+                            " or mpmath_worst_error",
+                      "test_byte_contract.py", "test_skewtests.py",
+                      "test_accuracy.py"]))
 """
 
 
@@ -73,6 +77,7 @@ def test_cli_digests_with_dispatch_targets_disabled():
     )
     assert child.returncode == 0, child.stdout[-4000:] + child.stderr[-4000:]
     # every Monte Carlo digest at threads 1 and 2, the two `pmskew test`
-    # digests and the agreement check at each of its row lengths
-    expected = f"{2 * len(GOLDEN) + 2 + len(AGREEMENT_SIZES)} passed"
+    # digests, the agreement check at each of its row lengths and the
+    # accuracy bound of each raw statistic
+    expected = f"{2 * len(GOLDEN) + 2 + len(AGREEMENT_SIZES) + len(BOUNDS)} passed"
     assert child.stdout.splitlines()[-1].startswith(expected), child.stdout

@@ -1233,6 +1233,7 @@ _CALIBRATE_CURVE = (
 
 _BAD_COUNTS = [
     ("threads", 0), ("threads", -3), ("threads", 2.5), ("threads", "2"),
+    ("threads", 1025),
     ("seed", 1.7), ("seed", "3"), ("reps", 100.9),
 ]
 
@@ -1249,7 +1250,8 @@ class TestArgumentValidation:
             for name, arg, v in [
                 (name, arg, v) for name in sorted(_EXPERIMENTS) for arg, v in _BAD_COUNTS
             ]
-            + [("null_histogram", "bins", 10.7), ("power_study", "null_reps", 2.5)]
+            + [("null_histogram", "bins", 10.7), ("null_histogram", "bins", 2**20 + 1),
+               ("power_study", "null_reps", 2.5)]
         ]
         # every n of a multi-n power call, the largest last or not
         + [
