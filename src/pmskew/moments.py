@@ -57,7 +57,9 @@ class Sample:
     ------
     InvalidParamsError
         If values is not a one-dimensional sequence of real numbers (a
-        generator, a dict, a string or complex values, for instance).
+        generator, a dict, a string, or complex, string, bytes, datetime
+        or timedelta values, for instance), or is a masked array with a
+        masked entry.
     SampleTooSmallError
         If fewer than 3 observations are supplied.
     NonFiniteError
@@ -72,10 +74,17 @@ class Sample:
 
     @_quiet
     def __post_init__(self):
+        if np.ma.is_masked(self.values):  # np.asarray would keep them
+            raise InvalidParamsError(
+                f"a sample has no masked values, got "
+                f"{np.ma.count_masked(self.values)} in a masked array; pass "
+                "its .compressed() to test the unmasked values"
+            )
         try:
             arr = np.asarray(self.values)
-            if arr.dtype.kind == "c":
-                raise TypeError("complex values")
+            # astype would parse strings as numbers and dates as counts
+            if arr.dtype.kind in "cUSMm":
+                raise TypeError(f"{arr.dtype.name} values")
             arr = arr.astype(np.float64, copy=False)
         except (TypeError, ValueError, OverflowError) as e:
             raise InvalidParamsError(

@@ -13,11 +13,17 @@ or Lin-Mudholkar correlation, or moments that overflow near the float64
 limits) has raw = NaN. Lin-Mudholkar alone uses defined = isfinite(z):
 its z = arctanh(r) is infinite at |r| = 1. The Monte Carlo harness runs
 the kernels on 2-D chunks; the scalar entry points run them on a
-Sample's 1-D row, whose numpy scalars one adapter turns into a
-TestResult. numpy uses the same loops for both, so both compute
-identical values and every test reports an undefined statistic the same
-way: defined=False with NaN fields, never an error and never a NaN
-result marked defined.
+Sample's 1-D row, whose scalars one adapter turns into a TestResult.
+After the row reductions, the ufuncs whose last bit can depend on
+numpy's SIMD target (np.log, np.arctanh, np.arcsinh, np.power, ndtr)
+run the same loop on a scalar as on a chunk row. The steps that do not
+round (NaN guards, clips, finiteness checks) and the correctly rounded
+sqrt go through _nan_where, _at_most, _at_least, _isfinite and _sqrt:
+the ufunc on an array, and on a scalar a comparison, math.isfinite or
+math.sqrt, which give its bits without the cost of its call. So both
+compute identical values, and every test reports an undefined statistic
+the same way: defined=False with NaN fields, never an error and never a
+NaN result marked defined.
 
 The spms expression and its degenerate-denominator guard live in _spms
 alone, which the kernel and population_pms share.
@@ -52,6 +58,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr, ndtri
+
+# np.einsum's C entry, which np.einsum calls when optimize=False (its
+# default): its Python wrapper costs more than a 1-D row's dot product
+from numpy._core.multiarray import c_einsum as _einsum
 
 from .errors import InvalidLevelError, SampleTooLargeError
 from .moments import MomentSummary, Sample, _quiet, _row_mean, central_moments
@@ -156,6 +166,37 @@ class SeriesState:
         )
 
 
+def _nan_where(bad, x):
+    """np.where(bad, nan, x)."""
+    if isinstance(x, np.ndarray):
+        return np.where(bad, np.nan, x)
+    return math.nan if bad else x
+
+
+def _at_most(x, hi):
+    """np.minimum(x, hi): hi where x exceeds it, x elsewhere, NaN kept."""
+    if isinstance(x, np.ndarray):
+        return np.minimum(x, hi)
+    return hi if x > hi else x
+
+
+def _at_least(x, lo):
+    """np.maximum(x, lo): lo where x is below it, x elsewhere, NaN kept."""
+    if isinstance(x, np.ndarray):
+        return np.maximum(x, lo)
+    return lo if x < lo else x
+
+
+def _isfinite(x):
+    """np.isfinite(x)."""
+    return np.isfinite(x) if isinstance(x, np.ndarray) else math.isfinite(x)
+
+
+def _sqrt(x):
+    """np.sqrt(x)."""
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+
+
 @_quiet
 def _spms(sqrt_b1, b2):
     """sqrt(b1)*(b2 + 3) / (2*(5*b2 - 6*b1 - 9)) elementwise, b1 = sqrt_b1**2.
@@ -167,7 +208,7 @@ def _spms(sqrt_b1, b2):
     five_b2, six_b1 = 5.0 * b2, 6.0 * (sqrt_b1 * sqrt_b1)
     den = five_b2 - six_b1 - 9.0
     eps = 1e-12 * (1.0 + abs(five_b2) + abs(six_b1) + 9.0)
-    den = np.where(abs(den) <= eps, np.nan, den)
+    den = _nan_where(abs(den) <= eps, den)
     return sqrt_b1 * (b2 + 3.0) / (2.0 * den)
 
 
@@ -313,7 +354,7 @@ def _batch_spms(moments, su):
     the S_U transform su; a degenerate denominator gives spms = NaN."""
     _, _, _, sqrt_b1, b2 = moments
     raw = _spms(sqrt_b1, b2)
-    return raw, su.z(raw), np.isfinite(raw)
+    return raw, su.z(raw), _isfinite(raw)
 
 
 def spms_test(sample: Sample) -> TestResult:
@@ -357,7 +398,7 @@ def _batch_sqrt_b1_z(moments, n: int):
     """Row-wise (sqrt(b1), z, defined) from centred_moment_arrays at
     sample size n."""
     _, _, _, sqrt_b1, _ = moments
-    return sqrt_b1, _constants(n).b1.z(sqrt_b1), np.isfinite(sqrt_b1)
+    return sqrt_b1, _constants(n).b1.z(sqrt_b1), _isfinite(sqrt_b1)
 
 
 def sqrt_b1_test(sample: Sample) -> TestResult:
@@ -418,11 +459,12 @@ def _sw_coefficients(low: np.ndarray, n: int) -> np.ndarray:
 
 
 def _sw_z_from_w(w, mu: float, sigma: float, gamma):
-    """AS R94 normal equivalent deviate of W; large z means small W."""
-    y = np.log(np.maximum(1.0 - w, _SW_TINY))
+    """AS R94 normal equivalent deviate of W; large z means small W. W is
+    in [0, 1] or NaN, so y <= 0 < gamma (gamma > 1.39 for n in 8..11); a
+    NaN W gives z = NaN."""
+    y = np.log(_at_least(1.0 - w, _SW_TINY))
     if gamma is not None:
-        inside = y < gamma
-        y = np.where(inside, -np.log(np.where(inside, gamma - y, 1.0)), np.inf)
+        y = -np.log(gamma - y)
     return (y - mu) / sigma
 
 
@@ -441,11 +483,11 @@ def _batch_sw(x: np.ndarray, xs=None):
     xs.sort(axis=-1)  # in place: np.sort too copies, then sorts the copy
     # einsum, not matmul: BLAS kernels change summation order with the
     # row count, which would make a replication's W depend on chunk size
-    num = np.einsum("...j,j->...", xs, c)
+    num = _einsum("...j,j->...", xs, c)
     xs -= _row_mean(xs, keepdims=True)
-    w = (num * num) / np.einsum("...j,...j->...", xs, xs)
-    w = np.minimum(w, 1.0)  # np.clip(w, 0, 1): w is NaN or at least +0.0
-    return w, _sw_z_from_w(w, mu, sigma, gamma), np.isfinite(w)
+    w = (num * num) / _einsum("...j,...j->...", xs, xs)
+    w = _at_most(w, 1.0)  # np.clip(w, 0, 1): w is NaN or at least +0.0
+    return w, _sw_z_from_w(w, mu, sigma, gamma), _isfinite(w)
 
 
 def shapiro_wilk_test(sample: Sample) -> TestResult:
@@ -489,21 +531,21 @@ def _batch_lm_z(xc: np.ndarray, y=None, s1=None):
     s1 /= n - 1.0
     y -= s1
     np.cbrt(y, out=y)
-    ym = _row_mean(y, keepdims=True)
-    y -= ym
-    sxx = np.einsum("...j,...j->...", xc, xc)
-    syy = np.einsum("...j,...j->...", y, y)
-    sxy = np.einsum("...j,...j->...", xc, y)
+    ym = _row_mean(y)
+    y -= ym[..., None]
+    sxx = _einsum("...j,...j->...", xc, xc)
+    syy = _einsum("...j,...j->...", y, y)
+    sxy = _einsum("...j,...j->...", xc, y)
     ss = sxx * syy
-    # an overflow would read r = 0; centred proxies whose root mean
-    # square is within 1e-12 of their mean are the rounding residue of
-    # equal proxies, whose r is 0/0
-    tol = 1e-12 * ym[..., 0]
-    ss = np.where(np.isinf(ss) | (syy <= n * tol * tol), np.nan, ss)
-    r = sxy / np.sqrt(ss)
-    r = np.minimum(np.maximum(r, -1.0), 1.0)  # np.clip's bits, NaN kept
+    # an overflow (ss = inf; ss is never -inf) would read r = 0; centred
+    # proxies whose root mean square is within 1e-12 of their mean are the
+    # rounding residue of equal proxies, whose r is 0/0
+    tol = 1e-12 * ym
+    ss = _nan_where((ss == math.inf) | (syy <= n * tol * tol), ss)
+    r = sxy / _sqrt(ss)
+    r = _at_most(_at_least(r, -1.0), 1.0)  # np.clip's bits, NaN kept
     z = np.arctanh(r) * scale
-    return r, z, np.isfinite(z)
+    return r, z, _isfinite(z)
 
 
 def lin_mudholkar_test(sample: Sample) -> TestResult:

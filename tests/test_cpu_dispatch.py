@@ -7,8 +7,9 @@ test_byte_contract.py in a child process with every dispatch target this
 CPU supports switched off through NPY_DISABLE_CPU_FEATURES, so the printed
 output is also checked on numpy's baseline loops. The child also runs the
 check that each scalar test on a Sample equals its chunk row bit for bit:
-a Sample's tests finish on numpy scalars, and numpy must use the same loop
-for a scalar as for a chunk row on the baseline loops too. It also runs
+a Sample's tests finish on scalars, through the same numpy loops as a
+chunk row where a step rounds and Python comparisons where it does not,
+and that must hold on the baseline loops too. It also runs
 test_accuracy.py's bounds on each raw statistic's error, which must hold
 on every loop. The variable is set in the child's environment only.
 """

@@ -108,13 +108,31 @@ class TestSampleArguments:
             "abc",
             [1.0, [2.0, 3.0], 4.0],
             [10**400, 1, 2],
+            # each of these four would convert to float64 without the check
+            ["1", "2", "3"],
+            np.array([b"1", b"2", b"3"]),
+            np.arange(10).astype("datetime64[s]"),
+            np.arange(10).astype("timedelta64[s]"),
         ],
         ids=["generator", "dict", "complex", "complex_array", "strings",
-             "string", "ragged", "huge_int"],
+             "string", "ragged", "huge_int", "numeric_strings", "bytes",
+             "datetime64", "timedelta64"],
     )
     def test_non_real_values_raise_typed_error(self, values):
         with pytest.raises(InvalidParamsError, match="real float64 values"):
             Sample(values)
+
+    def test_masked_entry_raises_typed_error(self):
+        x = np.ma.masked_array(np.arange(10.0), mask=[0] * 9 + [1])
+        with pytest.raises(InvalidParamsError, match=r"1 in a masked array.*compressed"):
+            Sample(x)
+        assert Sample(x.compressed()).n == 9
+
+    def test_masked_array_without_masked_entries_is_its_data(self):
+        x = np.ma.masked_array(np.arange(10.0), mask=[0] * 10)
+        s = Sample(x)
+        assert type(s.values) is np.ndarray
+        assert s.values.tolist() == list(range(10))
 
     @settings(max_examples=300, deadline=None)
     @given(_SAMPLE_ARGUMENTS)

@@ -3,6 +3,7 @@
 import cProfile
 import itertools
 import math
+import os
 import pstats
 import sys
 import threading
@@ -564,19 +565,31 @@ class TestCrossTestSanity:
 
 
 class TestUndefinedConvention:
-    """Every kernel returns (raw, z, defined) with defined = isfinite(raw),
-    and the chunk pipeline and the scalar tests agree row by row."""
+    """Every kernel returns (raw, z, defined) with defined = isfinite(raw)
+    (isfinite(z) for Lin-Mudholkar, whose z is infinite at |r| = 1), and
+    the chunk pipeline and the scalar tests agree row by row."""
 
     N = 8
 
     def _mixed_chunk(self, n=N):
         c = math.sqrt(5.0) - 2.0
+        k = n // 8
         rows = [
             _seeded(n, seed=1, skew=0.5),
             [1.0, -1.0, c, -c] * (n // 4),  # b2 = 1.8: spms denominator is zero
             _seeded(n, seed=2),
             [1.0, -1.0] * (n // 2),  # equal Lin-Mudholkar proxies
             _seeded(n, seed=3, skew=1.0),
+            # proportional to the Shapiro-Wilk weights, so W is 1 but for
+            # rounding, above 1 before the clip at some of AGREEMENT_SIZES
+            _sw_weights(n),
+            10.0 * _sw_weights(n),
+            # two values, so r is +-1 but for rounding: z is +-inf, and r
+            # is beyond +-1 before the clip at some of AGREEMENT_SIZES
+            [0.0] * k + [1.0] * (n - k),
+            [1.0] * k + [0.0] * (n - k),
+            # sxx * syy and the moments overflow, W is NaN
+            _seeded(n, seed=4) * 1e160,
         ]
         return np.array(rows, dtype=float)
 
@@ -593,14 +606,20 @@ class TestUndefinedConvention:
         for name, (raw, z, defined) in outs.items():
             assert raw.shape == z.shape == defined.shape == (len(x),), name
             assert defined.dtype == bool, name
-            assert np.array_equal(defined, np.isfinite(raw)), name
-        assert outs["spms"][2].tolist() == [True, False, True, True, True]
-        assert outs["lin_mudholkar"][2].tolist() == [True, True, True, False, True]
+            marked = z if name == "lin_mudholkar" else raw
+            assert np.array_equal(defined, np.isfinite(marked)), name
+        assert outs["spms"][2].tolist() == [True, False] + [True] * 7 + [False]
+        assert outs["sqrt_b1"][2].tolist() == [True] * 9 + [False]
+        assert outs["shapiro_wilk"][2].tolist() == [True] * 9 + [False]
+        assert outs["lin_mudholkar"][2].tolist() == (
+            [True, True, True, False] + [True] * 3 + [False] * 3
+        )
 
     @pytest.mark.parametrize("n", AGREEMENT_SIZES)
     def test_chunk_masks_match_scalar_results(self, n):
-        # a Sample runs the kernels on its 1-D row and ends on numpy
-        # scalars; each result must keep the bits of its chunk row
+        # a Sample runs the kernels on its 1-D row and finishes on scalars,
+        # with Python comparisons in place of the chunk's ufuncs; each
+        # result must keep the bits of its chunk row
         x = self._mixed_chunk(n)
         tests = pk.ALL_TESTS
         stats = _chunk_statistics(x.copy(), tests, su_params(n))
@@ -625,18 +644,78 @@ class TestUndefinedConvention:
                         r.raw_statistic.hex(),
                         r.z_value.hex(),
                     ), (test, i)
+                elif test is pk.TestName.LIN_MUDHOLKAR:
+                    assert math.isinf(z[i]) or math.isnan(raw[i])
                 else:
                     assert math.isnan(raw[i]) and math.isnan(r.raw_statistic)
+
+    def test_rows_drive_each_helper_both_ways(self, monkeypatch):
+        # every comparison a scalar test makes after its row reductions
+        # comes out both ways on the rows of _mixed_chunk, by kernel
+        seen = set()
+
+        def spy(name, helper, outcome):
+            def wrapped(*args):
+                caller = sys._getframe(1).f_code.co_name
+                seen.add((caller, name, bool(outcome(*args))))
+                return helper(*args)
+
+            return wrapped
+
+        outcomes = {
+            "_nan_where": lambda bad, x: bad,
+            "_at_most": lambda x, hi: x > hi,
+            "_at_least": lambda x, lo: x < lo,
+            "_isfinite": math.isfinite,
+        }
+        for name, outcome in outcomes.items():
+            monkeypatch.setattr(
+                skewtests, name, spy(name, getattr(skewtests, name), outcome)
+            )
+        for n in AGREEMENT_SIZES:
+            for row in self._mixed_chunk(n):
+                s = Sample(row)
+                for test in TestSampleSharing.TESTS:
+                    test(s)
+        sites = [
+            ("_spms", "_nan_where"),  # the denominator guard
+            ("_batch_spms", "_isfinite"),
+            ("_batch_sqrt_b1_z", "_isfinite"),
+            ("_batch_sw", "_at_most"),  # W clipped at 1
+            ("_sw_z_from_w", "_at_least"),  # 1 - W raised to _SW_TINY
+            ("_batch_sw", "_isfinite"),
+            ("_batch_lm_z", "_nan_where"),  # equal proxies, an overflow
+            ("_batch_lm_z", "_at_least"),  # r clipped at -1
+            ("_batch_lm_z", "_at_most"),  # r clipped at 1
+            ("_batch_lm_z", "_isfinite"),
+        ]
+        assert seen == {
+            (caller, name, way) for caller, name in sites for way in (False, True)
+        }
+
+    def test_sw_gamma_exceeds_every_finite_y(self):
+        # _sw_z_from_w takes -log(gamma - y) unguarded: y = log(1 - W) is
+        # at most 0 for W in [0, 1], and gamma is positive wherever it is set
+        for n in range(8, 12):
+            assert skewtests._constants(n).sw[3] > 0.0
+        assert skewtests._constants(12).sw[3] is None
 
 
 class TestScalarPathOverhead:
     """Sample() and the four scalar tests call none of numpy's Python
-    wrappers around a row mean, a clip or an all (_methods._mean behind
-    ndarray.mean, _methods._clip behind np.clip, _methods._all behind
-    ndarray.all): on one sample the wrapper costs more than the
-    arithmetic. A numpy without those wrappers passes trivially."""
+    wrappers around a row mean, a clip, an all or an einsum
+    (_methods._mean behind ndarray.mean, _methods._clip behind np.clip,
+    _methods._all behind ndarray.all, einsumfunc.einsum and its
+    dispatcher behind np.einsum): on one sample the wrapper costs more
+    than the arithmetic. A numpy without those wrappers passes trivially."""
 
-    WRAPPERS = {"_mean", "_clip", "_all"}
+    WRAPPERS = {
+        ("_methods.py", "_mean"),
+        ("_methods.py", "_clip"),
+        ("_methods.py", "_all"),
+        ("einsumfunc.py", "einsum"),
+        ("einsumfunc.py", "_einsum_dispatcher"),
+    }
 
     def test_no_numpy_mean_or_clip_wrapper(self, store):
         # an empty record store, so the per-n constants are built too
@@ -652,9 +731,23 @@ class TestScalarPathOverhead:
         called = {
             (filename, func): stats[1]
             for (filename, _, func), stats in pstats.Stats(profiler).stats.items()
-            if func in self.WRAPPERS and filename.endswith("_methods.py")
+            if (os.path.basename(filename), func) in self.WRAPPERS
         }
         assert called == {}
+
+    @pytest.mark.parametrize("subscripts", ["...j,j->...", "...j,...j->..."])
+    @pytest.mark.parametrize("shape", [(50,), (7, 50)])
+    def test_c_einsum_entry_is_np_einsum(self, subscripts, shape):
+        # the kernels call np.einsum's C entry directly; a numpy that moves
+        # or changes it must fail here, not change a statistic's bits
+        rng = np.random.default_rng(13)
+        a = rng.standard_normal(shape)
+        b = rng.standard_normal(50 if subscripts == "...j,j->..." else shape)
+        got = skewtests._einsum(subscripts, a, b)
+        want = np.einsum(subscripts, a, b, optimize=False)
+        assert type(got) is type(want)
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 def _independent_sw_weights(n):
