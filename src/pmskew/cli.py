@@ -125,10 +125,6 @@ def _emit(args, header, rows, **meta) -> None:
     _write_output(text, args.out)
 
 
-def _summary(message: str) -> None:
-    print(message, file=sys.stderr)
-
-
 def _list(text: str, convert=float, what="numbers") -> list:
     """The comma-separated items of text, each through convert; blank
     items are skipped."""
@@ -219,8 +215,8 @@ def cmd_test(args) -> int:
     ]
     _emit(args, header, rows, n=sample.n)
     for message in failures:
-        _summary(f"warning: {message}")
-    _summary(f"test: n={sample.n}, {len(rows)} tests")
+        print(f"warning: {message}", file=sys.stderr)
+    print(f"test: n={sample.n}, {len(rows)} tests", file=sys.stderr)
     return 1 if any_undefined else 0
 
 
@@ -234,9 +230,10 @@ def cmd_calibrate(args) -> int:
     ]
     header = ["n", "reps", "level", "rejection_rate", "undefined"]
     _emit(args, header, rows, seed=args.seed)
-    _summary(
+    print(
         f"calibrate: {len(rows)} rows ({len(ns)} n x {len(levels)} levels), "
-        f"reps={args.reps}, seed={args.seed}"
+        f"reps={args.reps}, seed={args.seed}",
+        file=sys.stderr,
     )
     return 0
 
@@ -271,10 +268,11 @@ def cmd_power(args) -> int:
     ]
     header = ["alt", "n", "reps", "level", "test", "power", "undefined"]
     _emit(args, header, rows, seed=args.seed)
-    _summary(
+    print(
         f"power: alt={alt.label}, {len(rows)} rows, reps={args.reps}, "
         f"level={args.level:g}, criticals={args.critical_values}, "
-        f"seed={args.seed}"
+        f"seed={args.seed}",
+        file=sys.stderr,
     )
     return 0
 
@@ -308,10 +306,11 @@ def cmd_hist(args) -> int:
         reps=result.reps,
         out_of_range=result.out_of_range,
     )
-    _summary(
+    print(
         f"hist: stat={result.statistic_name}, n={result.n}, "
         f"reps={result.reps}, bins={len(rows)}, "
-        f"out_of_range={result.out_of_range}, seed={args.seed}"
+        f"out_of_range={result.out_of_range}, seed={args.seed}",
+        file=sys.stderr,
     )
     return 0
 
@@ -324,9 +323,10 @@ def cmd_moments(args) -> int:
     ]
     header = ["n", "reps", "quantity", "empirical", "series", "se"]
     _emit(args, header, rows, seed=args.seed)
-    _summary(
+    print(
         f"moments: n={result.n}, reps={result.reps}, "
-        f"undefined={result.undefined_count}, seed={args.seed}"
+        f"undefined={result.undefined_count}, seed={args.seed}",
+        file=sys.stderr,
     )
     return 0
 

@@ -153,9 +153,11 @@ POWER_STUDY_ALTERNATIVES = (
 
 def check_int(name: str, v, lo=0, hi=2**64) -> int:
     """v as an int, or InvalidParamsError naming it unless v is an integer
-    (Python or numpy; never a float or a string) with lo <= v < hi. The
-    default range is a 64-bit Philox key word."""
+    (Python or numpy; never a bool, a float or a string) with
+    lo <= v < hi. The default range is a 64-bit Philox key word."""
     try:
+        if isinstance(v, bool):  # operator.index reads it as 0 or 1
+            raise TypeError
         i = operator.index(v)
     except TypeError:
         raise InvalidParamsError(f"{name} must be an integer, got {v!r}") from None

@@ -40,11 +40,12 @@ warning at any scale a Sample accepts.
 Every constant a test takes from n alone (the S_U transforms of spms and
 sqrt(b1), Shapiro-Wilk's lower-half weights and z constants,
 Lin-Mudholkar's sqrt(n/3)) sits in one _SizeConstants record per n, which
-the scalar tests and the Monte Carlo chunks both read. A record is built
-on first use and kept until the records fill 16 MiB (every n in 8..5000
-would count 52.6 MiB, 47.7 of it weights); nothing is evicted. The last
-n past the budget keeps its record in one slot, so the tests of a Sample
-or the kernels of a chunk build it once. Each value has the same bits
+the scalar tests and the Monte Carlo chunks both read. A record for an n
+up to SW_MAX_N = 5000 is built on first use and kept; nothing is evicted.
+That range is finite, so the kept records never hold more than all 4,993
+of them do: 51.9 MiB, 47.7 of it weights. A record above SW_MAX_N holds no
+weights; the latest one is kept in one slot, so the tests of a Sample or
+the kernels of a chunk build it once. Each value has the same bits
 either way.
 """
 
@@ -53,7 +54,6 @@ from __future__ import annotations
 import enum
 import math
 import numbers
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +63,7 @@ from scipy.special import ndtr, ndtri
 # default): its Python wrapper costs more than a 1-D row's dot product
 from numpy._core.multiarray import c_einsum as _einsum
 
+from .distributions import check_int
 from .errors import InvalidLevelError, SampleTooLargeError
 from .moments import MomentSummary, Sample, _quiet, _row_mean, central_moments
 # bound at import, so a record never keeps bench/tracing.py's su_params wrapper
@@ -153,6 +154,9 @@ class SeriesState:
     V: float
     W: float
     n: int
+
+    def __post_init__(self):
+        check_int("n", self.n, lo=1)
 
     @classmethod
     def from_sample(cls, sample: Sample) -> "SeriesState":
@@ -297,51 +301,35 @@ class _SizeConstants:
     b1: SuTransform  # sqrt(b1)'s exact-moment transform, _sqrt_b1_constants(n)
     sw: tuple | None
     lm_scale: float  # Lin-Mudholkar's sqrt(n / 3)
-    nbytes: int  # what the record counts against _STORE_BYTES
 
 
-# a record's Python objects, weights aside: 530 to 790 bytes (tracemalloc)
-_RECORD_BYTES = 1024
-# records by n, read without the lock: an entry is only ever added, whole,
-# under _store_lock
-_STORE_BYTES = 16 * 2**20
+# records by n up to SW_MAX_N, read without a lock: an entry is only ever
+# added, whole, by setdefault
 _store: dict[int, _SizeConstants] = {}
-_store_nbytes = 0
-_store_lock = threading.Lock()
-# (n, record) of the last n the budget refused, replaced whole under
-# _store_lock and read without it
-_refused = (None, None)
+# (n, record) of the latest n above SW_MAX_N, replaced whole
+_large = (None, None)
 
 
 def _size_constants(n) -> _SizeConstants:
     """A new record for n, or check_n's error for an n no test accepts."""
     n = check_n(n)
     sw = _sw_constants(n) if n <= SW_MAX_N else None
-    nbytes = _RECORD_BYTES + (sw[0].nbytes if sw else 0)
-    return _SizeConstants(
-        su_params(n), _sqrt_b1_constants(n), sw, math.sqrt(n / 3.0), nbytes
-    )
+    return _SizeConstants(su_params(n), _sqrt_b1_constants(n), sw, math.sqrt(n / 3.0))
 
 
 def _constants(n) -> _SizeConstants:
-    """n's record, kept from its first use until the records fill
-    _STORE_BYTES. Nothing is evicted: sizes cycling through more than the
-    budget holds would make a least-recently-used cache always miss. A
-    refused record is kept in _refused until another n is refused."""
-    global _store_nbytes, _refused
+    """n's record, kept in _store from its first use if n <= SW_MAX_N,
+    else in _large until another n above SW_MAX_N is looked up."""
+    global _large
     rec = _store.get(n)
     if rec is None:
-        refused_n, rec = _refused
-        if refused_n != n:
+        large_n, rec = _large
+        if large_n != n:
             rec = _size_constants(n)
-            with _store_lock:
-                if n in _store:  # another thread may have stored n first
-                    rec = _store[n]
-                elif _store_nbytes + rec.nbytes <= _STORE_BYTES:
-                    _store[n] = rec
-                    _store_nbytes += rec.nbytes
-                else:
-                    _refused = n, rec
+            if n <= SW_MAX_N:
+                rec = _store.setdefault(n, rec)  # another thread may be first
+            else:
+                _large = n, rec
     return rec
 
 

@@ -184,7 +184,8 @@ class SuTransform:
     alpha: float
 
     def z(self, spms_value):
-        """Map spms values to approximately standard normal Z.
+        """Map spms values, or sqrt(b1) values through sqrt(b1)'s
+        transform, to approximately standard normal Z.
 
         Accepts scalars or arrays; Z = delta * asinh(Y/alpha) with
         Y = spms_value / sqrt(lambda2). The asinh form is used instead of

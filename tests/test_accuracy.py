@@ -1,4 +1,4 @@
-"""Accuracy of the raw statistics against an exact oracle.
+"""Accuracy of the raw statistics and their z values against an oracle.
 
 The byte contract (test_byte_contract.py) pins bits, and bits are per
 numpy build and CPU. This file states the part of the contract that holds
@@ -30,6 +30,18 @@ conditioning the scaled ulps leave out. sqrt(b1)'s worst is a lognormal
 sample at n = 8 with sqrt(b1) = -0.0118, whose third moment cancels (its
 condition number is 119). r's worst is at n = 5000, where the cube-rooted
 proxies agree to about 1/n of their size, so centring them cancels too.
+
+Each test's z is checked on the same corpus: the library's float raw
+statistic and the float constants of n's record go through the test's
+formula in mpmath at 50 digits (delta * asinh((v / sqrt(lambda2)) / alpha)
+for spms and sqrt(b1), atanh(r) * sqrt(n/3) for Lin-Mudholkar, AS R94's
+log(max(1 - W, 1e-19)) with its gamma branch at n <= 11 for
+Shapiro-Wilk), so the oracle checks the rounding of the transform alone.
+The error is taken relative to max(|z|, 1), so a z near 0 does not blow
+it up, in units of 2**-52. Worst measured, dispatch targets on / off:
+spms 0.69 / 0.74, sqrt(b1) 1.02 / 1.02, Shapiro-Wilk 4.23 / 4.23 (a
+beta(3,2) sample at n = 8, the gamma branch) and Lin-Mudholkar 0.54 /
+0.69; each bound is about twice the larger.
 """
 
 import functools
@@ -50,7 +62,9 @@ from pmskew import (
     sample,
     shapiro_wilk_test,
     spms_test,
+    sqrt_b1_test,
 )
+from pmskew import skewtests
 from test_skewtests import _independent_sw_weights
 
 SPECS = (AlternativeSpec.parse("normal"),) + POWER_STUDY_ALTERNATIVES
@@ -58,6 +72,14 @@ SIZES = tuple(int(n) for n in np.geomspace(8, 5000, 6).round())
 
 # worst error allowed, in ulps (condition-scaled for spms and r)
 BOUNDS = {"sqrt_b1": 500.0, "b2": 12.0, "spms": 40.0, "r": 460.0, "w": 55.0}
+# worst z error allowed, relative to max(|z|, 1), in units of 2**-52
+Z_BOUNDS = {"spms": 1.5, "sqrt_b1": 2.0, "shapiro_wilk": 8.5, "lin_mudholkar": 1.4}
+Z_TESTS = {
+    "spms": spms_test,
+    "sqrt_b1": sqrt_b1_test,
+    "shapiro_wilk": shapiro_wilk_test,
+    "lin_mudholkar": lin_mudholkar_test,
+}
 
 
 def _corpus():
@@ -216,3 +238,48 @@ def test_exact_agrees_with_direct_evaluation(n):
                 with mpmath.workdps(50):
                     err = abs(exact[name][0] - want) / abs(want)
                 assert err <= 1e-40, (name, label, scale)
+
+
+def _z_oracle(test: str, raw: float, rec):
+    """The z of the float raw statistic through n's record of float
+    constants rec, in mpmath at 50 digits: the formula each test's
+    kernel rounds step by step."""
+    with mpmath.workdps(50):
+        v = mpmath.mpf(raw)
+        if test in ("spms", "sqrt_b1"):
+            su = rec.su if test == "spms" else rec.b1
+            return su.delta * mpmath.asinh((v / mpmath.sqrt(su.lambda2)) / su.alpha)
+        if test == "lin_mudholkar":
+            return mpmath.atanh(v) * rec.lm_scale
+        # AS R94: y = log(1 - W) with 1 - W floored at 1e-19, then
+        # -log(gamma - y) at n <= 11
+        _, mu, sigma, gamma = rec.sw
+        y = mpmath.log(max(1 - v, mpmath.mpf(skewtests._SW_TINY)))
+        if gamma is not None:
+            y = -mpmath.log(gamma - y)
+        return (y - mu) / sigma
+
+
+@functools.cache
+def _worst_z_errors():
+    """{test: (worst error, label, n, scale)} over the corpus, the error
+    of the library's z relative to max(|z|, 1), in units of 2**-52."""
+    worst = {}
+    for label, n, scale, s in _corpus():
+        rec = skewtests._constants(n)
+        for name, test in Z_TESTS.items():
+            result = test(s)
+            assert result.defined, (name, label, n, scale)
+            exact = _z_oracle(name, result.raw_statistic, rec)
+            with mpmath.workdps(50):
+                err = abs(mpmath.mpf(result.z_value) - exact) / max(abs(exact), 1)
+            err = float(err) / 2.0**-52
+            if err >= worst.get(name, (-1.0,))[0]:
+                worst[name] = (err, label, n, scale)
+    return worst
+
+
+@pytest.mark.parametrize("test", sorted(Z_BOUNDS))
+def test_mpmath_worst_error_of_z_within_bound(test):
+    err, label, n, scale = _worst_z_errors()[test]
+    assert err <= Z_BOUNDS[test], f"{test}: {err:.2f} at {label} n={n} scale={scale:g}"

@@ -10,8 +10,8 @@ check that each scalar test on a Sample equals its chunk row bit for bit:
 a Sample's tests finish on scalars, through the same numpy loops as a
 chunk row where a step rounds and Python comparisons where it does not,
 and that must hold on the baseline loops too. It also runs
-test_accuracy.py's bounds on each raw statistic's error, which must hold
-on every loop. The variable is set in the child's environment only.
+test_accuracy.py's bounds on the error of each raw statistic and of each
+test's z, which must hold on every loop. The variable is set in the child's environment only.
 """
 
 import os
@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 import pmskew
-from test_accuracy import BOUNDS
+from test_accuracy import BOUNDS, Z_BOUNDS
 from test_byte_contract import GOLDEN
 from test_skewtests import AGREEMENT_SIZES
 
@@ -79,6 +79,7 @@ def test_cli_digests_with_dispatch_targets_disabled():
     assert child.returncode == 0, child.stdout[-4000:] + child.stderr[-4000:]
     # every Monte Carlo digest at threads 1 and 2, the two `pmskew test`
     # digests, the agreement check at each of its row lengths and the
-    # accuracy bound of each raw statistic
-    expected = f"{2 * len(GOLDEN) + 2 + len(AGREEMENT_SIZES) + len(BOUNDS)} passed"
+    # accuracy bound of each raw statistic and of each test's z
+    count = 2 * len(GOLDEN) + 2 + len(AGREEMENT_SIZES) + len(BOUNDS) + len(Z_BOUNDS)
+    expected = f"{count} passed"
     assert child.stdout.splitlines()[-1].startswith(expected), child.stdout

@@ -1235,6 +1235,7 @@ _BAD_COUNTS = [
     ("threads", 0), ("threads", -3), ("threads", 2.5), ("threads", "2"),
     ("threads", 1025),
     ("seed", 1.7), ("seed", "3"), ("reps", 100.9),
+    ("reps", True), ("seed", True), ("threads", True),
 ]
 
 

@@ -150,6 +150,21 @@ class TestSpmsSeries:
         x = _seeded(50, seed=5, skew=0.3) * scale
         assert math.isnan(spms_series(SeriesState.from_sample(Sample(x))))
 
+    @pytest.mark.parametrize("n, match", [
+        (0, "n must be >= 1, got 0"),
+        (-4, "n must be >= 1, got -4"),
+        (2.5, "n must be an integer, got 2.5"),
+    ])
+    def test_state_needs_a_positive_integer_n(self, n, match):
+        # these gave ZeroDivisionError, a math domain error and 3.037
+        with pytest.raises(pk.InvalidParamsError, match=match):
+            SeriesState(1.0, 1.0, 1.0, n)
+
+    def test_state_of_a_sample_too_small_for_the_tests(self):
+        st = SeriesState.from_sample(Sample(np.array([0.0, 1.0, 2.0, 3.0, 7.0])))
+        assert st.n == 5
+        assert math.isfinite(spms_series(st))
+
     def test_from_sample_state(self):
         x = _seeded(200, seed=4, skew=0.3)
         s = central_moments(Sample(x))
@@ -780,10 +795,10 @@ def _same_bits(a, b):
 
 @pytest.fixture
 def store(monkeypatch):
-    """skewtests' store of per-n records, empty for the test's duration."""
+    """skewtests' store of per-n records, and its slot for the latest n
+    above SW_MAX_N, empty for the test's duration."""
     monkeypatch.setattr(skewtests, "_store", {})
-    monkeypatch.setattr(skewtests, "_store_nbytes", 0)
-    monkeypatch.setattr(skewtests, "_refused", (None, None))
+    monkeypatch.setattr(skewtests, "_large", (None, None))
     return skewtests._store
 
 
@@ -830,11 +845,12 @@ def _scalar_results(x):
 
 
 class TestSizeConstantStore:
-    """skewtests keeps one record of per-n constants for each n (the S_U
-    transform, sqrt(b1)'s constants, the read-only lower-half Shapiro-Wilk
-    weights and their z constants, Lin-Mudholkar's scale) until the
-    records fill a byte budget, and never evicts one; a kept, a new and a
-    refused record give results with the same bits."""
+    """skewtests keeps one record of per-n constants for each n up to
+    SW_MAX_N (the S_U transform, sqrt(b1)'s constants, the read-only
+    lower-half Shapiro-Wilk weights and their z constants, Lin-Mudholkar's
+    scale) and never evicts one; above SW_MAX_N it keeps only the latest
+    n's record. A kept, a new and a rebuilt record give results with the
+    same bits."""
 
     @staticmethod
     def _ndtri_spy(monkeypatch):
@@ -883,21 +899,21 @@ class TestSizeConstantStore:
         results = _scalar_results(x)
         assert results[2] is SampleTooLargeError
         assert all(type(r) is tuple for i, r in enumerate(results) if i != 2)
-        assert store[x.size].sw is None
-        assert store[x.size].nbytes == skewtests._RECORD_BYTES
+        large_n, rec = skewtests._large
+        assert large_n == x.size and rec.sw is None
+        assert not store
 
     @pytest.mark.parametrize("n", [8, 11, 12, 20, 4999, 5000, 5001, 20000])
-    def test_cold_warm_and_refused_results_agree(self, store, monkeypatch, n):
+    def test_kept_new_and_rebuilt_results_agree(self, store, monkeypatch, n):
         x = _seeded(n, seed=n, skew=0.3)
-        cold = _scalar_results(x)
-        assert n in store
-        warm = _scalar_results(x)
+        new = _scalar_results(x)
+        assert (n in store) == (n <= skewtests.SW_MAX_N)
+        assert (skewtests._large[0] == n) == (n > skewtests.SW_MAX_N)
+        kept = _scalar_results(x)
         store.clear()
-        monkeypatch.setattr(skewtests, "_store_nbytes", 0)
-        monkeypatch.setattr(skewtests, "_STORE_BYTES", 0)
-        refused = _scalar_results(x)
-        assert n not in store
-        assert cold == warm == refused
+        monkeypatch.setattr(skewtests, "_large", (None, None))
+        rebuilt = _scalar_results(x)
+        assert new == kept == rebuilt
 
     def test_record_transform_equals_su_params_at_every_n(self, store):
         # and sqrt(b1)'s transform equals D'Agostino's exact-moment fit,
@@ -921,16 +937,24 @@ class TestSizeConstantStore:
                 assert b1.z(v).hex() == b1.z(np.float64(v)).hex() == z.hex(), (n, v)
             assert b1.z(np.array(values)).tobytes() == np.array(zs).tobytes(), n
 
-    def test_refused_size_builds_one_record_per_sample_and_chunk(
+    def test_every_size_up_to_sw_max_n_is_kept_and_no_larger_one(self, store):
+        # the store's ceiling: all 4,993 records, 49,999,904 bytes of weights
+        sizes = range(8, skewtests.SW_MAX_N + 1)
+        for n in sizes:
+            skewtests._constants(n)
+        for n in (5001, 20000, 5001, 6000):
+            assert skewtests._constants(n).su.n == n
+            assert skewtests._large[0] == n
+        assert sorted(store) == list(sizes)
+        assert sum(r.sw[0].nbytes for r in store.values()) == 49_999_904
+        assert all(not r.sw[0].flags.writeable for r in store.values())
+
+    def test_large_size_builds_one_record_per_sample_and_chunk(
         self, store, monkeypatch
     ):
-        # past the budget, the four tests of one Sample, and the kernels of
+        # above SW_MAX_N, the four tests of one Sample, and the kernels of
         # one chunk, share one build of the record
-        x = _seeded(300, seed=15, skew=0.4)
-        kept = _scalar_results(x)
-        store.clear()
-        monkeypatch.setattr(skewtests, "_store_nbytes", 0)
-        monkeypatch.setattr(skewtests, "_STORE_BYTES", 0)
+        n = skewtests.SW_MAX_N + 1
         builds = []
         build = skewtests._size_constants
 
@@ -939,32 +963,14 @@ class TestSizeConstantStore:
             return build(n)
 
         monkeypatch.setattr(skewtests, "_size_constants", spy)
-        assert _scalar_results(x) == kept
-        assert builds == [300]
+        _scalar_results(_seeded(n, seed=15, skew=0.4))
+        assert builds == [n]
+        tests = tuple(t for t in pk.ALL_TESTS if t is not pk.TestName.SHAPIRO_WILK)
         montecarlo._chunk_kernels(
-            pk.AlternativeSpec.parse("gamma:2"), (40,), 3, (0, 64), pk.ALL_TESTS
+            pk.AlternativeSpec.parse("gamma:2"), (n + 1,), 3, (0, 16), tests
         )
-        assert builds == [300, 40]
+        assert builds == [n, n + 1]
         assert not store
-
-    def test_store_never_exceeds_its_budget(self, store, monkeypatch):
-        budget = 16384
-        monkeypatch.setattr(skewtests, "_STORE_BYTES", budget)
-        sizes = list(range(8, 400, 7))
-        for n in sizes + sizes:
-            c = _sw_weights(n)
-            kept = sum(r.nbytes for r in store.values())
-            assert kept == skewtests._store_nbytes <= budget
-            assert _same_bits(c, _independent_sw_weights(n)), n
-        refused = [n for n in sizes if n not in store]
-        assert store and refused
-        assert all(not r.sw[0].flags.writeable for r in store.values())
-        # a refused size is built afresh on every call
-        calls = self._ndtri_spy(monkeypatch)
-        for n in refused:
-            c = _sw_weights(n)
-            assert _same_bits(c, _independent_sw_weights(n))
-        assert calls == [n // 2 for n in refused]
 
     def test_racing_threads_keep_one_record_and_equal_bytes(self, store):
         sizes = range(2000, 2016)
@@ -996,14 +1002,10 @@ class TestSizeConstantStore:
             c = skewtests._sw_coefficients(store[n].sw[0], n)
             assert _same_bits(c, _independent_sw_weights(n))
         assert sorted(store) == list(sizes)
-        assert skewtests._store_nbytes == sum(r.nbytes for r in store.values())
 
-    def test_racing_threads_past_the_budget_get_their_own_record(
-        self, store, monkeypatch
-    ):
-        # every size is refused, so the threads keep replacing the one
-        # refused slot: a lookup must never return another size's record
-        monkeypatch.setattr(skewtests, "_STORE_BYTES", 0)
+    def test_racing_threads_above_sw_max_n_get_their_own_record(self, store):
+        # the threads keep replacing the one slot for sizes above
+        # SW_MAX_N: a lookup must never return another size's record
         threads, rounds = 8, 40
         barrier = threading.Barrier(threads, timeout=60)
         wrong = []
@@ -1011,7 +1013,8 @@ class TestSizeConstantStore:
         def race(k):
             barrier.wait()
             for i in range(rounds):
-                n = 8 + (k + i) % 3  # three sizes shared by all threads
+                # three sizes shared by all threads
+                n = skewtests.SW_MAX_N + 1 + (k + i) % 3
                 rec = skewtests._constants(n)
                 if not rec.su.n == rec.b1.n == n:
                     wrong.append((n, rec.su.n))

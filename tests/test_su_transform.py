@@ -167,8 +167,8 @@ class TestSuParams:
         su_params(8)
 
     @pytest.mark.parametrize(
-        "n", [100.0, np.float64(100), [100], "100"],
-        ids=["float", "np_float64", "list", "str"],
+        "n", [100.0, np.float64(100), [100], "100", True],
+        ids=["float", "np_float64", "list", "str", "bool"],
     )
     def test_argument_rule_after_a_valid_call(self, n):
         # the rule is checked ahead of any shortcut: a memo keyed on n
@@ -177,11 +177,6 @@ class TestSuParams:
         su_params(100)
         with pytest.raises(InvalidParamsError):
             su_params(n)
-
-    def test_bool_is_a_too_small_integer(self):
-        su_params(100)
-        with pytest.raises(SampleTooSmallError):
-            su_params(True)
 
 
 class TestZTransform:
