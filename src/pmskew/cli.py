@@ -16,10 +16,10 @@ invocation or configuration, 3 I/O failure.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -142,19 +142,9 @@ def _sizes(text: str) -> list[int]:
     return ns
 
 
-def _resolve_threads(value) -> int:
-    """--threads, else PMSKEW_THREADS, else 1; the experiments check it."""
-    if value is not None:
-        return value
-    raw = os.environ.get("PMSKEW_THREADS", "1")
-    try:
-        return int(raw)
-    except ValueError:
-        raise InvalidConfigError(f"PMSKEW_THREADS must be an integer: {raw!r}")
-
-
 def _read_sample(path: str, col: int | None) -> Sample:
-    """Parse one number per line, or column `col` (1-based) of a CSV.
+    """Parse one number per line, or column `col` (1-based) of a CSV,
+    each line split into fields as RFC 4180 quotes them.
 
     Blank lines are ignored. Any other non-numeric content is a ParseError
     naming the offending line; there is no header detection. A file and
@@ -174,7 +164,10 @@ def _read_sample(path: str, col: int | None) -> Sample:
         if col is None:
             token = line.strip()
         else:
-            fields = line.split(",")
+            try:
+                fields = next(csv.reader([line]))
+            except csv.Error as exc:  # a field over csv.field_size_limit()
+                raise ParseError(f"line {lineno}: {exc}", line=lineno)
             if col > len(fields):
                 raise ParseError(
                     f"line {lineno}: no column {col} (found {len(fields)})",
@@ -344,8 +337,8 @@ def _add_common(sub):
     sub.add_argument(
         "--threads",
         type=int,
-        default=None,
-        help="worker threads (default: PMSKEW_THREADS or 1; never changes output)",
+        default=1,
+        help="worker threads, 1 to 1024 (default: %(default)s); never changes output",
     )
     _add_output(sub)
 
@@ -425,11 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if "threads" in args:
-            args.threads = _resolve_threads(args.threads)
         return args.func(args)
     except _DATA_ERRORS as exc:
         print(f"pmskew: error: {exc}", file=sys.stderr)

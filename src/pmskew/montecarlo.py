@@ -16,15 +16,15 @@ many follow, so each replication is drawn once, at the largest n, and
 every n reads a view of the drawn rows' first n values. A running chunk
 takes its four blocks (the draw; the centred rows; the Shapiro-Wilk sort
 buffer that then holds the moments' powers and Lin-Mudholkar's s1; and
-Lin-Mudholkar's y) from a workspace of four buffers of max(CHUNK_SIZE, n)
-values, at any number of sizes, built on first use and kept on a free
-list for later chunks, so no chunk faults its blocks in afresh;
-_draw_chunk, _batch_sw, centred_moment_arrays and _batch_lm_z take them
-as caller-supplied arrays. No kernel writes to the drawn block, and no
-array a chunk returns is a view of one. Every statistic of a row is
-computed from that row alone, with summation orders that do not depend
-on how many rows share its chunk, so the rows per chunk change no result
-either.
+Lin-Mudholkar's y) from a workspace of four CHUNK_SIZE buffers, at any
+number of sizes, built on first use and kept on a free list for later
+chunks, so no chunk faults its blocks in afresh (a row longer than
+CHUNK_SIZE gets blocks of its own, never kept); _draw_chunk, _batch_sw,
+centred_moment_arrays and _batch_lm_z take them as caller-supplied
+arrays. No kernel writes to the drawn block, and no array a chunk
+returns is a view of one. Every statistic of a row is computed from that
+row alone, with summation orders that do not depend on how many rows
+share its chunk, so the rows per chunk change no result either.
 
 Each chunk builds one Philox generator and, before each replication r,
 re-keys it to (seed, r) with counter 0 (distributions.stream_rekeyer).
@@ -242,26 +242,26 @@ def _draw_chunk(spec, n, seed, span, base=0, out=None):
     return x
 
 
-# idle workspaces: each is four flat float64 buffers, reused by one
-# running chunk at a time; list.pop and list.append are atomic, so no lock
+# idle workspaces: each is four flat CHUNK_SIZE float64 buffers, reused by
+# one running chunk at a time; list.pop and list.append are atomic, so no lock
 _workspaces = []
 
 
 @contextlib.contextmanager
 def _chunk_blocks(rows, n):
     """Four C-contiguous (rows, n) float64 blocks for one chunk (the draw,
-    and _chunk_statistics' d, tmp and y), viewed from a workspace of the
-    free list; one of four buffers of max(CHUNK_SIZE, rows * n) values is
-    built if the list is empty or its workspace is smaller. The workspace
-    goes back to the list afterwards, so its pages stay faulted in for
-    the next chunk."""
+    and _chunk_statistics' d, tmp and y), viewed from a (4, CHUNK_SIZE)
+    workspace of the free list, built if it is empty and put back after,
+    so its pages stay faulted in for the next chunk; only budget-sized
+    workspaces are kept, so a longer row gets four blocks of its own."""
     size = rows * n
+    if size > CHUNK_SIZE:
+        yield list(np.empty((4, rows, n)))
+        return
     try:
         ws = _workspaces.pop()
     except IndexError:
-        ws = None
-    if ws is None or ws.shape[1] < size:
-        ws = np.empty((4, max(CHUNK_SIZE, size)))
+        ws = np.empty((4, CHUNK_SIZE))
     try:
         yield [b[:size].reshape(rows, n) for b in ws]
     finally:

@@ -64,7 +64,7 @@ from scipy.special import ndtr, ndtri
 from numpy._core.multiarray import c_einsum as _einsum
 
 from .distributions import check_int
-from .errors import InvalidLevelError, SampleTooLargeError
+from .errors import InvalidLevelError, InvalidParamsError, SampleTooLargeError
 from .moments import MomentSummary, Sample, _quiet, _row_mean, central_moments
 # bound at import, so a record never keeps bench/tracing.py's su_params wrapper
 from .su_transform import SuTransform, check_n, su_params
@@ -147,7 +147,7 @@ class SeriesState:
     """Scaled moment deviations feeding the spms power series.
 
     U = sqrt(n)*(m2 - 1), V = sqrt(n)*m3, W = sqrt(n)*(m4 - 3) for the
-    generating sample.
+    generating sample, kept as Python floats (and n as an int).
     """
 
     U: float
@@ -156,7 +156,16 @@ class SeriesState:
     n: int
 
     def __post_init__(self):
-        check_int("n", self.n, lo=1)
+        for name in ("U", "V", "W"):
+            value = getattr(self, name)
+            try:
+                if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                    raise TypeError
+                object.__setattr__(self, name, float(value))
+            except (TypeError, OverflowError):
+                msg = f"{name} must be a real number, got {value!r}"
+                raise InvalidParamsError(msg) from None
+        object.__setattr__(self, "n", check_int("n", self.n, lo=1))
 
     @classmethod
     def from_sample(cls, sample: Sample) -> "SeriesState":

@@ -150,6 +150,42 @@ class TestTestCommand:
         assert code == 1
         assert "line 1" in err
 
+    @pytest.mark.parametrize(
+        "row, col",
+        [('"a,{i}",{v}', "2"), ('"{v}",x', "1")],
+        ids=["comma_in_quotes", "quoted_number"],
+    )
+    def test_quoted_csv_fields(self, capsys, tmp_path, row, col):
+        values = np.linspace(-2, 2, 20) ** 3
+        plain = tmp_path / "plain.txt"
+        plain.write_text("".join(f"{v}\n" for v in values))
+        code, want, _ = run(capsys, "test", str(plain))
+        assert code == 0
+        path = tmp_path / "quoted.csv"
+        path.write_text(
+            "".join(row.format(i=i, v=v) + "\n" for i, v in enumerate(values))
+        )
+        # a plain comma split failed both: not a number: '0"', '"-8.0"'
+        code, out, _ = run(capsys, "test", str(path), "--col", col)
+        assert code == 0
+        assert out == want
+
+    def test_missing_column_counts_csv_fields(self, capsys, tmp_path):
+        path = tmp_path / "quoted.csv"
+        path.write_text('"a,b",1.5\n"c",2.5\n')
+        code, out, err = run(capsys, "test", str(path), "--col", "3")
+        assert code == 1
+        assert out == ""
+        assert err == "pmskew: error: line 1: no column 3 (found 2)\n"
+
+    def test_field_over_the_csv_limit_is_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text("1," + "0" * (csv.field_size_limit() + 1) + "\n")
+        code, out, err = run(capsys, "test", str(path), "--col", "2")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("pmskew: error: line 1: field larger than field limit")
+
     @pytest.mark.parametrize("col", ["0", "-1"])
     @pytest.mark.parametrize(
         "text", ["1.0,2.0\n3.0,4.0\n", "\n\n"], ids=["csv", "blank_lines"]
@@ -680,42 +716,41 @@ class TestDeterminismAndOutput:
         capsys.readouterr()
         assert out1.read_bytes() == out3.read_bytes()
 
-    def test_env_var_thread_default(self, tmp_path, capsys, monkeypatch):
-        out1 = tmp_path / "a.csv"
-        out2 = tmp_path / "b.csv"
-        base = ["hist", "--n", "12", "--reps", "900", "--seed", "5"]
-        assert main(base + ["--threads", "1", "--out", str(out1)]) == 0
-        monkeypatch.setenv("PMSKEW_THREADS", "2")
-        assert main(base + ["--out", str(out2)]) == 0
-        capsys.readouterr()
-        assert out1.read_bytes() == out2.read_bytes()
+    def test_threads_default_to_1(self, capsys, monkeypatch):
+        seen = []
 
-    def test_garbage_env_var_is_config_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("PMSKEW_THREADS", "many")
-        code, _, err = run(capsys, "moments", "--n", "20", "--reps", "100")
-        assert code == 2
-        assert "PMSKEW_THREADS" in err
+        def recording(ns, reps, levels, seed, threads):
+            seen.append(threads)
+            return []
+
+        monkeypatch.setattr("pmskew.cli.calibrate_curve", recording)
+        code, _, _ = run(capsys, "calibrate", "--n", "20", "--reps", "100")
+        assert code == 0
+        assert seen == [1]
+
+    @pytest.mark.parametrize("env", ["many", "0", "1025"])
+    def test_threads_env_var_changes_nothing(self, capsys, monkeypatch, env):
+        # PMSKEW_THREADS is not read: "many" used to exit 2
+        argv = ["moments", "--n", "20", "--reps", "100"]
+        code, want, _ = run(capsys, *argv, "--threads", "1")
+        assert code == 0
+        monkeypatch.setenv("PMSKEW_THREADS", env)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == want
 
     @pytest.mark.parametrize(
-        "argv, env, rule",
+        "argv, rule",
         [
-            (["calibrate", "--n", "20", "--reps", "100", "--threads", "0"], None,
+            (["calibrate", "--n", "20", "--reps", "100", "--threads", "0"],
              ">= 1, got 0"),
-            (["calibrate", "--n", "20", "--reps", "100"], "0", ">= 1, got 0"),
-            (["hist", "--n", "20", "--reps", "100", "--threads", "0"], "2",
-             ">= 1, got 0"),
-            (["moments", "--n", "20", "--reps", "100"], "0", ">= 1, got 0"),
-            (["calibrate", "--n", "20", "--reps", "100", "--threads", "1025"], None,
-             "<= 1024, got 1025"),
-            (["power", "--alt", "gamma:2", "--n", "20", "--reps", "100"], "1025",
+            (["calibrate", "--n", "20", "--reps", "100", "--threads", "1025"],
              "<= 1024, got 1025"),
         ],
-        ids=["flag", "env", "flag_over_env", "env_moments", "flag_1025", "env_1025"],
+        ids=["flag", "flag_1025"],
     )
-    def test_zero_threads_exact_error_line(self, capsys, monkeypatch, argv, env, rule):
+    def test_zero_threads_exact_error_line(self, capsys, argv, rule):
         # only the rejection: no pool is started with a large thread count
-        if env is not None:
-            monkeypatch.setenv("PMSKEW_THREADS", env)
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""

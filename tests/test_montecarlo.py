@@ -639,9 +639,11 @@ class TestDrawRule:
 
 
 class TestWorkspace:
-    """Chunks reuse pooled blocks of four buffers at any number of sizes;
-    no output byte depends on them, no kernel writes to the drawn block,
-    and no result a chunk returns or a kept run holds is a view of one."""
+    """Chunks reuse pooled workspaces of four CHUNK_SIZE buffers at any
+    number of sizes, and a chunk longer than the budget uses four blocks
+    of its own, so every kept workspace is (4, CHUNK_SIZE); no output byte
+    depends on them, no kernel writes to the drawn block, and no result a
+    chunk returns or a kept run holds is a view of one."""
 
     SUBSETS = [
         tests
@@ -691,7 +693,7 @@ class TestWorkspace:
         assert montecarlo._workspaces
         assert all(ws.shape[0] == 4 for ws in montecarlo._workspaces)
 
-    def test_sample_larger_than_a_buffer_grows_it(self):
+    def test_sample_larger_than_a_buffer_keeps_no_workspace_of_it(self):
         n, reps, seed = montecarlo.CHUNK_SIZE + 1, 3, 6
         alt = AlternativeSpec.parse("lognormal:0,0.5")
         tests = (TN.SPMS, TN.SQRT_B1, TN.LIN_MUDHOLKAR)
@@ -699,7 +701,10 @@ class TestWorkspace:
             alt, n, reps, 0.05, tests=tests, seed=seed,
             critical_values="asymptotic",
         )
-        assert max(ws.shape[1] for ws in montecarlo._workspaces) >= n
+        # its chunks built blocks of their own and freed them
+        assert all(
+            ws.shape == (4, montecarlo.CHUNK_SIZE) for ws in montecarlo._workspaces
+        )
         su = su_params(n)
         counts = dict.fromkeys(tests, 0)
         for r in range(reps):

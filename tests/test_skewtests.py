@@ -160,6 +160,29 @@ class TestSpmsSeries:
         with pytest.raises(pk.InvalidParamsError, match=match):
             SeriesState(1.0, 1.0, 1.0, n)
 
+    def test_float32_state_is_evaluated_in_float64(self):
+        # a float32 state returned np.float32(0.10209495)
+        u, v, w = np.float32(0.3), np.float32(0.7), np.float32(-0.2)
+        got = spms_series(SeriesState(u, v, w, 20))
+        assert type(got) is float
+        assert got == spms_series(SeriesState(float(u), float(v), float(w), 20))
+
+    def test_numpy_integer_n_gives_a_python_float(self):
+        st = SeriesState(0.3, 0.7, -0.2, np.int64(20))
+        assert type(st.n) is int
+        got = spms_series(st)
+        assert type(got) is float
+        assert got == spms_series(SeriesState(0.3, 0.7, -0.2, 20))
+
+    @pytest.mark.parametrize(
+        "bad", ["0.3", True, None, 1 + 2j, 10**400],
+        ids=["str", "bool", "none", "complex", "int_past_float"],
+    )
+    def test_state_needs_real_moment_deviations(self, bad):
+        # a string was accepted, and spms_series then raised TypeError
+        with pytest.raises(pk.InvalidParamsError, match="U must be a real number"):
+            SeriesState(bad, 0.7, -0.2, 20)
+
     def test_state_of_a_sample_too_small_for_the_tests(self):
         st = SeriesState.from_sample(Sample(np.array([0.0, 1.0, 2.0, 3.0, 7.0])))
         assert st.n == 5
@@ -173,6 +196,11 @@ class TestSpmsSeries:
         assert st.U == pytest.approx(rn * (s.m2 - 1.0), rel=1e-13)
         assert st.V == pytest.approx(rn * s.m3, rel=1e-13)
         assert st.W == pytest.approx(rn * (s.m4 - 3.0), rel=1e-13)
+        # stored as Python floats with the bits of the expressions above
+        assert all(type(a) is float for a in (st.U, st.V, st.W))
+        assert (st.U, st.V, st.W) == (
+            float(rn * (s.m2 - 1.0)), float(rn * s.m3), float(rn * (s.m4 - 3.0))
+        )
 
     def test_series_tracks_statistic_on_null_samples(self):
         # standardized moments near (1, 0, 3): the four-order series must
