@@ -39,13 +39,13 @@ _quiet = np.errstate(over="ignore", divide="ignore", invalid="ignore")
 class Sample:
     """A finite list of real observations with positive variance.
 
-    Validation computes the mean, the deviations from it and their
-    centred_moment_arrays on the 1-D row, once, and keeps the deviations
-    read-only and the five moments as Python floats; central_moments and
-    the scalar tests in skewtests read them, however many tests a Sample
-    goes through. Moments that overflow near the float64 limits are inf
-    or NaN, without a numpy warning. Samples compare, and hash, by
-    identity.
+    Validation computes the mean, the deviations d from it, their
+    _squares and centred_moment_arrays on the 1-D row, once, and keeps d
+    and d*d read-only and the five moments as Python floats;
+    central_moments and the scalar tests in skewtests read them, however
+    many tests a Sample goes through. Moments that overflow near the
+    float64 limits are inf or NaN, without a numpy warning. Samples
+    compare, and hash, by identity.
 
     Parameters
     ----------
@@ -85,6 +85,10 @@ class Sample:
             # astype would parse strings as numbers and dates as counts
             if arr.dtype.kind in "cUSMm":
                 raise TypeError(f"{arr.dtype.name} values")
+            if arr.dtype.kind == "O" and any(
+                isinstance(v, (str, bytes)) for v in arr.flat
+            ):
+                raise TypeError("str or bytes values in an object array")
             arr = arr.astype(np.float64, copy=False)
         except (TypeError, ValueError, OverflowError) as e:
             raise InvalidParamsError(
@@ -106,7 +110,8 @@ class Sample:
         if not math.isfinite(mean) and not np.logical_and.reduce(np.isfinite(arr)):
             raise NonFiniteError("sample contains NaN or infinite values")
         d = arr - mean
-        moments = tuple(map(float, centred_moment_arrays(d)))
+        squares = _squares(d)
+        moments = tuple(map(float, centred_moment_arrays(d, *squares)))
         m2 = moments[0]
         if m2 * m2 == 0.0:
             # equal values, or a spread so small that m2 or its square
@@ -116,11 +121,12 @@ class Sample:
                 "moment ratios"
             )
         arr = arr.copy()
-        for a in (arr, d):
+        for a in (arr, d, squares[0]):
             a.flags.writeable = False
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "_mean", float(mean))
         object.__setattr__(self, "_centred", d)
+        object.__setattr__(self, "_squares", squares)
         object.__setattr__(self, "_moments", moments)
 
     @property
@@ -173,7 +179,8 @@ def central_moment_arrays(x: np.ndarray):
         Rows with zero variance yield NaN in sqrt_b1 and b2.
     """
     x = np.asarray(x, dtype=np.float64)
-    return centred_moment_arrays(x - _row_mean(x, keepdims=True))
+    d = x - _row_mean(x, keepdims=True)
+    return centred_moment_arrays(d, *_squares(d))
 
 
 def _row_mean(x: np.ndarray, keepdims: bool = False):
@@ -184,25 +191,27 @@ def _row_mean(x: np.ndarray, keepdims: bool = False):
     return np.add.reduce(x, axis=-1, keepdims=keepdims) / x.shape[-1]
 
 
-def centred_moment_arrays(d: np.ndarray, p=None):
+def _squares(d: np.ndarray, out=None):
+    """(d*d, into out if given, and its pairwise sums along the last axis)."""
+    sq = np.multiply(d, d, out=out)
+    return sq, np.add.reduce(sq, axis=-1)
+
+
+def centred_moment_arrays(d: np.ndarray, sq: np.ndarray, sq_sum, p=None):
     """central_moment_arrays of rows already centred by their own mean.
 
-    d, the deviations x - x.mean(axis=-1, keepdims=True), is left as it
-    is, so a caller can share one centred block between several
-    statistics. Apart from d, one block-sized temporary is used: p, a
-    float64 array of d's shape, overwritten, if given, else a new one. It
-    holds d^2, then d^2*d, then d^2 again and d^2*d^2, each rounded
-    exactly as the expressions (d*d)*d and (d*d)*(d*d) are. A 1-D d gives
-    numpy scalars, so m2^1.5 is np.power: ** on a numpy scalar goes
-    through numpy's scalar math, which rounds unlike the ufunc. Its
-    callers, not it, enter _quiet.
+    d, the deviations x - x.mean(axis=-1, keepdims=True), and its
+    _squares sq and sq_sum are only read, so callers can share them;
+    m2 = sq_sum / n has _row_mean's bits. p, a float64 array of d's
+    shape, overwritten, if given, else a new one, holds sq*d, then sq*sq.
+    A 1-D d gives numpy scalars, so m2^1.5 is np.power: ** on a numpy
+    scalar goes through numpy's scalar math, which rounds unlike the
+    ufunc. Its callers, not it, enter _quiet.
     """
-    p = np.multiply(d, d, out=p)
-    m2 = _row_mean(p)
-    p *= d
+    m2 = sq_sum / d.shape[-1]
+    p = np.multiply(sq, d, out=p)
     m3 = _row_mean(p)
-    np.multiply(d, d, out=p)
-    p *= p
+    np.multiply(sq, sq, out=p)
     m4 = _row_mean(p)
     sqrt_b1 = m3 / np.power(m2, 1.5)
     b2 = m4 / (m2 * m2)

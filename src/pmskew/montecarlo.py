@@ -16,12 +16,12 @@ many follow, so each replication is drawn once, at the largest n, and
 every n reads a view of the drawn rows' first n values. A running chunk
 takes its four blocks (the draw; the centred rows; the Shapiro-Wilk sort
 buffer that then holds the moments' powers and Lin-Mudholkar's s1; and
-Lin-Mudholkar's y) from a workspace of four CHUNK_SIZE buffers, at any
-number of sizes, built on first use and kept on a free list for later
-chunks, so no chunk faults its blocks in afresh (a row longer than
-CHUNK_SIZE gets blocks of its own, never kept); _draw_chunk, _batch_sw,
-centred_moment_arrays and _batch_lm_z take them as caller-supplied
-arrays. No kernel writes to the drawn block, and no array a chunk
+the rows' squares, then Lin-Mudholkar's proxy) from a workspace of four
+CHUNK_SIZE buffers, at any number of sizes, built on first use and kept
+on a free list for later chunks, so no chunk faults its blocks in afresh
+(a row longer than CHUNK_SIZE gets blocks of its own, never kept);
+_draw_chunk and the kernels take them as caller-supplied arrays. No
+kernel writes to the drawn block, and no array a chunk
 returns is a view of one. Every statistic of a row is computed from that
 row alone, with summation orders that do not depend on how many rows
 share its chunk, so the rows per chunk change no result either.
@@ -37,8 +37,8 @@ and a job of one chunk runs on the calling thread. A chunk whose largest
 n is at most _SERIAL_DRAW_MAX_N draws under one process-wide lock, while
 other chunks run their kernels: its rows are too short for numpy's fill
 to free the GIL for long. So threads=k pays as far as the kernels are a
-large share of a chunk. At each n the rows are then centred once, into a
-block of their own, which feeds the central moments and the Lin-Mudholkar
+large share of a chunk. At each n the rows are then centred, squared and
+their squares summed once, for the central moments and the Lin-Mudholkar
 kernel. Every test's kernel gives each chunk the same three row-wise
 arrays, (raw, z, defined) (see skewtests for when a row is defined); rows
 that are not defined are counted as undefined and never as rejections.
@@ -91,7 +91,7 @@ from .distributions import (
     stream_rekeyer,
 )
 from .errors import InvalidLevelError, InvalidParamsError
-from .moments import _quiet, _row_mean, centred_moment_arrays
+from .moments import _quiet, _row_mean, _squares, centred_moment_arrays
 from .skewtests import (
     TestName,
     _batch_lm_z,
@@ -437,25 +437,26 @@ def _chunk_statistics(x, tests, su, d=None, tmp=None, y=None):
 
     su is the S_U transform of the spms test at this n. x is left as it
     is: Shapiro-Wilk sorts a copy, and (unless it is the only test) the
-    rows are centred once into d, which feeds the central moments
-    (computed once, for spms and sqrt(b1)) and Lin-Mudholkar. d, tmp and
-    y are optional float64 blocks of x's shape for the kernels' arrays:
+    rows are centred once into d and squared once into y, which feed the
+    central moments (computed once, for spms and sqrt(b1)) and
+    Lin-Mudholkar. d, tmp and y are optional float64 blocks of x's shape:
     tmp holds the Shapiro-Wilk sort, then the moments' powers, then
-    Lin-Mudholkar's s1, and y its proxy.
+    Lin-Mudholkar's s1, and y the squares, then Lin-Mudholkar's proxy.
     """
     out = {}
     if TestName.SHAPIRO_WILK in tests:
         out[TestName.SHAPIRO_WILK] = _batch_sw(x, tmp)
     if tests != (TestName.SHAPIRO_WILK,):
         d = np.subtract(x, _row_mean(x, keepdims=True), out=d)
+        sq, sq_sum = _squares(d, y)
     if TestName.SPMS in tests or TestName.SQRT_B1 in tests:
-        moments = centred_moment_arrays(d, tmp)
+        moments = centred_moment_arrays(d, sq, sq_sum, tmp)
     if TestName.SPMS in tests:
         out[TestName.SPMS] = _batch_spms(moments, su)
     if TestName.SQRT_B1 in tests:
         out[TestName.SQRT_B1] = _batch_sqrt_b1_z(moments, x.shape[1])
     if TestName.LIN_MUDHOLKAR in tests:
-        out[TestName.LIN_MUDHOLKAR] = _batch_lm_z(d, y, tmp)
+        out[TestName.LIN_MUDHOLKAR] = _batch_lm_z(d, sq, sq_sum, sq, tmp)
     return out
 
 

@@ -28,10 +28,10 @@ NaN result marked defined.
 The spms expression and its degenerate-denominator guard live in _spms
 alone, which the kernel and population_pms share.
 
-The spms and sqrt(b1) kernels take the moments returned by
-centred_moment_arrays and the Lin-Mudholkar kernel rows already centred,
-so a chunk centres its samples and computes their moments once; the
-scalar tests read both from the Sample, which computes them at
+The spms and sqrt(b1) kernels take centred_moment_arrays' moments, and
+the Lin-Mudholkar kernel the centred rows and the squares and row sums
+those came from: a chunk centres, squares and sums its samples once, and
+the scalar tests read all three from the Sample, which forms them at
 validation. The kernels work in place on their own temporaries and
 silence the float overflow they can hit, each entering numpy's error
 state once through the decorator moments._quiet: no test emits a numpy
@@ -502,27 +502,26 @@ def shapiro_wilk_test(sample: Sample) -> TestResult:
 
 
 @_quiet
-def _batch_lm_z(xc: np.ndarray, y=None, s1=None):
-    """Row-wise Lin-Mudholkar (r, z, defined) for an (..., n) array whose
-    rows are already centred (x - x.mean(axis=-1, keepdims=True)); xc is
-    not changed. A row whose proxies are all equal gets r = 0/0 = NaN:
-    so does every row whose centred proxies have a root mean square
-    within 1e-12 of the proxies' mean (the row mean of equal proxies need
-    not round back to their value, so they centre to rounding residue,
-    not zeros), and a row whose sxx * syy overflows (scales near 1e100
-    and above). |r| = 1 gives z = +-inf.
+def _batch_lm_z(xc: np.ndarray, sq: np.ndarray, sq_sum, y=None, s1=None):
+    """Row-wise Lin-Mudholkar (r, z, defined) of centred (..., n) rows xc,
+    x - x.mean(axis=-1, keepdims=True), and their moments._squares sq,
+    sq_sum; only y and s1 are written. A row whose proxies are all equal
+    gets r = 0/0 = NaN: so does every row whose centred proxies have a
+    root mean square within 1e-12 of the proxies' mean (the row mean of
+    equal proxies need not round back to their value, so they centre to
+    rounding residue, not zeros), and a row whose sxx * syy overflows
+    (scales near 1e100 and above). |r| = 1 gives z = +-inf.
 
     Correlates each observation with the cube root of the leave-one-out
     variance proxy sum(x_j^2, j != i) - (sum(x_j, j != i))^2/(n - 1).
     Centering first leaves r unchanged (the proxy is shift-invariant)
     and avoids large cancellations. The proxy is built in place in two
     block-sized temporaries, y and s1: float64 arrays of xc's shape,
-    overwritten without being read, if given, else new ones.
+    overwritten, if given, else new ones; y may be sq itself.
     """
     n = xc.shape[-1]
     scale = _constants(n).lm_scale
-    y = np.multiply(xc, xc, out=y)
-    np.subtract(np.add.reduce(y, axis=-1, keepdims=True), y, out=y)
+    y = np.subtract(sq_sum[..., None], sq, out=y)
     s1 = np.subtract(np.add.reduce(xc, axis=-1, keepdims=True), xc, out=s1)
     s1 *= s1
     s1 /= n - 1.0
@@ -552,4 +551,5 @@ def lin_mudholkar_test(sample: Sample) -> TestResult:
     leave-one-out variance proxies are all equal, r is undefined and the
     result has defined=False.
     """
-    return _one_row(TestName.LIN_MUDHOLKAR, _batch_lm_z(sample._centred))
+    lm = _batch_lm_z(sample._centred, *sample._squares)
+    return _one_row(TestName.LIN_MUDHOLKAR, lm)

@@ -108,15 +108,17 @@ class TestSampleArguments:
             "abc",
             [1.0, [2.0, 3.0], 4.0],
             [10**400, 1, 2],
-            # each of these four would convert to float64 without the check
+            # each of these six would convert to float64 without the check
             ["1", "2", "3"],
             np.array([b"1", b"2", b"3"]),
             np.arange(10).astype("datetime64[s]"),
             np.arange(10).astype("timedelta64[s]"),
+            np.array([1.0, 2.5, "3", 4.0], dtype=object),
+            np.array([1.0, 2.5, b"3", 4.0], dtype=object),
         ],
         ids=["generator", "dict", "complex", "complex_array", "strings",
              "string", "ragged", "huge_int", "numeric_strings", "bytes",
-             "datetime64", "timedelta64"],
+             "datetime64", "timedelta64", "object_string", "object_bytes"],
     )
     def test_non_real_values_raise_typed_error(self, values):
         with pytest.raises(InvalidParamsError, match="real float64 values"):

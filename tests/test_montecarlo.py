@@ -494,10 +494,32 @@ class TestChunkPipeline:
         ],
         ids=["all", "spms", "sqrt_b1", "shapiro_wilk", "lin_mudholkar"],
     )
-    def test_one_moments_pass_per_chunk(self, moment_calls, tests, passes):
+    def test_one_moments_pass_per_chunk(self, moment_calls, monkeypatch, tests, passes):
+        from pmskew import moments, skewtests
+
+        formed, read = [], []
+
+        def squares(d, *a):
+            sq, sq_sum = moments._squares(d, *a)
+            formed.append(sq)
+            return sq, sq_sum
+
+        def lm(xc, sq, *a):
+            read.append(sq)
+            return skewtests._batch_lm_z(xc, sq, *a)
+
+        monkeypatch.setattr(montecarlo, "_squares", squares)
+        monkeypatch.setattr(montecarlo, "_batch_lm_z", lm)
         x = _draw_chunk(NORMAL, 30, 2, (0, 64))
-        montecarlo._chunk_statistics(x, tests, su_params(30))
+        y = np.empty_like(x)
+        montecarlo._chunk_statistics(x, tests, su_params(30), y=y)
         assert moment_calls == [64] * passes
+        # the rows are squared once, into the y block, unless Shapiro-Wilk
+        # runs alone, and Lin-Mudholkar reads those squares
+        assert len(formed) == (tests != (TN.SHAPIRO_WILK,))
+        assert all(np.shares_memory(sq, y) for sq in formed)
+        assert len(read) == (TN.LIN_MUDHOLKAR in tests)
+        assert all(np.shares_memory(sq, formed[0]) for sq in read)
 
     def test_power_study_passes_equal_chunks(self, moment_calls):
         alt = AlternativeSpec.parse("gamma:2")

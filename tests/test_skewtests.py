@@ -33,7 +33,7 @@ from pmskew import (
     su_params,
 )
 from pmskew import montecarlo, moments, skewtests
-from pmskew.moments import central_moment_arrays
+from pmskew.moments import _squares, central_moment_arrays
 from pmskew.montecarlo import _chunk_statistics
 from pmskew.skewtests import (
     _O1,
@@ -454,7 +454,8 @@ class TestLinMudholkar:
 
     def test_batch_matches_scalar(self):
         x = np.vstack([_seeded(25, seed=s, skew=0.4) for s in range(8)])
-        r_arr, z_arr, defined = _batch_lm_z(x - x.mean(axis=1, keepdims=True))
+        xc = x - x.mean(axis=1, keepdims=True)
+        r_arr, z_arr, defined = _batch_lm_z(xc, *_squares(xc))
         assert defined.all()
         for i in range(8):
             r = lin_mudholkar_test(Sample(x[i]))
@@ -466,7 +467,8 @@ class TestLinMudholkar:
         # leave-one-out proxy cancels and r comes out near 0, so the scalar
         # test and the chunk pipeline must each centre before calling it
         x = np.vstack([_seeded(25, seed=s, skew=0.4) for s in range(8)])
-        r_arr, z_arr, _ = _batch_lm_z(x - x.mean(axis=1, keepdims=True))
+        xc = x - x.mean(axis=1, keepdims=True)
+        r_arr, z_arr, _ = _batch_lm_z(xc, *_squares(xc))
         shifted = x + 1e6
         for i in range(8):
             r = lin_mudholkar_test(Sample(shifted[i]))
@@ -501,7 +503,7 @@ class TestSampleSharing:
 
         def recording(name, orig):
             def wrapped(x, *a):
-                seen.append((name, x))
+                seen.append((name, x, a[:2]))
                 return orig(x, *a)
 
             return wrapped
@@ -519,15 +521,22 @@ class TestSampleSharing:
             test(s)
         central_moments(s)
         SeriesState.from_sample(s)
-        assert [name for name, _ in seen] == ["moments", "lm"]
-        # both read the centred row the Sample kept, not a new centring
-        for _, x in seen:
+        assert [name for name, _, _ in seen] == ["moments", "lm"]
+        # both read the centred row the Sample kept, not a new centring,
+        # and the squares and their sum it kept, not a new squaring
+        sq, sq_sum = s._squares
+        for _, x, (sq_read, sum_read) in seen:
             assert np.shares_memory(x, s._centred)
+            assert np.shares_memory(sq_read, sq)
+            assert sum_read is sq_sum
+        assert np.array_equal(sq, s._centred * s._centred)
+        assert sq_sum == np.add.reduce(sq)
 
     def test_cached_arrays_are_read_only(self):
         s = Sample(_seeded(40, seed=9))
         assert not s.values.flags.writeable
         assert not s._centred.flags.writeable
+        assert not s._squares[0].flags.writeable
         # the five moments are Python floats, which cannot be changed
         assert len(s._moments) == 5
         assert all(type(m) is float for m in s._moments)
@@ -639,12 +648,14 @@ class TestUndefinedConvention:
     def test_every_kernel_marks_exactly_the_non_finite_rows(self):
         x = self._mixed_chunk()
         xc = x - x.mean(axis=1, keepdims=True)
+        with moments._quiet:  # the last row's squares overflow
+            squares = _squares(xc)
         m = central_moment_arrays(x)
         outs = {
             "spms": _batch_spms(m, su_params(self.N)),
             "sqrt_b1": _batch_sqrt_b1_z(m, self.N),
             "shapiro_wilk": _batch_sw(x),
-            "lin_mudholkar": _batch_lm_z(xc),
+            "lin_mudholkar": _batch_lm_z(xc, *squares),
         }
         for name, (raw, z, defined) in outs.items():
             assert raw.shape == z.shape == defined.shape == (len(x),), name
