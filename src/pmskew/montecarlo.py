@@ -47,7 +47,7 @@ them, come from skewtests' record for n, the one the scalar tests read.
 
 One null pipeline, _null_statistics (draw normal rows, run the kernels,
 keep the defined rows), serves calibrate_curve (and calibrate, its one-n
-call), null_histogram, moment_validation and the null pools of
+call), null_histogram, moment_validation and the null runs of
 power_curve. Runs are kept by their own arguments, every n of the two
 latest configurations, so these summaries of one (n, reps, seed, threads)
 simulate the null once, and a calibrate_curve or power call draws the
@@ -61,11 +61,10 @@ reproduces the reference power table; the spms and Lin-Mudholkar z
 approximations are visibly miscalibrated at n <= 100, where asymptotic
 thresholds distort power by up to 0.11. critical_values="asymptotic"
 selects plain |z| > z_{1-level/2} rejection instead. Both, and calibrate's
-counts, go through one tail rule, _rejects. A kept null run sorts each
-test's tail pool (W for Shapiro-Wilk, |z| for the others) on its first
-simulated use and keeps it, with the critical value of each level asked
-of it, until _null_runs evicts the run: a warm power call takes its
-critical values without an np.abs, sort or np.quantile.
+counts, go through one tail rule, _rejects. A kept null run computes the
+critical value of each (test, level) asked of it once, by np.quantile of
+its own arrays in replication order, and keeps it until _null_runs evicts
+the run: a warm power call runs no np.quantile, and no run is sorted.
 """
 
 from __future__ import annotations
@@ -304,36 +303,29 @@ def _null_runs(reps, seed, tests, threads, base):
     return {}
 
 
-class _TailPool(np.ndarray):
-    """One test's _tail_statistic values over a null run, sorted and
-    read-only, with each quantile asked of them kept in quantiles."""
-
-    def __new__(cls, values):
-        pool = np.sort(values).view(cls)
-        pool.flags.writeable = False
-        return pool
-
-    def __array_finalize__(self, obj):
-        self.quantiles = {}  # a view holds other values: its own memo
-
-    def quantile(self, q: float) -> float:
-        """float(np.quantile(self, q)), computed once per q. np.quantile
-        gives the same bits on the sorted values as on the unsorted ones:
-        the two order statistics it interpolates do not depend on their
-        order."""
-        try:
-            return self.quantiles[q]
-        except KeyError:
-            crit = float(np.quantile(self.view(np.ndarray), q))
-            return self.quantiles.setdefault(q, crit)
-
-
 class _NullRun(dict):
-    """One n's null run, {test: (raw, z)}. Its tail pools, built on first
-    simulated use (see _null_reference), are kept in pools, so they go
-    when _null_runs evicts the run."""
+    """One n's null run, {test: (raw, z)}, with the simulated critical
+    value of each (test, level) asked of it kept in crit, so they go when
+    _null_runs evicts the run."""
 
-    pools = None
+    def __init__(self):
+        super().__init__()
+        self.crit = {}
+
+    def critical(self, test, level) -> float:
+        """test's simulated critical value at level, computed once: the
+        level quantile of W for Shapiro-Wilk (a low W rejects), the
+        1 - level quantile of |z| for the others."""
+        try:
+            return self.crit[test, level]
+        except KeyError:
+            raw, z = self[test]
+            if test is TestName.SHAPIRO_WILK:
+                crit = float(np.quantile(raw, level))
+            else:
+                crit = float(np.quantile(np.abs(z), 1.0 - level))
+            # no lock: racing threads compute equal values
+            return self.crit.setdefault((test, level), crit)
 
 
 def _null_statistics(sizes, reps, seed, tests, threads, base=0):
@@ -460,51 +452,37 @@ def _chunk_statistics(x, tests, su, d=None, tmp=None, y=None):
     return out
 
 
-def _tail_statistic(test, raw, z):
-    """What a simulated critical value cuts: W for Shapiro-Wilk (a low W
-    rejects), |z| for the others."""
-    return raw if test is TestName.SHAPIRO_WILK else np.abs(z)
-
-
-def _rejects(test, level, pool=None):
+def _rejects(test, level, critical=None):
     """The tail rule: a function of a test's kernel output (raw, z,
     defined) marking the defined rows that reject at level.
 
-    With the test's _TailPool from _null_reference the critical value is
-    simulated: Shapiro-Wilk rejects a W below the pool's level quantile,
-    the others a |z| above its 1 - level quantile; the pool computes each
-    quantile once. Without a pool it is asymptotic: z > z_{1-level} for
-    Shapiro-Wilk (one-tailed, like its p-value), |z| > z_{1-level/2} for
-    the others.
+    With the test's critical(level) from _null_reference the critical
+    value is simulated: Shapiro-Wilk rejects a W below it, the others a
+    |z| above it. Without it the critical value is asymptotic:
+    z > z_{1-level} for Shapiro-Wilk (one-tailed, like its p-value),
+    |z| > z_{1-level/2} for the others.
     """
     if test is TestName.SHAPIRO_WILK:
-        if pool is None:
+        if critical is None:
             crit = float(ndtri(1.0 - level))
             return lambda raw, z, defined: (z > crit) & defined
-        crit = pool.quantile(level)
+        crit = critical(level)
         return lambda raw, z, defined: (raw < crit) & defined
-    if pool is None:
-        crit = float(ndtri(1.0 - level / 2.0))
-    else:
-        crit = pool.quantile(1.0 - level)
+    crit = float(ndtri(1.0 - level / 2.0)) if critical is None else critical(level)
     return lambda raw, z, defined: (np.abs(z) > crit) & defined
 
 
 def _null_reference(n, seed, null_reps, tests, threads, sizes=()):
-    """Null pools for simulated critical values, {test: _TailPool}: each
-    test's _tail_statistic over the kept null run of null_reps
-    replications on streams (seed, CALIBRATION_STREAM_BASE + j). The pools
-    are sorted on the run's first simulated use and kept with it, so a
-    later call reads them, and the quantiles they keep, without another
-    sort, np.abs or np.quantile. A run that is not kept is drawn with
-    every other missing n of sizes (see _null_statistics)."""
+    """Simulated critical values, {test: critical(level)}, each reading
+    _NullRun.critical of the kept null run of null_reps replications on
+    streams (seed, CALIBRATION_STREAM_BASE + j), so a later call reads the
+    values already asked without another np.quantile. A run that is not
+    kept is drawn with every other missing n of sizes (see
+    _null_statistics)."""
     run = _null_statistics(
         (n, *sizes), null_reps, seed, tests, threads, CALIBRATION_STREAM_BASE
     )[n]
-    if run.pools is None:
-        # no lock: racing threads sort equal pools, and either may be kept
-        run.pools = {t: _TailPool(_tail_statistic(t, *run[t])) for t in tests}
-    return run.pools
+    return {t: functools.partial(run.critical, t) for t in tests}
 
 
 def power_curve(
@@ -525,16 +503,22 @@ def power_curve(
     (common random numbers). critical_values="simulated" (default) rejects
     beyond empirical null quantiles at the same n, taken over null_reps
     (>= 1) null replications. Later calls with the same seed, null_reps,
-    tests and threads reuse the null run, its sorted tail pools and the
-    critical value of every level already asked, so a warm call only draws
-    and tests the alternative; "asymptotic" uses each test's nominal
-    normal approximation directly and ignores null_reps.
+    tests and threads reuse the null run and the critical value of every
+    level already asked of it, so a warm call only draws and tests the
+    alternative; "asymptotic" uses each test's nominal normal
+    approximation directly and ignores null_reps.
 
     Replication r is drawn once, at the largest n, and a smaller n takes
     the first n values of its row: a stream's first n variates do not
     depend on how many follow. So each cell equals power_study at its n,
-    bit for bit. Every n is checked before anything is drawn.
+    bit for bit. Every argument is checked before any null run is looked
+    up or drawn: alternative must be an AlternativeSpec (as
+    AlternativeSpec.parse gives), and every n is checked.
     """
+    if not isinstance(alternative, AlternativeSpec):
+        raise InvalidParamsError(
+            f"alternative must be an AlternativeSpec, got {alternative!r}"
+        )
     ns = _check_ns(ns)
     reps, seed, threads = _check_common(reps, seed, threads)
     level = check_level(level)
@@ -553,12 +537,12 @@ def power_curve(
     sizes = sorted(set(ns))
     rejects = []
     for n in sizes:
-        pools = (
+        crits = (
             _null_reference(n, seed, null_reps, tests, threads, sizes)
             if simulated
             else {}
         )
-        rejects.append({t: _rejects(t, level, pools.get(t)) for t in tests})
+        rejects.append({t: _rejects(t, level, crits.get(t)) for t in tests})
 
     def work(span):
         return [
@@ -630,7 +614,7 @@ def null_histogram(
     try:
         statistic = Statistic(statistic)
     except ValueError:
-        raise InvalidParamsError(f"unknown statistic {statistic!r}")
+        raise InvalidParamsError(f"unknown statistic {statistic!r}") from None
     bins = check_int("bins", bins, lo=2, hi=2**20 + 1)
     if value_range is not None:
         try:

@@ -393,8 +393,9 @@ class TestNullHistogram:
     def test_validation(self):
         with pytest.raises(InvalidParamsError):
             null_histogram("spms", 20, 100, 1, 0)
-        with pytest.raises(InvalidParamsError):
+        with pytest.raises(InvalidParamsError) as info:
             null_histogram("median", 20, 100, 10, 0)
+        assert info.value.__suppress_context__  # raised from None
         with pytest.raises(InvalidParamsError):
             null_histogram("spms", 20, 100, 10, 0, value_range=(1.0, -1.0))
         with pytest.raises(InvalidParamsError):
@@ -1025,42 +1026,44 @@ class TestSharedNullRun:
 
 
 class TestKeptCriticalValues:
-    """A kept null run sorts each test's tail pool once, on first simulated
-    use, and keeps the critical value of each level beside it."""
+    """A kept null run computes each (test, level) critical value once, by
+    np.quantile of its own unsorted arrays, and keeps it beside them."""
 
     LEVELS = (0.01, 0.05, 0.10, 0.20, 0.037)
 
     @staticmethod
-    def _unsorted(test, raw, z):
-        return raw if test is TN.SHAPIRO_WILK else np.abs(z)
+    def _quantile(test, raw, z, level):
+        if test is TN.SHAPIRO_WILK:
+            return float(np.quantile(raw, level))
+        return float(np.quantile(np.abs(z), 1.0 - level))
 
     @staticmethod
-    def _q(test, level):
-        return level if test is TN.SHAPIRO_WILK else 1.0 - level
-
-    def _check_pools(self, n, seed, null_reps):
-        pools = montecarlo._null_reference(n, seed, null_reps, ALL_TESTS, 1)
-        run = montecarlo._null_runs(
+    def _run(n, seed, null_reps):
+        return montecarlo._null_runs(
             null_reps, seed, ALL_TESTS, 1, CALIBRATION_STREAM_BASE
         )[n]
-        assert tuple(pools) == ALL_TESTS
+
+    def _check_crits(self, n, seed, null_reps):
+        crits = montecarlo._null_reference(n, seed, null_reps, ALL_TESTS, 1)
+        run = self._run(n, seed, null_reps)
+        assert tuple(crits) == ALL_TESTS
         for t in ALL_TESTS:
-            values = self._unsorted(t, *run[t])
-            assert pools[t].tobytes() == np.sort(values).tobytes()
-            assert not pools[t].flags.writeable
             for level in self.LEVELS:
-                q = self._q(t, level)
-                want = float(np.quantile(values, q))
-                assert pools[t].quantile(q).hex() == want.hex(), (t, level)
-        return pools
+                want = self._quantile(t, *run[t], level)
+                assert crits[t](level).hex() == want.hex(), (t, level)
+        assert {k: v.hex() for k, v in run.crit.items()} == {
+            (t, level): crits[t](level).hex()
+            for t in ALL_TESTS for level in self.LEVELS
+        }
+        return run
 
     @pytest.mark.parametrize("null_reps", [4161, 8192, 10001])
-    def test_kept_quantiles_equal_those_of_the_unsorted_pool(self, null_reps):
+    def test_kept_values_equal_quantiles_of_the_unsorted_run(self, null_reps):
         montecarlo._null_runs.cache_clear()
-        pools = self._check_pools(20, 41, null_reps)
-        assert {p.size for p in pools.values()} == {null_reps}
+        run = self._check_crits(20, 41, null_reps)
+        assert {a.size for pair in run.values() for a in pair} == {null_reps}
 
-    def test_pool_with_undefined_rows_dropped(self, monkeypatch):
+    def test_run_with_undefined_rows_dropped(self, monkeypatch):
         orig = montecarlo._chunk_statistics
 
         def every_fifth_undefined(x, *args):
@@ -1072,60 +1075,67 @@ class TestKeptCriticalValues:
 
         monkeypatch.setattr(montecarlo, "_chunk_statistics", every_fifth_undefined)
         montecarlo._null_runs.cache_clear()
-        pools = self._check_pools(30, 42, 4164)
+        run = self._check_crits(30, 42, 4164)
         kept = sum(b - a - len(range(0, b - a, 5)) for a, b in _spans(4164, 30))
-        assert kept == 3331  # an odd pool
-        assert {p.size for p in pools.values()} == {kept}
-        assert all(np.isfinite(p).all() for p in pools.values())
+        assert kept == 3331  # an odd run
+        assert {a.size for pair in run.values() for a in pair} == {kept}
+        assert all(np.isfinite(a).all() for pair in run.values() for a in pair)
 
     def test_rejects_reads_the_kept_critical_value(self):
         montecarlo._null_runs.cache_clear()
-        pools = montecarlo._null_reference(25, 43, 5001, ALL_TESTS, 1)
-        run = montecarlo._null_runs(5001, 43, ALL_TESTS, 1, CALIBRATION_STREAM_BASE)
-        raw, z = run[25][TN.SQRT_B1]
-        for level in self.LEVELS:
-            crit = float(np.quantile(np.abs(z), 1.0 - level))
-            got = montecarlo._rejects(TN.SQRT_B1, level, pools[TN.SQRT_B1])
+        crits = montecarlo._null_reference(25, 43, 5001, ALL_TESTS, 1)
+        run = self._run(25, 43, 5001)
+        for t in ALL_TESTS:
+            raw, z = run[t]
             ok = np.ones(z.size, bool)
-            assert np.array_equal(got(raw, z, ok), np.abs(z) > crit)
+            for level in self.LEVELS:
+                crit = self._quantile(t, raw, z, level)
+                want = raw < crit if t is TN.SHAPIRO_WILK else np.abs(z) > crit
+                got = montecarlo._rejects(t, level, crits[t])(raw, z, ok)
+                assert np.array_equal(got, want), (t, level)
 
     def test_warm_power_call_runs_no_quantile(self, monkeypatch):
         alt = AlternativeSpec.parse("gamma:2")
-        calls = {"quantile": 0, "tail": 0}
-        quantile, tail = np.quantile, montecarlo._tail_statistic
+        calls = []
+        quantile = np.quantile
 
         def counting_quantile(*args, **kwargs):
-            calls["quantile"] += 1
+            calls.append(args[1])
             return quantile(*args, **kwargs)
 
-        def counting_tail(*args):
-            calls["tail"] += 1
-            return tail(*args)
-
         monkeypatch.setattr(montecarlo.np, "quantile", counting_quantile)
-        monkeypatch.setattr(montecarlo, "_tail_statistic", counting_tail)
         montecarlo._null_runs.cache_clear()
         kw = dict(seed=44, null_reps=3000)
         cold = power_curve(alt, [20, 50], 200, 0.05, **kw)
-        assert calls == {"quantile": 8, "tail": 8}  # 2 sizes x 4 tests
+        assert len(calls) == 8  # 2 sizes x 4 tests
         warm = power_curve(alt, [20, 50], 200, 0.05, **kw)
-        assert calls == {"quantile": 8, "tail": 8}
+        assert len(calls) == 8
         assert warm == cold
         power_curve(alt, [50, 20], 200, 0.2, **kw)  # a new level: 8 more
         power_curve(alt, [20], 200, 0.2, **kw)
-        assert calls == {"quantile": 16, "tail": 8}
+        assert len(calls) == 16
 
-    def test_racing_threads_keep_equal_bytes(self):
+    def test_racing_threads_keep_equal_values(self):
         alt = AlternativeSpec.parse("beta:2,1")
         kw = dict(seed=45, null_reps=2000)
 
         def call(level):
             return power_curve(alt, [20, 30], 100, level, **kw)
 
+        def kept():
+            return {
+                n: (
+                    {t: (raw.tobytes(), z.tobytes()) for t, (raw, z) in run.items()},
+                    {k: v.hex() for k, v in run.crit.items()},
+                )
+                for n in (20, 30)
+                for run in [self._run(n, 45, 2000)]
+            }
+
         montecarlo._null_runs.cache_clear()
         serial = {level: call(level) for level in (0.05, 0.1)}
-        pools = {n: {t: p.tobytes() for t, p in montecarlo._null_reference(
-            n, 45, 2000, ALL_TESTS, 1).items()} for n in (20, 30)}
+        serial_kept = kept()
+        assert all(len(crit) == 8 for _, crit in serial_kept.values())
         montecarlo._null_runs.cache_clear()
         jobs = [(0.05, 0.1)[i % 2] for i in range(8)]
         start = threading.Barrier(len(jobs), timeout=60)
@@ -1142,26 +1152,42 @@ class TestKeptCriticalValues:
         finally:
             sys.setswitchinterval(interval)
         assert results == [serial[level] for level in jobs]
+        raced = kept()
+        # racing threads may each build a run, and the one kept may not hold
+        # every level asked; what it holds equals the serial values
+        for n, (arrays, crit) in raced.items():
+            assert arrays == serial_kept[n][0]
+            assert crit.items() <= serial_kept[n][1].items()
         for n in (20, 30):
-            kept = montecarlo._null_reference(n, 45, 2000, ALL_TESTS, 1)
-            assert {t: p.tobytes() for t, p in kept.items()} == pools[n]
-            for t, p in kept.items():
+            run = self._run(n, 45, 2000)
+            for t in ALL_TESTS:
                 for level in (0.05, 0.1):
-                    q = self._q(t, level)
-                    assert p.quantile(q) == float(np.quantile(p, q))
+                    run.critical(t, level)
+        assert kept() == serial_kept
 
-    def test_evicted_configuration_drops_its_pools(self):
+    def test_kept_power_run_holds_only_its_raw_and_z_arrays(self):
         montecarlo._null_runs.cache_clear()
-        pools = montecarlo._null_reference(20, 46, 1500, ALL_TESTS, 1)
-        pools[TN.SPMS].quantile(0.95)
-        gone = [weakref.ref(p) for p in pools.values()]
-        del pools
+        power_study(AlternativeSpec.parse("gamma:2"), 20, 100, 0.05, seed=49,
+                    null_reps=3000)
+        run = self._run(20, 49, 3000)
+        arrays = [a for pair in run.values() for a in pair]
+        assert all(a.base is None and a.dtype == np.float64 for a in arrays)
+        assert sum(a.nbytes for a in arrays) == 2 * len(ALL_TESTS) * 3000 * 8
+        assert list(vars(run)) == ["crit"]
+        assert all(type(v) is float for v in run.crit.values())
+
+    def test_evicted_configuration_drops_its_run(self):
+        montecarlo._null_runs.cache_clear()
+        crits = montecarlo._null_reference(20, 46, 1500, ALL_TESTS, 1)
+        crits[TN.SPMS](0.05)
+        gone = weakref.ref(self._run(20, 46, 1500))
+        del crits
         gc.collect()
-        assert all(ref() is not None for ref in gone)  # kept with the run
+        assert gone() is not None  # kept in _null_runs
         for seed in (47, 48):  # two newer configurations evict it
             calibrate(20, 300, [0.05], seed)
         gc.collect()
-        assert all(ref() is None for ref in gone)
+        assert gone() is None
 
 
 class TestResultScalarTypes:
@@ -1324,6 +1350,10 @@ _MALFORMED = {
     "tests_none": ("power_study", "tests", None, InvalidParamsError),
     "tests_bare_string": ("power_study", "tests", "spms", InvalidParamsError),
     "tests_empty": ("power_study", "tests", [], InvalidParamsError),
+    "alternative_string": (
+        "power_study", "alternative", "beta:2,1", InvalidParamsError
+    ),
+    "alternative_none": ("power_study", "alternative", None, InvalidParamsError),
     "value_range_not_numbers": (
         "null_histogram", "value_range", ("a", "b"), InvalidParamsError
     ),
