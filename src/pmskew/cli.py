@@ -167,19 +167,15 @@ def _read_sample(path: str, col: int | None) -> Sample:
             try:
                 fields = next(csv.reader([line]))
             except csv.Error as exc:  # a field over csv.field_size_limit()
-                raise ParseError(f"line {lineno}: {exc}", line=lineno)
+                raise ParseError(f"line {lineno}: {exc}")
             if col > len(fields):
-                raise ParseError(
-                    f"line {lineno}: no column {col} (found {len(fields)})",
-                    line=lineno,
-                )
+                found = len(fields)
+                raise ParseError(f"line {lineno}: no column {col} (found {found})")
             token = fields[col - 1].strip()
         try:
             values.append(float(token))
         except ValueError:
-            raise ParseError(
-                f"line {lineno}: not a number: {token!r}", line=lineno
-            )
+            raise ParseError(f"line {lineno}: not a number: {token!r}")
     return Sample(np.array(values))
 
 

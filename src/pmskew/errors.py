@@ -48,16 +48,4 @@ class InvalidConfigError(PmskewError):
 
 
 class ParseError(PmskewError):
-    """Input data could not be parsed as numbers.
-
-    Parameters
-    ----------
-    message : str
-        Human-readable description.
-    line : int or None
-        1-based line number at which parsing failed, when known.
-    """
-
-    def __init__(self, message, line=None):
-        super().__init__(message)
-        self.line = line
+    """Input data could not be parsed as numbers; the message names the line."""

@@ -51,7 +51,8 @@ call), null_histogram, moment_validation and the null runs of
 power_curve. Runs are kept by their own arguments, every n of the two
 latest configurations, so these summaries of one (n, reps, seed, threads)
 simulate the null once, and a calibrate_curve or power call draws the
-null runs of all its missing n in one pass.
+null runs of all its missing n in one pass. One lock covers a lookup and
+its build, so callers racing on one configuration simulate it once.
 
 Power experiments default to simulated critical values: each test's
 rejection threshold is the appropriate empirical quantile of the test
@@ -242,7 +243,10 @@ def _draw_chunk(spec, n, seed, span, base=0, out=None):
 
 
 # idle workspaces: each is four flat CHUNK_SIZE float64 buffers, reused by
-# one running chunk at a time; list.pop and list.append are atomic, so no lock
+# one running chunk at a time; list.pop and list.append are atomic, so no lock.
+# A fresh np.empty((4, rows, n)) per chunk instead cut power_n1000 t1 from
+# about 32k to 17.5k samples/s and null_suite t1 by about 14% (bench/run.py
+# --seconds 6, 3 of 3 alternating pairs, 2 vCPUs)
 _workspaces = []
 
 
@@ -328,6 +332,9 @@ class _NullRun(dict):
             return self.crit.setdefault((test, level), crit)
 
 
+_null_lock = threading.Lock()  # held by _null_statistics from lookup to store
+
+
 def _null_statistics(sizes, reps, seed, tests, threads, base=0):
     """The null pipeline: the null run of each n of sizes, keyed by n. A
     run holds, per test, read-only (raw, z) arrays of the defined rows
@@ -335,10 +342,10 @@ def _null_statistics(sizes, reps, seed, tests, threads, base=0):
     Runs are kept under their own arguments, so a later call with the same
     ones reads them and a call at another thread count runs its own. The
     sizes not kept at the lookup are drawn together, in one pass at the
-    largest.
+    largest. One lock covers the lookup, the draw and the store, so
+    callers with different configurations also build their runs one at a
+    time; each build still runs on its own threads workers.
     """
-    runs = _null_runs(reps, seed, tests, threads, base)
-    missing = sorted({n for n in sizes if n not in runs})
 
     def work(span):
         return [
@@ -346,15 +353,18 @@ def _null_statistics(sizes, reps, seed, tests, threads, base=0):
             for stats in _chunk_kernels(_NORMAL, missing, seed, span, tests, base)
         ]
 
-    parts = _map_chunks(work, reps, missing[-1], threads) if missing else ()
-    for m, chunks in zip(missing, zip(*parts)):
-        null = _NullRun()
-        for t in tests:
-            raw, z = (np.concatenate(col) for col in zip(*(c[t] for c in chunks)))
-            raw.flags.writeable = z.flags.writeable = False  # shared by later hits
-            null[t] = raw, z
-        runs[m] = null  # no lock: threads racing on one run build equal bytes
-    return {n: runs[n] for n in sizes}
+    with _null_lock:
+        runs = _null_runs(reps, seed, tests, threads, base)
+        missing = sorted({n for n in sizes if n not in runs})
+        parts = _map_chunks(work, reps, missing[-1], threads) if missing else ()
+        for m, chunks in zip(missing, zip(*parts)):
+            null = _NullRun()
+            for t in tests:
+                raw, z = (np.concatenate(col) for col in zip(*(c[t] for c in chunks)))
+                raw.flags.writeable = z.flags.writeable = False  # shared by later hits
+                null[t] = raw, z
+            runs[m] = null
+        return {n: runs[n] for n in sizes}
 
 
 def _items(name, items, what, check, error=InvalidParamsError) -> list:

@@ -179,6 +179,9 @@ class SeriesState:
         )
 
 
+# The scalar finishes below keep the ufuncs off a 1-D row's scalars: plain
+# ufuncs there cut scalar_tests t1 by about 11% (bench/run.py --seconds 6,
+# 2 of 2 alternating pairs, 2 vCPUs).
 def _nan_where(bad, x):
     """np.where(bad, nan, x)."""
     if isinstance(x, np.ndarray):
@@ -422,7 +425,10 @@ def _sw_constants(n: int):
     """(low, mu, sigma, gamma): low, read-only, holds the n // 2 lowest
     AS R94 weights for sample size n, most negative first (the scores
     m / fac with the two end weights), and mu, sigma and gamma map
-    log(1 - W) to z, gamma None above n = 11."""
+    log(1 - W) to z, gamma None above n = 11. The full n-vector kept per
+    record instead gave about +2% scalar_tests t1 for +10 MB of peak RSS
+    (bench/run.py --seconds 6, 4 of 4 alternating pairs, 2 vCPUs), and
+    Royston's sum of a_i (x_(n+1-i) - x_(i)) needs the lower half alone."""
     n2 = n // 2
     m = (np.arange(1, n2 + 1, dtype=np.float64) - 0.375) / (n + 0.25)
     ndtri(m, out=m)  # lower-half scores, all negative

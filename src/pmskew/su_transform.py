@@ -27,7 +27,8 @@ the n^-2 terms tracks the true null rejection rates to within Monte Carlo
 noise at every n and level, while the full-series transform under-rejects
 by up to 3x at n = 100. The transform therefore defaults to the truncated
 evaluation (series="calibrated"); series="full" uses every printed term.
-The standalone series evaluators default to all known terms.
+su_params is the one place a truncation is chosen; the standalone series
+evaluators lambda2, lambda4 and beta2_spms always sum every known term.
 
 The series moments are formal: they are the moments of the expansion, not
 of spms at finite n. The spms denominator 5*b2 - 6*b1 - 9 crosses zero
@@ -120,50 +121,19 @@ def _series(coeffs, n: int, first: int) -> float:
     return total
 
 
-def lambda2(n: int, terms: int = 3) -> float:
-    """Asymptotic null variance of spms.
-
-    Parameters
-    ----------
-    n : int
-        Sample size, n >= 8.
-    terms : int, optional
-        Number of series terms to include (1..3); default all known.
-    """
-    n = check_n(n)
-    terms = check_int("terms", terms, lo=1, hi=4)
-    return _series(_LAMBDA2[:terms], n, 1)
+def lambda2(n: int) -> float:
+    """Asymptotic null variance of spms, every known term (n >= 8)."""
+    return _series(_LAMBDA2, check_n(n), 1)
 
 
-def lambda4(n: int, terms: int = 2) -> float:
-    """Asymptotic null fourth moment of spms.
-
-    Parameters
-    ----------
-    n : int
-        Sample size, n >= 8.
-    terms : int, optional
-        Number of series terms to include (1..2); default all known.
-    """
-    n = check_n(n)
-    terms = check_int("terms", terms, lo=1, hi=3)
-    return _series(_LAMBDA4[:terms], n, 2)
+def lambda4(n: int) -> float:
+    """Asymptotic null fourth moment of spms, every known term (n >= 8)."""
+    return _series(_LAMBDA4, check_n(n), 2)
 
 
-def beta2_spms(n: int, terms: int = 3) -> float:
-    """Asymptotic null kurtosis of spms.
-
-    Parameters
-    ----------
-    n : int
-        Sample size, n >= 8.
-    terms : int, optional
-        Number of 1/n correction terms beyond the constant 3 (1..3);
-        default all known.
-    """
-    n = check_n(n)
-    terms = check_int("terms", terms, lo=1, hi=4)
-    return _series(_BETA2[: terms + 1], n, 0)
+def beta2_spms(n: int) -> float:
+    """Asymptotic null kurtosis of spms, every known term (n >= 8)."""
+    return _series(_BETA2, check_n(n), 0)
 
 
 @dataclass(frozen=True)

@@ -989,19 +989,31 @@ class TestSharedNullRun:
         assert draws == []
         assert montecarlo._null_runs.cache_info().currsize == 2
 
-    def test_run_stored_by_another_thread_after_the_lookup(self, monkeypatch):
-        want = calibrate(20, 300, [0.05], 5)
+    def test_racing_callers_draw_one_null_run(self, monkeypatch):
+        # one lock covers the lookup, the draw and the store: without it
+        # each of the 4 threads drew the whole 20,000-row run
+        rows = []
 
-        class StoredMeanwhile(dict):
-            def __contains__(self, key):  # the lookup ran before the store
-                return False
+        def counting(spec, n, seed, span, base=0, **k):
+            if base != 0:
+                rows.append(span[1] - span[0])
+            return _draw_chunk(spec, n, seed, span, base, **k)
 
-        runs = StoredMeanwhile({20: "stored by a racing thread"})
-        monkeypatch.setattr(montecarlo, "_null_runs", lambda *key: runs)
-        assert calibrate(20, 300, [0.05], 5) == want
+        monkeypatch.setattr(montecarlo, "_draw_chunk", counting)
+        montecarlo._null_runs.cache_clear()
+        alt = AlternativeSpec.parse("gamma:2")
+        start = threading.Barrier(4, timeout=60)
+
+        def racing(_):
+            start.wait()
+            return power_curve(alt, [20, 50], 100, 0.05, seed=9, null_reps=20000)
+
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(racing, range(4)))
+        assert sum(rows) == 20000
+        assert all(r == results[0] for r in results)
 
     def test_concurrent_summaries_equal_serial(self):
-        # no lock: racing threads may each build the run, with equal bytes
         names = sorted(self.SUMMARIES)
         montecarlo._null_runs.cache_clear()
         serial = {name: TestChunkRule._fields(self.SUMMARIES[name](1))
@@ -1152,17 +1164,7 @@ class TestKeptCriticalValues:
         finally:
             sys.setswitchinterval(interval)
         assert results == [serial[level] for level in jobs]
-        raced = kept()
-        # racing threads may each build a run, and the one kept may not hold
-        # every level asked; what it holds equals the serial values
-        for n, (arrays, crit) in raced.items():
-            assert arrays == serial_kept[n][0]
-            assert crit.items() <= serial_kept[n][1].items()
-        for n in (20, 30):
-            run = self._run(n, 45, 2000)
-            for t in ALL_TESTS:
-                for level in (0.05, 0.1):
-                    run.critical(t, level)
+        # one run is built and kept, and it holds every level asked
         assert kept() == serial_kept
 
     def test_kept_power_run_holds_only_its_raw_and_z_arrays(self):

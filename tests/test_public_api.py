@@ -1,7 +1,8 @@
 """The exported names: every `__all__` entry resolves, once, and each is
-declared in one module's `__all__` only. Also the package's functools
-caches, each kept for a measured gain, and its imports, each used,
-exported or wrapped by the benchmark's tracer."""
+declared in one module's `__all__` only; every public function's parameter
+names are pinned. Also the package's functools caches, each kept for a
+measured gain, and its imports, each used, exported or wrapped by the
+benchmark's tracer."""
 
 import ast
 import importlib
@@ -49,6 +50,59 @@ def test_package_exports_are_its_modules_exports():
         *montecarlo.__all__,
         *errors.__all__,
     ]
+
+
+# the parameter names of every public function, in order: adding, dropping
+# or renaming one is a change of the public API, declared with this table
+SIGNATURES = {
+    "central_moments": ("sample",),
+    "spms_statistic": ("summary",),
+    "spms_series": ("state",),
+    "spms_test": ("sample",),
+    "population_pms": ("sqrt_beta1", "beta2"),
+    "sqrt_b1_test": ("sample",),
+    "shapiro_wilk_test": ("sample",),
+    "lin_mudholkar_test": ("sample",),
+    "lambda2": ("n",),
+    "lambda4": ("n",),
+    "beta2_spms": ("n",),
+    "su_params": ("n", "series"),
+    "sample": ("spec", "n", "stream"),
+    "draw_values": ("spec", "n", "rng"),
+    "population_moments": ("spec",),
+    "calibrate": ("n", "reps", "levels", "seed", "threads"),
+    "calibrate_curve": ("ns", "reps", "levels", "seed", "threads"),
+    "power_curve": (
+        "alternative", "ns", "reps", "level", "tests", "seed", "threads",
+        "critical_values", "null_reps",
+    ),
+    "power_study": (
+        "alternative", "n", "reps", "level", "tests", "seed", "threads",
+        "critical_values", "null_reps",
+    ),
+    "null_histogram": (
+        "statistic", "n", "reps", "bins", "seed", "threads", "value_range",
+    ),
+    "moment_validation": ("n", "reps", "seed", "threads"),
+}
+
+
+def test_public_signatures():
+    got = {
+        name: tuple(inspect.signature(obj).parameters)
+        for name in pmskew.__all__
+        for obj in [getattr(pmskew, name)]
+        if inspect.isfunction(obj)
+    }
+    assert got == SIGNATURES
+
+
+def test_parse_error_is_a_plain_pmskew_error():
+    # the message carries the line ("line k: ..."); no line attribute
+    assert "__init__" not in vars(errors.ParseError)
+    assert not hasattr(errors.ParseError("line 3: not a number: 'x'"), "line")
+    with pytest.raises(TypeError):
+        errors.ParseError("line 3: not a number: 'x'", line=3)
 
 
 def test_errors_exports_every_exception_it_defines():

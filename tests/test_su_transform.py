@@ -1,6 +1,7 @@
 """Null-moment series and the S_U normalizing transform."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +15,14 @@ from pmskew import (
     su_params,
 )
 from pmskew.su_transform import NULL_MOMENT_SERIES
+
+
+def _partial_sum(coeffs, n, first, terms):
+    """sum(c / n**(first + k)) over the first terms coeffs, in exact
+    rationals, rounded once."""
+    return float(
+        sum(c / Fraction(n) ** (first + k) for k, c in enumerate(coeffs[:terms]))
+    )
 
 
 class TestSeriesValues:
@@ -31,13 +40,23 @@ class TestSeriesValues:
         assert beta2_spms(200) == pytest.approx(3.648793111111111, rel=1e-13)
 
     def test_term_truncation(self):
+        # the two-term sums are su_params(n)'s, the leading terms the
+        # first coefficients of NULL_MOMENT_SERIES
         n = 100
-        assert lambda2(n, terms=1) == pytest.approx(1.5 / n, rel=1e-15)
-        assert lambda2(n, terms=2) == pytest.approx(
-            1.5 / n + 41.0 / n**2, rel=1e-15
+        su = su_params(n)
+        assert su.lambda2 == pytest.approx(1.5 / n + 41.0 / n**2, rel=1e-15)
+        assert su.beta2_spms == pytest.approx(
+            3.0 + 20.0 / n + 48544.0 / 3.0 / n**2, rel=1e-15
         )
-        assert beta2_spms(n, terms=1) == pytest.approx(3.0 + 20.0 / n)
-        assert lambda4(n, terms=1) == pytest.approx(6.75 / n**2, rel=1e-15)
+        assert _partial_sum(NULL_MOMENT_SERIES.lambda2_coeffs, n, 1, 1) == (
+            pytest.approx(1.5 / n, rel=1e-15)
+        )
+        assert _partial_sum(NULL_MOMENT_SERIES.beta2_coeffs, n, 0, 2) == (
+            pytest.approx(3.0 + 20.0 / n)
+        )
+        assert _partial_sum(NULL_MOMENT_SERIES.lambda4_coeffs, n, 2, 1) == (
+            pytest.approx(6.75 / n**2, rel=1e-15)
+        )
 
     def test_exact_coefficients(self):
         lam2 = NULL_MOMENT_SERIES.lambda2_coeffs
@@ -74,25 +93,15 @@ class TestSeriesValues:
     def test_domain_errors(self):
         with pytest.raises(SampleTooSmallError):
             lambda2(7)
-        with pytest.raises(InvalidParamsError):
-            lambda2(100, terms=4)
-        with pytest.raises(InvalidParamsError):
-            lambda4(100, terms=3)
-        with pytest.raises(InvalidParamsError):
-            beta2_spms(100, terms=0)
 
     @pytest.mark.parametrize(
         "call",
         [
-            lambda: lambda2(100, terms=2.5),
-            lambda: lambda4(100, terms=1.5),
-            lambda: beta2_spms(100, terms=1.5),
             lambda: lambda2(100.5),
             lambda: su_params(100.5),
             lambda: su_params("100"),
         ],
-        ids=["lambda2_terms", "lambda4_terms", "beta2_terms", "lambda2_n",
-             "su_params_n", "su_params_str"],
+        ids=["lambda2_n", "su_params_n", "su_params_str"],
     )
     def test_non_integer_arguments(self, call):
         # never truncated to an integer, never a raw TypeError
@@ -111,9 +120,11 @@ class TestSuParams:
 
     def test_calibrated_chain_at_200(self):
         su = su_params(200)
-        assert su.lambda2 == pytest.approx(lambda2(200, terms=2), rel=1e-15)
+        assert su.lambda2 == pytest.approx(
+            _partial_sum(NULL_MOMENT_SERIES.lambda2_coeffs, 200, 1, 2), rel=1e-15
+        )
         assert su.beta2_spms == pytest.approx(
-            beta2_spms(200, terms=2), rel=1e-15
+            _partial_sum(NULL_MOMENT_SERIES.beta2_coeffs, 200, 0, 3), rel=1e-15
         )
         assert su.W2 == pytest.approx(1.2380944275581105, rel=1e-12)
         assert su.delta == pytest.approx(3.06014052829836, rel=1e-12)
