@@ -91,17 +91,20 @@ class TestSeriesValues:
         )
 
     def test_domain_errors(self):
-        with pytest.raises(SampleTooSmallError):
-            lambda2(7)
+        for series in (lambda2, lambda4, beta2_spms):
+            with pytest.raises(SampleTooSmallError):
+                series(7)
 
     @pytest.mark.parametrize(
         "call",
         [
             lambda: lambda2(100.5),
+            lambda: lambda4(100.5),
+            lambda: beta2_spms(100.5),
             lambda: su_params(100.5),
             lambda: su_params("100"),
         ],
-        ids=["lambda2_n", "su_params_n", "su_params_str"],
+        ids=["lambda2_n", "lambda4_n", "beta2_n", "su_params_n", "su_params_str"],
     )
     def test_non_integer_arguments(self, call):
         # never truncated to an integer, never a raw TypeError
