@@ -26,8 +26,6 @@ import numpy as np
 
 from .distributions import AlternativeSpec
 from .errors import (
-    InvalidConfigError,
-    InvalidLevelError,
     InvalidParamsError,
     NonFiniteError,
     ParseError,
@@ -64,7 +62,6 @@ _DATA_ERRORS = (
     SampleTooSmallError,
     SampleTooLargeError,
 )
-_CONFIG_ERRORS = (InvalidConfigError, InvalidParamsError, InvalidLevelError)
 
 _TEST_FUNCS = {
     TestName.SPMS: spms_test,
@@ -88,8 +85,8 @@ def _fmt(value) -> str:
         if any(ch in value for ch in ',"\n'):
             return '"' + value.replace('"', '""') + '"'
         return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
+    if isinstance(value, int):
+        return str(value)
     return format(float(value), ".6g")
 
 
@@ -131,14 +128,14 @@ def _list(text: str, convert=float, what="numbers") -> list:
     try:
         return [convert(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        raise InvalidConfigError(f"expected comma-separated {what}: {text!r}")
+        raise InvalidParamsError(f"expected comma-separated {what}: {text!r}")
 
 
 def _sizes(text: str) -> list[int]:
     """The --n list of sample sizes; at least one is required."""
     ns = _list(text, int, "integers")
     if not ns:
-        raise InvalidConfigError(f"--n needs at least one sample size: {text!r}")
+        raise InvalidParamsError(f"--n needs at least one sample size: {text!r}")
     return ns
 
 
@@ -181,7 +178,7 @@ def _read_sample(path: str, col: int | None) -> Sample:
 
 def cmd_test(args) -> int:
     if args.col is not None and args.col < 1:
-        raise InvalidConfigError(f"--col must be >= 1, got {args.col}")
+        raise InvalidParamsError(f"--col must be >= 1, got {args.col}")
     sample = _read_sample(args.input, args.col)
     rows = []
     failures = []
@@ -271,7 +268,7 @@ def cmd_hist(args) -> int:
     if args.range is not None:
         bounds = _list(args.range)
         if len(bounds) != 2:
-            raise InvalidConfigError(f"--range needs two numbers: {args.range!r}")
+            raise InvalidParamsError(f"--range needs two numbers: {args.range!r}")
         value_range = (bounds[0], bounds[1])
     result = null_histogram(
         args.stat,
@@ -420,7 +417,7 @@ def main(argv=None) -> int:
     except _DATA_ERRORS as exc:
         print(f"pmskew: error: {exc}", file=sys.stderr)
         return 1
-    except _CONFIG_ERRORS as exc:
+    except InvalidParamsError as exc:
         print(f"pmskew: error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -29,12 +29,11 @@ from __future__ import annotations
 
 import enum
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParamsError
+from .errors import InvalidParamsError, check_int, check_member, check_real
 from .moments import Sample
 
 __all__ = [
@@ -81,17 +80,12 @@ class AlternativeSpec:
     params: tuple[float, ...] = ()
 
     def __post_init__(self):
-        try:
-            family = Family(self.family)
-        except ValueError:
-            raise InvalidParamsError(
-                f"unknown distribution family {self.family!r}"
-            ) from None
+        family = check_member(Family, self.family, "distribution family")
         try:
             if isinstance(self.params, (str, bytes)):
                 raise TypeError  # would be read one character at a time
-            params = tuple(float(p) for p in self.params)
-        except (TypeError, ValueError, OverflowError):
+            params = tuple(check_real("parameter", p) for p in self.params)
+        except (TypeError, InvalidParamsError):
             raise InvalidParamsError(
                 f"{family} parameters must be a collection of numbers, "
                 f"got {self.params!r}"
@@ -149,23 +143,6 @@ POWER_STUDY_ALTERNATIVES = (
     AlternativeSpec(Family.GAMMA, (2.0,)),
     AlternativeSpec(Family.LOGNORMAL, (0.0, 0.5)),
 )
-
-
-def check_int(name: str, v, lo=0, hi=2**64) -> int:
-    """v as an int, or InvalidParamsError naming it unless v is an integer
-    (Python or numpy; never a bool, a float or a string) with
-    lo <= v < hi. The default range is a 64-bit Philox key word."""
-    try:
-        if isinstance(v, bool):  # operator.index reads it as 0 or 1
-            raise TypeError
-        i = operator.index(v)
-    except TypeError:
-        raise InvalidParamsError(f"{name} must be an integer, got {v!r}") from None
-    if i < lo:
-        raise InvalidParamsError(f"{name} must be >= {lo}, got {i}")
-    if i >= hi:
-        raise InvalidParamsError(f"{name} must be <= {hi - 1}, got {i}")
-    return i
 
 
 @dataclass(frozen=True)
@@ -250,43 +227,39 @@ def sample(spec: AlternativeSpec, n: int, stream: SeededStream) -> Sample:
 def population_moments(spec: AlternativeSpec) -> tuple[float, float]:
     """Exact population skewness sqrt(beta1) and kurtosis beta2;
     InvalidParamsError if float64 cannot hold them or their terms."""
+    family = spec.family
     try:
-        moments = _population_moments(spec)
+        if family is Family.NORMAL:
+            moments = 0.0, 3.0
+        elif family is Family.BETA:
+            p, q = spec.params
+            s = p + q
+            sqrt_beta1 = (
+                2.0 * (q - p) * math.sqrt(s + 1.0) / ((s + 2.0) * math.sqrt(p * q))
+            )
+            gamma2 = (
+                6.0
+                * ((p - q) ** 2 * (s + 1.0) - p * q * (s + 2.0))
+                / (p * q * (s + 2.0) * (s + 3.0))
+            )
+            moments = sqrt_beta1, 3.0 + gamma2
+        elif family is Family.GAMMA:
+            a = spec.params[0]
+            moments = 2.0 / math.sqrt(a), 3.0 + 6.0 / a
+        elif family is Family.WEIBULL:
+            k = spec.params[0]
+            g1, g2, g3, g4 = (math.gamma(1.0 + i / k) for i in (1, 2, 3, 4))
+            var = g2 - g1 * g1
+            mu3 = g3 - 3.0 * g1 * g2 + 2.0 * g1**3
+            mu4 = g4 - 4.0 * g1 * g3 + 6.0 * g1 * g1 * g2 - 3.0 * g1**4
+            moments = mu3 / var**1.5, mu4 / (var * var)
+        else:  # LOGNORMAL; every family is handled
+            sigma = spec.params[1]
+            w = math.exp(sigma * sigma)
+            sqrt_beta1 = (w + 2.0) * math.sqrt(w - 1.0)
+            moments = sqrt_beta1, w**4 + 2.0 * w**3 + 3.0 * w * w - 3.0
         if all(map(math.isfinite, moments)):
             return moments
     except (OverflowError, ZeroDivisionError):
         pass
     raise InvalidParamsError(f"population moments of {spec.label} are beyond float64")
-
-
-def _population_moments(spec):
-    family = spec.family
-    if family is Family.NORMAL:
-        return 0.0, 3.0
-    if family is Family.BETA:
-        p, q = spec.params
-        s = p + q
-        sqrt_beta1 = 2.0 * (q - p) * math.sqrt(s + 1.0) / ((s + 2.0) * math.sqrt(p * q))
-        gamma2 = (
-            6.0
-            * ((p - q) ** 2 * (s + 1.0) - p * q * (s + 2.0))
-            / (p * q * (s + 2.0) * (s + 3.0))
-        )
-        return sqrt_beta1, 3.0 + gamma2
-    if family is Family.GAMMA:
-        a = spec.params[0]
-        return 2.0 / math.sqrt(a), 3.0 + 6.0 / a
-    if family is Family.WEIBULL:
-        k = spec.params[0]
-        g1, g2, g3, g4 = (math.gamma(1.0 + i / k) for i in (1, 2, 3, 4))
-        var = g2 - g1 * g1
-        mu3 = g3 - 3.0 * g1 * g2 + 2.0 * g1**3
-        mu4 = g4 - 4.0 * g1 * g3 + 6.0 * g1 * g1 * g2 - 3.0 * g1**4
-        return mu3 / var**1.5, mu4 / (var * var)
-    if family is Family.LOGNORMAL:
-        sigma = spec.params[1]
-        w = math.exp(sigma * sigma)
-        sqrt_beta1 = (w + 2.0) * math.sqrt(w - 1.0)
-        beta2 = w**4 + 2.0 * w**3 + 3.0 * w * w - 3.0
-        return sqrt_beta1, beta2
-    raise InvalidParamsError(f"unhandled family {family!r}")

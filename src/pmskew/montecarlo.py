@@ -85,12 +85,17 @@ from .distributions import (
     AlternativeSpec,
     Family,
     SeededStream,
-    check_int,
     draw_values,  # no longer called here; bench/tracing.py wraps this name
     row_filler,
     stream_rekeyer,
 )
-from .errors import InvalidLevelError, InvalidParamsError
+from .errors import (
+    InvalidLevelError,
+    InvalidParamsError,
+    check_int,
+    check_level,
+    check_member,
+)
 from .moments import _quiet, _row_mean, _squares, centred_moment_arrays
 from .skewtests import (
     TestName,
@@ -99,7 +104,6 @@ from .skewtests import (
     _batch_sqrt_b1_z,
     _batch_sw,
     _constants,
-    check_level,
     check_sw_n,
 )
 # su_params is no longer called here; bench/tracing.py wraps this name
@@ -421,15 +425,9 @@ def calibrate(n: int, reps: int, levels, seed: int, threads: int = 1) -> Calibra
     return row
 
 
-def _test_name(item) -> TestName:
-    try:
-        return TestName(item)
-    except ValueError:
-        raise InvalidParamsError(f"unknown test name {item!r}") from None
-
-
 def _normalize_tests(tests) -> tuple[TestName, ...]:
-    wanted = _items("tests", tests, "a collection of test names", _test_name)
+    name = functools.partial(check_member, TestName, what="test name")
+    wanted = _items("tests", tests, "a collection of test names", name)
     return tuple(t for t in ALL_TESTS if t in wanted)
 
 
@@ -621,10 +619,7 @@ def null_histogram(
     """
     n = check_n(n)
     reps, seed, threads = _check_common(reps, seed, threads)
-    try:
-        statistic = Statistic(statistic)
-    except ValueError:
-        raise InvalidParamsError(f"unknown statistic {statistic!r}") from None
+    statistic = check_member(Statistic, statistic, "statistic")
     bins = check_int("bins", bins, lo=2, hi=2**20 + 1)
     if value_range is not None:
         try:

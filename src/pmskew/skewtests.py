@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,8 +62,7 @@ from scipy.special import ndtr, ndtri
 # default): its Python wrapper costs more than a 1-D row's dot product
 from numpy._core.multiarray import c_einsum as _einsum
 
-from .distributions import check_int
-from .errors import InvalidLevelError, InvalidParamsError, SampleTooLargeError
+from .errors import SampleTooLargeError, check_int, check_level, check_real
 from .moments import MomentSummary, Sample, _quiet, _row_mean, central_moments
 # bound at import, so a record never keeps bench/tracing.py's su_params wrapper
 from .su_transform import SuTransform, check_n, su_params
@@ -86,14 +84,6 @@ __all__ = [
 ]
 
 SW_MAX_N = 5000
-
-
-def check_level(level) -> float:
-    """The one significance-level rule: level as a float, or
-    InvalidLevelError unless it is a number in the open interval (0, 1)."""
-    if isinstance(level, numbers.Real) and 0.0 < level < 1.0:
-        return float(level)
-    raise InvalidLevelError(f"level must be in (0, 1), got {level!r}")
 
 
 def check_sw_n(n: int) -> int:
@@ -157,14 +147,7 @@ class SeriesState:
 
     def __post_init__(self):
         for name in ("U", "V", "W"):
-            value = getattr(self, name)
-            try:
-                if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                    raise TypeError
-                object.__setattr__(self, name, float(value))
-            except (TypeError, OverflowError):
-                msg = f"{name} must be a real number, got {value!r}"
-                raise InvalidParamsError(msg) from None
+            object.__setattr__(self, name, check_real(name, getattr(self, name)))
         object.__setattr__(self, "n", check_int("n", self.n, lo=1))
 
     @classmethod

@@ -50,8 +50,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .distributions import check_int
-from .errors import InvalidParamsError, SampleTooSmallError
+from .errors import InvalidParamsError, SampleTooSmallError, check_int
 
 __all__ = [
     "SuTransform",

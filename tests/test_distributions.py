@@ -70,8 +70,19 @@ class TestAlternativeSpec:
             (("foo",), "foo"),
             (("gamma", None), "None"),
             (("gamma", ("x",)), "'x'"),
+            (("gamma", ("2",)), r"\('2',\)"),  # not read as gamma(2)
+            (("beta", (b"2", 1)), r"\(b'2', 1\)"),
+            (("gamma", (True,)), r"\(True,\)"),  # not read as gamma(1)
         ],
-        ids=["params_string", "unknown_family", "params_none", "params_not_numbers"],
+        ids=[
+            "params_string",
+            "unknown_family",
+            "params_none",
+            "params_not_numbers",
+            "param_numeric_string",
+            "param_bytes",
+            "param_bool",
+        ],
     )
     def test_constructor_raises_only_invalid_params(self, args, match):
         with pytest.raises(InvalidParamsError, match=match):

@@ -159,11 +159,16 @@ def _traced_names() -> set[tuple[str, str]]:
     }
 
 
+def _parse(module):
+    """pmskew.<module> and the AST of its source."""
+    mod = importlib.import_module(f"pmskew.{module}")
+    return mod, ast.parse(Path(mod.__file__).read_text(), mod.__file__)
+
+
 def _unused_imports(module) -> list[str]:
     """The names pmskew.<module> imports but neither uses nor lists in
     its __all__."""
-    mod = importlib.import_module(f"pmskew.{module}")
-    tree = ast.parse(Path(mod.__file__).read_text(), mod.__file__)
+    mod, tree = _parse(module)
     imported = {
         alias.asname or alias.name.partition(".")[0]
         for node in ast.walk(tree)
@@ -184,3 +189,34 @@ def test_every_unused_import_is_a_tracer_shim(module):
     stops wrapping one, this names the import to delete."""
     shims = _traced_names()
     assert [n for n in _unused_imports(module) if (module, n) not in shims] == []
+
+
+def _pmskew_imports(module) -> set[str]:
+    """The pmskew modules that pmskew.<module> imports from, read from its
+    AST; a relative import is one from pmskew."""
+    _, tree = _parse(module)
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            parts = ["pmskew"] * bool(node.level) + [node.module] * bool(node.module)
+            names += [".".join([*parts, alias.name]) for alias in node.names]
+    return {name.split(".")[1] for name in names if name.startswith("pmskew.")}
+
+
+@pytest.mark.parametrize("module", ["moments", "su_transform", "skewtests"])
+def test_statistics_core_does_not_import_the_sampler(module):
+    # the argument rules live in errors, so the statistic and its S_U
+    # transform need nothing from the variate sampler
+    assert "distributions" not in _pmskew_imports(module)
+
+
+def test_errors_imports_no_pmskew_module():
+    # errors owns the argument rules every other module uses
+    assert _pmskew_imports("errors") == set()
+
+
+def test_a_bad_argument_raises_one_exception_family():
+    assert issubclass(errors.InvalidLevelError, errors.InvalidParamsError)
+    assert "InvalidConfigError" not in errors.__all__
