@@ -79,7 +79,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .distributions import (
     AlternativeSpec,
@@ -97,6 +96,7 @@ from .errors import (
     check_member,
 )
 from .moments import _quiet, _row_mean, _squares, centred_moment_arrays
+from .normal import ndtri
 from .skewtests import (
     TestName,
     _batch_lm_z,

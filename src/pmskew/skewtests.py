@@ -15,8 +15,9 @@ its z = arctanh(r) is infinite at |r| = 1. The Monte Carlo harness runs
 the kernels on 2-D chunks; the scalar entry points run them on a
 Sample's 1-D row, whose scalars one adapter turns into a TestResult.
 After the row reductions, the ufuncs whose last bit can depend on
-numpy's SIMD target (np.log, np.arctanh, np.arcsinh, np.power, ndtr)
-run the same loop on a scalar as on a chunk row. The steps that do not
+numpy's SIMD target (np.log, np.arctanh, np.arcsinh, np.power) run the
+same loop on a scalar as on a chunk row; the p-values' normal CDF, ndtr,
+is the normal module's, the same on every target. The steps that do not
 round (NaN guards, clips, finiteness checks) and the correctly rounded
 sqrt go through _nan_where, _at_most, _at_least, _isfinite and _sqrt:
 the ufunc on an array, and on a scalar a comparison, math.isfinite or
@@ -56,7 +57,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 # np.einsum's C entry, which np.einsum calls when optimize=False (its
 # default): its Python wrapper costs more than a 1-D row's dot product
@@ -64,6 +64,7 @@ from numpy._core.multiarray import c_einsum as _einsum
 
 from .errors import SampleTooLargeError, check_int, check_level, check_real
 from .moments import MomentSummary, Sample, _quiet, _row_mean, central_moments
+from .normal import ndtr, ndtri
 # bound at import, so a record never keeps bench/tracing.py's su_params wrapper
 from .su_transform import SuTransform, check_n, su_params
 # central_moment_arrays is no longer called here; the benchmark's tracer
@@ -411,7 +412,10 @@ def _sw_constants(n: int):
     log(1 - W) to z, gamma None above n = 11. The full n-vector kept per
     record instead gave about +2% scalar_tests t1 for +10 MB of peak RSS
     (bench/run.py --seconds 6, 4 of 4 alternating pairs, 2 vCPUs), and
-    Royston's sum of a_i (x_(n+1-i) - x_(i)) needs the lower half alone."""
+    Royston's sum of a_i (x_(n+1-i) - x_(i)) needs the lower half alone.
+    The scores come from the normal module's ndtri, which costs more on
+    first use per n than scipy's did: 58 us at n = 20 and 282 us at
+    n = 5000, against scipy's 0.8 and 32 us (timeit, 2 vCPUs)."""
     n2 = n // 2
     m = (np.arange(1, n2 + 1, dtype=np.float64) - 0.375) / (n + 0.25)
     ndtri(m, out=m)  # lower-half scores, all negative

@@ -2,13 +2,16 @@
 declared in one module's `__all__` only; every public function's parameter
 names are pinned. Also the package's functools caches, each kept for a
 measured gain, and its imports, each used, exported or wrapped by the
-benchmark's tracer."""
+benchmark's tracer, none of them scipy's."""
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -191,9 +194,10 @@ def test_every_unused_import_is_a_tracer_shim(module):
     assert [n for n in _unused_imports(module) if (module, n) not in shims] == []
 
 
-def _pmskew_imports(module) -> set[str]:
-    """The pmskew modules that pmskew.<module> imports from, read from its
-    AST; a relative import is one from pmskew."""
+def _imports(module) -> list[str]:
+    """The dotted names pmskew.<module> imports, read from its AST: each
+    module it imports and each name it imports from one; a relative
+    import is one from pmskew."""
     _, tree = _parse(module)
     names = []
     for node in ast.walk(tree):
@@ -202,6 +206,12 @@ def _pmskew_imports(module) -> set[str]:
         elif isinstance(node, ast.ImportFrom):
             parts = ["pmskew"] * bool(node.level) + [node.module] * bool(node.module)
             names += [".".join([*parts, alias.name]) for alias in node.names]
+    return names
+
+
+def _pmskew_imports(module) -> set[str]:
+    """The pmskew modules that pmskew.<module> imports from."""
+    names = _imports(module)
     return {name.split(".")[1] for name in names if name.startswith("pmskew.")}
 
 
@@ -220,3 +230,25 @@ def test_errors_imports_no_pmskew_module():
 def test_a_bad_argument_raises_one_exception_family():
     assert issubclass(errors.InvalidLevelError, errors.InvalidParamsError)
     assert "InvalidConfigError" not in errors.__all__
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only runtime dependency: scipy serves the tests alone
+    src = str(Path(pmskew.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = (
+        "import sys, pmskew, pmskew.cli\n"
+        "print([m for m in sys.modules if m.startswith('scipy')])"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_module_imports_scipy(module):
+    assert [name for name in _imports(module) if name.split(".")[0] == "scipy"] == []
