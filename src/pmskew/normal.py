@@ -5,9 +5,9 @@ for Mathematical Functions, 1989): its rational approximations, its
 constants and its branches, each polynomial evaluated in the Horner order
 of Cephes's polevl and p1evl with one rounding per + and *. So they give
 the same bits as scipy.special's ndtr and ndtri, which ship the same code
-compiled without fused multiply-adds. The only calls that round are libm's
-exp and log (through math.exp and math.log) and the correctly rounded
-sqrt: no step depends on numpy's SIMD target.
+(built without fused multiply-adds, as on x86-64). The only calls that
+round are libm's exp and log (through math.exp and math.log) and the
+correctly rounded sqrt: no step depends on numpy's SIMD target.
 
 ndtr takes a Python float and writes its polynomials as literals: each
 p-value of a scalar test costs one call. ndtri takes a float, for the
