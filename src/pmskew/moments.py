@@ -7,12 +7,17 @@ that single-pass formulas suffer for fourth powers. Summation uses numpy's
 pairwise reduction over the stored value order, so results for a given
 value order are bit-reproducible. Every row mean, of a Sample's 1-D row
 or a chunk's rows, is _row_mean's np.add.reduce / n over the last axis:
-the bits ndarray.mean gives without its Python wrapper.
+the bits ndarray.mean gives without its Python wrapper. A Sample turns
+its row's mean and sum of squares into Python floats once, where they
+are reduced, so the arithmetic after them rounds as on numpy scalars
+without their cost; the moments' two ratios still divide numpy scalars,
+which give inf or NaN where a Python float would raise ZeroDivisionError.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,7 +46,8 @@ class Sample:
 
     Validation computes the mean, the deviations d from it, their
     _squares and centred_moment_arrays on the 1-D row, once, and keeps d
-    and d*d read-only and the five moments as Python floats;
+    and d*d read-only and the squares' sum and the five moments as
+    Python floats;
     central_moments and the scalar tests in skewtests read them, however
     many tests a Sample goes through. Moments that overflow near the
     float64 limits are inf or NaN, without a numpy warning. Samples
@@ -74,10 +80,14 @@ class Sample:
 
     @_quiet
     def __post_init__(self):
-        if np.ma.is_masked(self.values):  # np.asarray would keep them
+        # np.asarray would keep masked values; a masked array exists only
+        # once numpy.ma is imported, so a process that never imported it
+        # does not pay for its import here
+        ma = sys.modules.get("numpy.ma")
+        if ma is not None and ma.is_masked(self.values):
             raise InvalidParamsError(
                 f"a sample has no masked values, got "
-                f"{np.ma.count_masked(self.values)} in a masked array; pass "
+                f"{ma.count_masked(self.values)} in a masked array; pass "
                 "its .compressed() to test the unmasked values"
             )
         try:
@@ -103,14 +113,15 @@ class Sample:
             raise SampleTooSmallError(
                 f"need at least 3 observations, got {arr.size}"
             )
-        mean = _row_mean(arr)
+        mean = float(_row_mean(arr))
         # a NaN or an infinity makes the sum non-finite, so a finite mean
         # needs no look at the values; an overflowing sum of finite values
         # passes, and its moments are not finite
         if not math.isfinite(mean) and not np.logical_and.reduce(np.isfinite(arr)):
             raise NonFiniteError("sample contains NaN or infinite values")
         d = arr - mean
-        squares = _squares(d)
+        sq, sq_sum = _squares(d)
+        squares = sq, float(sq_sum)
         moments = tuple(map(float, centred_moment_arrays(d, *squares)))
         m2 = moments[0]
         if m2 * m2 == 0.0:
@@ -121,13 +132,12 @@ class Sample:
                 "moment ratios"
             )
         arr = arr.copy()
-        for a in (arr, d, squares[0]):
-            a.flags.writeable = False
-        object.__setattr__(self, "values", arr)
-        object.__setattr__(self, "_mean", float(mean))
-        object.__setattr__(self, "_centred", d)
-        object.__setattr__(self, "_squares", squares)
-        object.__setattr__(self, "_moments", moments)
+        for a in (arr, d, sq):
+            a.setflags(write=False)
+        # one write of the frozen instance's attributes, not five setattrs
+        vars(self).update(
+            values=arr, _mean=mean, _centred=d, _squares=squares, _moments=moments
+        )
 
     @property
     def n(self) -> int:
@@ -204,9 +214,13 @@ def centred_moment_arrays(d: np.ndarray, sq: np.ndarray, sq_sum, p=None):
     _squares sq and sq_sum are only read, so callers can share them;
     m2 = sq_sum / n has _row_mean's bits. p, a float64 array of d's
     shape, overwritten, if given, else a new one, holds sq*d, then sq*sq.
-    A 1-D d gives numpy scalars, so m2^1.5 is np.power: ** on a numpy
-    scalar goes through numpy's scalar math, which rounds unlike the
-    ufunc. Its callers, not it, enter _quiet.
+    A 1-D d gives scalars; a Sample passes sq_sum as a Python float, so
+    its m2 and m2*m2 are Python arithmetic, which rounds as numpy's does.
+    m2^1.5 is np.power, the chunk rows' loop: ** goes through libm or
+    numpy's scalar math, which can round unlike the ufunc. m3 and m4 stay
+    numpy scalars, so both ratios divide as numpy does and a zero
+    variance gives inf or NaN, where a Python float would raise
+    ZeroDivisionError. Its callers, not it, enter _quiet.
     """
     m2 = sq_sum / d.shape[-1]
     p = np.multiply(sq, d, out=p)

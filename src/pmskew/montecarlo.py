@@ -19,7 +19,9 @@ buffer that then holds the moments' powers and Lin-Mudholkar's s1; and
 the rows' squares, then Lin-Mudholkar's proxy) from a workspace of four
 CHUNK_SIZE buffers, at any number of sizes, built on first use and kept
 on a free list for later chunks, so no chunk faults its blocks in afresh
-(a row longer than CHUNK_SIZE gets blocks of its own, never kept);
+(a row longer than CHUNK_SIZE gets blocks of its own, never kept); a call
+leaves at most max(threads, 1) of them idle, so an earlier call on more
+threads holds no memory for good;
 _draw_chunk and the kernels take them as caller-supplied arrays. No
 kernel writes to the drawn block, and no array a chunk
 returns is a view of one. Every statistic of a row is computed from that
@@ -247,11 +249,40 @@ def _draw_chunk(spec, n, seed, span, base=0, out=None):
 
 
 # idle workspaces: each is four flat CHUNK_SIZE float64 buffers, reused by
-# one running chunk at a time; list.pop and list.append are atomic, so no lock.
-# A fresh np.empty((4, rows, n)) per chunk instead cut power_n1000 t1 from
-# about 32k to 17.5k samples/s and null_suite t1 by about 14% (bench/run.py
-# --seconds 6, 3 of 3 alternating pairs, 2 vCPUs)
+# one running chunk at a time; list.pop, list.append and del of a slice are
+# atomic, so no lock. A fresh np.empty((4, rows, n)) per chunk instead cut
+# power_n1000 t1 from about 32k to 17.5k samples/s and null_suite t1 by about
+# 14% (bench/run.py --seconds 6, 3 of 3 alternating pairs, 2 vCPUs)
 _workspaces = []
+
+
+def _new_workspace():
+    """A (4, CHUNK_SIZE) float64 workspace on an anonymous mapping of its
+    own. Dropping it unmaps its pages; the free() of an np.empty workspace
+    would also raise glibc's dynamic mmap threshold to 4 MiB, which changes
+    how every later allocation of the process is served. The mapping is
+    private where the platform has the flag (mmap's default is shared,
+    which a forked child would write too), and its pages are offered to
+    transparent huge pages, as numpy offers those of an np.empty array of
+    4 MiB or more."""
+    import mmap  # here, so that importing pmskew does not load it
+
+    size = 4 * CHUNK_SIZE * 8
+    if hasattr(mmap, "MAP_PRIVATE"):
+        buf = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
+    else:
+        buf = mmap.mmap(-1, size)
+    if hasattr(mmap, "MADV_HUGEPAGE"):
+        buf.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(buf, dtype=np.float64).reshape(4, CHUNK_SIZE)
+
+
+def _trim_workspaces(threads: int) -> None:
+    """Drop the oldest idle workspaces beyond max(threads, 1): no more
+    chunks than that run at once in a call on that many threads."""
+    excess = len(_workspaces) - max(threads, 1)
+    if excess > 0:
+        del _workspaces[:excess]
 
 
 @contextlib.contextmanager
@@ -268,7 +299,7 @@ def _chunk_blocks(rows, n):
     try:
         ws = _workspaces.pop()
     except IndexError:
-        ws = np.empty((4, CHUNK_SIZE))
+        ws = _new_workspace()
     try:
         yield [b[:size].reshape(rows, n) for b in ws]
     finally:
@@ -299,10 +330,13 @@ def _chunk_kernels(spec, sizes, seed, span, tests, base=0):
 
 def _map_chunks(work, reps: int, n: int, threads: int) -> list:
     spans = _spans(reps, n)
-    if threads <= 1 or len(spans) == 1:
-        return [work(s) for s in spans]
-    with ThreadPoolExecutor(max_workers=min(threads, len(spans))) as pool:
-        return list(pool.map(work, spans))
+    try:
+        if threads <= 1 or len(spans) == 1:
+            return [work(s) for s in spans]
+        with ThreadPoolExecutor(max_workers=min(threads, len(spans))) as pool:
+            return list(pool.map(work, spans))
+    finally:
+        _trim_workspaces(threads)
 
 
 @functools.lru_cache(maxsize=2)

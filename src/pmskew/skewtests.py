@@ -13,18 +13,25 @@ or Lin-Mudholkar correlation, or moments that overflow near the float64
 limits) has raw = NaN. Lin-Mudholkar alone uses defined = isfinite(z):
 its z = arctanh(r) is infinite at |r| = 1. The Monte Carlo harness runs
 the kernels on 2-D chunks; the scalar entry points run them on a
-Sample's 1-D row, whose scalars one adapter turns into a TestResult.
-After the row reductions, the ufuncs whose last bit can depend on
-numpy's SIMD target (np.log, np.arctanh, np.arcsinh, np.power) run the
-same loop on a scalar as on a chunk row; the p-values' normal CDF, ndtr,
-is the normal module's, the same on every target. The steps that do not
-round (NaN guards, clips, finiteness checks) and the correctly rounded
-sqrt go through _nan_where, _at_most, _at_least, _isfinite and _sqrt:
-the ufunc on an array, and on a scalar a comparison, math.isfinite or
-math.sqrt, which give its bits without the cost of its call. So both
-compute identical values, and every test reports an undefined statistic
-the same way: defined=False with NaN fields, never an error and never a
-NaN result marked defined.
+Sample's 1-D row, whose results one adapter turns into a TestResult.
+On a row the reductions end as Python floats: a row's sum or mean is
+subtracted as a float (_col gives a chunk's as a column), and the
+finish (the moments, spms and the S_U z, W, r) does + - * / on Python
+floats, which round as numpy scalars do at a fraction of the cost. A
+Python float raises ZeroDivisionError where a numpy scalar gives inf or
+NaN, so a division whose divisor can be 0 keeps a numpy scalar operand
+(the moments' ratios, Lin-Mudholkar's r), and no power is taken with **,
+which raises OverflowError on a Python float. The ufuncs whose last bit
+can depend on numpy's SIMD target (np.log, np.arctanh, np.arcsinh,
+np.power) stay numpy calls, which run the same loop on a scalar as on a
+chunk row; the p-values' normal CDF, ndtr, is the normal module's, the
+same on every target. The steps that do not round (NaN guards, clips,
+finiteness checks) and the correctly rounded sqrt go through _nan_where,
+_at_most, _at_least, _isfinite and _sqrt: the ufunc on an array, and on
+a scalar a comparison, math.isfinite or math.sqrt, which give its bits
+without the cost of its call. So both compute identical values, and
+every test reports an undefined statistic the same way: defined=False
+with NaN fields, never an error and never a NaN result marked defined.
 
 The spms expression and its degenerate-denominator guard live in _spms
 alone, which the kernel and population_pms share.
@@ -33,10 +40,12 @@ The spms and sqrt(b1) kernels take centred_moment_arrays' moments, and
 the Lin-Mudholkar kernel the centred rows and the squares and row sums
 those came from: a chunk centres, squares and sums its samples once, and
 the scalar tests read all three from the Sample, which forms them at
-validation. The kernels work in place on their own temporaries and
-silence the float overflow they can hit, each entering numpy's error
+validation. The array kernels work in place on their own temporaries
+and silence the float overflow they can hit, each entering numpy's error
 state once through the decorator moments._quiet: no test emits a numpy
-warning at any scale a Sample accepts.
+warning at any scale a Sample accepts. _spms enters none: on a Sample it
+sees Python floats, which warn of nothing, and on a chunk it runs inside
+_chunk_statistics' own _quiet.
 
 Every constant a test takes from n alone (the S_U transforms of spms and
 sqrt(b1), Shapiro-Wilk's lower-half weights and z constants,
@@ -197,13 +206,20 @@ def _sqrt(x):
     return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
 
 
-@_quiet
+def _col(v):
+    """v[..., None]: a chunk's row values as a column, broadcast across
+    its rows; a 1-D row's single value as it is."""
+    return v[..., None] if isinstance(v, np.ndarray) else v
+
+
 def _spms(sqrt_b1, b2):
     """sqrt(b1)*(b2 + 3) / (2*(5*b2 - 6*b1 - 9)) elementwise, b1 = sqrt_b1**2.
 
     NaN where |5*b2 - 6*b1 - 9| is below a relative-scale guard. The
     denominator may legitimately be negative for small skewed samples;
-    the sign is kept as-is.
+    the sign is kept as-is. It enters no error state of its own: it sees
+    Python floats, whose overflow gives inf and whose guarded divisor is
+    never 0, or arrays inside _chunk_statistics' _quiet.
     """
     five_b2, six_b1 = 5.0 * b2, 6.0 * (sqrt_b1 * sqrt_b1)
     den = five_b2 - six_b1 - 9.0
@@ -215,7 +231,7 @@ def _spms(sqrt_b1, b2):
 def population_pms(sqrt_beta1: float, beta2: float) -> float:
     """Population Pearson measure of skewness from sqrt(beta1) and beta2;
     NaN on a degenerate denominator 5*beta2 - 6*beta1 - 9."""
-    return float(_spms(sqrt_beta1, beta2))
+    return _spms(float(sqrt_beta1), float(beta2))
 
 
 def spms_statistic(summary: MomentSummary) -> float:
@@ -274,13 +290,30 @@ def _two_sided_p(z):
     return 2.0 * ndtr(-abs(z))
 
 
+def _lower_tail_p(z):
+    """Shapiro-Wilk's one-tailed p-value: large z means small W."""
+    return ndtr(-z)
+
+
 def _one_row(name: TestName, kernel_out, p_value=_two_sided_p) -> TestResult:
-    """The TestResult of a kernel's (raw, z, defined) on a 1-D row."""
+    """The TestResult of a kernel's (raw, z, defined) on a 1-D row.
+
+    It is built as the frozen __init__ builds it, the same __dict__ in
+    field order, with one write in place of its five setattr calls: the
+    fields, eq, hash, repr and pickle are the dataclass's own.
+    """
     raw, z, defined = kernel_out
-    if not defined:
-        return TestResult(name, math.nan, math.nan, math.nan, False)
-    z = float(z)
-    return TestResult(name, float(raw), z, float(p_value(z)))
+    if defined:
+        z = float(z)
+        raw, p = float(raw), float(p_value(z))
+    else:
+        raw = z = p = math.nan
+    result = object.__new__(TestResult)
+    object.__setattr__(result, "__dict__", {
+        "test_name": name, "raw_statistic": raw, "z_value": z, "p_value": p,
+        "defined": bool(defined),
+    })
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +495,8 @@ def _sw_z_from_w(w, mu: float, sigma: float, gamma):
 def _batch_sw(x: np.ndarray, xs=None):
     """Row-wise (W, z, defined) for an (..., n) array, n <= SW_MAX_N. x is
     not changed; its rows are sorted in xs, a float64 array of x's shape if
-    given (its values are overwritten), else in a float64 copy of x."""
+    given (its values are overwritten), else in a float64 copy of x. A
+    1-D x is a Sample's values, whose positive variance W divides by."""
     n = x.shape[-1]
     low, mu, sigma, gamma = _constants(check_sw_n(n)).sw
     c = _sw_coefficients(low, n)
@@ -474,8 +508,13 @@ def _batch_sw(x: np.ndarray, xs=None):
     # einsum, not matmul: BLAS kernels change summation order with the
     # row count, which would make a replication's W depend on chunk size
     num = _einsum("...j,j->...", xs, c)
-    xs -= _row_mean(xs, keepdims=True)
-    w = (num * num) / _einsum("...j,...j->...", xs, xs)
+    xs -= _col(_row_mean(xs))
+    den = _einsum("...j,...j->...", xs, xs)
+    if xs.ndim == 1:
+        # a Sample's row finishes on Python floats: its variance is
+        # positive, so den is too, or inf or NaN where it overflows
+        num, den = float(num), float(den)
+    w = (num * num) / den
     w = _at_most(w, 1.0)  # np.clip(w, 0, 1): w is NaN or at least +0.0
     return w, _sw_z_from_w(w, mu, sigma, gamma), _isfinite(w)
 
@@ -487,7 +526,7 @@ def shapiro_wilk_test(sample: Sample) -> TestResult:
     8 <= n <= 5000, the approximation's published range. A non-finite W
     yields defined=False.
     """
-    return _one_row(TestName.SHAPIRO_WILK, _batch_sw(sample.values), lambda z: ndtr(-z))
+    return _one_row(TestName.SHAPIRO_WILK, _batch_sw(sample.values), _lower_tail_p)
 
 
 # ---------------------------------------------------------------------------
@@ -514,17 +553,21 @@ def _batch_lm_z(xc: np.ndarray, sq: np.ndarray, sq_sum, y=None, s1=None):
     """
     n = xc.shape[-1]
     scale = _constants(n).lm_scale
-    y = np.subtract(sq_sum[..., None], sq, out=y)
-    s1 = np.subtract(np.add.reduce(xc, axis=-1, keepdims=True), xc, out=s1)
+    y = np.subtract(_col(sq_sum), sq, out=y)
+    s1 = np.subtract(_col(np.add.reduce(xc, axis=-1)), xc, out=s1)
     s1 *= s1
     s1 /= n - 1.0
     y -= s1
     np.cbrt(y, out=y)
     ym = _row_mean(y)
-    y -= ym[..., None]
+    y -= _col(ym)
     sxx = _einsum("...j,...j->...", xc, xc)
     syy = _einsum("...j,...j->...", y, y)
     sxy = _einsum("...j,...j->...", xc, y)
+    if xc.ndim == 1:
+        # a Sample's row finishes on Python floats; sxy stays a numpy
+        # scalar, so r divides as numpy does
+        ym, sxx, syy = float(ym), float(sxx), float(syy)
     ss = sxx * syy
     # an overflow (ss = inf; ss is never -inf) would read r = 0; centred
     # proxies whose root mean square is within 1e-12 of their mean are the

@@ -159,12 +159,15 @@ class SuTransform:
         Accepts scalars or arrays; Z = delta * asinh(Y/alpha) with
         Y = spms_value / sqrt(lambda2). The asinh form is used instead of
         the literal log(x + sqrt(1 + x^2)) to avoid cancellation for
-        large negative Y. A Python or numpy float skips the 0-d array:
-        scalar division rounds as the ufunc's does.
+        large negative Y. A Python or numpy float skips the 0-d array and
+        finishes on Python floats: their + - * / round as the ufuncs' do,
+        and only np.arcsinh, whose last bit can depend on numpy's SIMD
+        target, stays a numpy call.
         """
-        if not isinstance(spms_value, float):
-            spms_value = np.asarray(spms_value, dtype=np.float64)
-        y = spms_value / math.sqrt(self.lambda2)
+        if isinstance(spms_value, float):
+            y = spms_value / math.sqrt(self.lambda2)
+            return self.delta * float(np.arcsinh(y / self.alpha))
+        y = np.asarray(spms_value, dtype=np.float64) / math.sqrt(self.lambda2)
         out = self.delta * np.arcsinh(y / self.alpha)
         return float(out) if out.ndim == 0 else out
 

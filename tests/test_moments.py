@@ -1,6 +1,10 @@
 """Sample container and divisor-n central moments."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import pmskew
 from pmskew import (
     InvalidParamsError,
     NonFiniteError,
@@ -135,6 +140,35 @@ class TestSampleArguments:
         s = Sample(x)
         assert type(s.values) is np.ndarray
         assert s.values.tolist() == list(range(10))
+
+    def test_scalar_path_leaves_numpy_ma_unloaded(self, tmp_path):
+        # a masked array exists only once numpy.ma is imported, so neither
+        # Sample() nor `pmskew test` pays for importing it
+        data = tmp_path / "x.txt"
+        data.write_text("\n".join(str(v) for v in range(1, 21)) + "\n")
+        src = str(Path(pmskew.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        code = (
+            "import sys, numpy\n"
+            "loaded = ['numpy.ma' in sys.modules]\n"
+            "import pmskew, pmskew.cli\n"
+            "pmskew.Sample([1.0, 2.0, 4.0])\n"
+            f"status = pmskew.cli.main(['test', {str(data)!r}])\n"
+            "loaded.append('numpy.ma' in sys.modules)\n"
+            "print(status, *loaded)\n"
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, timeout=120,
+        )
+        assert child.returncode == 0, child.stderr
+        status, by_numpy, by_pmskew = child.stdout.split()[-3:]
+        if by_numpy == "True":
+            pytest.skip("this numpy imports numpy.ma with numpy")
+        assert (status, by_pmskew) == ("0", "False")
 
     @settings(max_examples=300, deadline=None)
     @given(_SAMPLE_ARGUMENTS)

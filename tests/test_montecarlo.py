@@ -3,6 +3,7 @@
 import gc
 import itertools
 import math
+import os
 import sys
 import threading
 import time
@@ -789,6 +790,29 @@ class TestWorkspace:
             faults = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before
             # allocating and freeing each chunk's blocks took about 7,600
             assert faults < 1000, name
+
+    def test_a_call_leaves_at_most_its_threads_idle_workspaces(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_workspaces", [])
+        montecarlo._null_runs.cache_clear()
+        _curve("power_curve", (8, 33), 16 * _chunk_rows(33), threads=8)
+        assert 1 <= len(montecarlo._workspaces) <= 8
+        # as if all eight chunks had run at once
+        while len(montecarlo._workspaces) < 8:
+            montecarlo._workspaces.append(montecarlo._new_workspace())
+        montecarlo._null_runs.cache_clear()
+        _curve("power_curve", (8, 33), 16 * _chunk_rows(33), threads=1)
+        assert len(montecarlo._workspaces) == 1
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+    def test_forked_child_writes_its_own_copy_of_a_workspace(self):
+        ws = montecarlo._new_workspace()
+        ws.fill(1.0)
+        pid = os.fork()
+        if pid == 0:
+            ws.fill(2.0)
+            os._exit(0)
+        assert os.waitpid(pid, 0)[1] == 0
+        assert np.all(ws == 1.0)
 
 
 @pytest.fixture

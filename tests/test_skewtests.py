@@ -4,10 +4,12 @@ import cProfile
 import itertools
 import math
 import os
+import pickle
 import pstats
 import sys
 import threading
 import warnings
+from dataclasses import FrozenInstanceError, fields
 from fractions import Fraction
 
 import numpy as np
@@ -272,6 +274,24 @@ class TestTestResult:
         r = pk.TestResult(pk.TestName.SPMS, 0.1, 2.0, 0.05)
         with pytest.raises(InvalidLevelError):
             r.reject_at(bad)
+
+    def test_scalar_results_are_the_dataclass_own(self):
+        # the scalar tests build a TestResult without its __init__: it must
+        # be the one __init__ gives, frozen, with the same eq, hash, repr
+        # and pickle, defined or not
+        results = [test(Sample(_seeded(40, seed=2, skew=0.5)))
+                   for test in TestSampleSharing.TESTS]
+        results.append(spms_test(_degenerate_sample()))
+        assert not results[-1].defined
+        for r in results:
+            built = pk.TestResult(*(getattr(r, f.name) for f in fields(r)))
+            assert type(r) is pk.TestResult
+            assert vars(r) == vars(built) and list(vars(r)) == list(vars(built))
+            assert repr(r) == repr(built)
+            assert pickle.dumps(r) == pickle.dumps(built)
+            assert r == built and hash(r) == hash(built)
+            with pytest.raises(FrozenInstanceError):
+                r.p_value = 0.0
 
 
 class TestSpmsTest:
@@ -753,6 +773,73 @@ class TestUndefinedConvention:
         for n in range(8, 12):
             assert skewtests._constants(n).sw[3] > 0.0
         assert skewtests._constants(12).sw[3] is None
+
+
+# row lengths of the degenerate corpus: the smallest n, Shapiro-Wilk's
+# small-n branch (n <= 11) and the first n past it, and SW_MAX_N
+CORPUS_SIZES = (8, 9, 11, 12, 5000)
+# from scales whose squared variance underflows, which a Sample refuses,
+# through 1e-80, about the smallest it takes, to scales whose moments overflow
+CORPUS_SCALES = (1e-150, 1e-100, 1e-80, 1.0, 1e100, 1e150, 1e200)
+
+
+def _degenerate_corpus(n):
+    """(label, scale, row): a normal row, two two-valued rows and two
+    constant rows with one-ulp noise, at each of CORPUS_SCALES."""
+    rng = np.random.default_rng(n)
+    base = rng.standard_normal(n)
+    up = np.zeros(n, dtype=bool)
+    up[rng.choice(n, max(1, n // 3), replace=False)] = True
+    index = np.arange(n)
+    for scale in CORPUS_SCALES:
+        c = 1.7 * scale
+        c_up = np.nextafter(c, math.inf)
+        yield "normal", scale, base * scale
+        yield "two-valued", scale, np.where(index < max(1, n // 8), 0.0, scale)
+        yield "alternating", scale, np.resize([-scale, scale], n)
+        yield "first one ulp up", scale, np.where(index == 0, c_up, c)
+        yield "a third one ulp up", scale, np.where(up, c_up, c)
+
+
+class TestDegenerateCorpus:
+    """A Sample's tests finish on Python floats, which raise
+    ZeroDivisionError or OverflowError where numpy scalars give inf or NaN.
+    On degenerate rows at extreme scales a Sample either refuses the row
+    with a documented error or takes it, and then each scalar test's
+    kernel output (raw, z, defined) has the bits of its chunk row, with no
+    warning and no other exception."""
+
+    @pytest.mark.parametrize("n", CORPUS_SIZES)
+    def test_degenerate_corpus_matches_chunk_rows(self, n, monkeypatch):
+        seen = []
+        one_row = skewtests._one_row
+
+        def recording(name, kernel_out, *a):
+            seen.append((name, kernel_out))
+            return one_row(name, kernel_out, *a)
+
+        def bits(raw, z, defined):
+            return float(raw).hex(), float(z).hex(), bool(defined)
+
+        monkeypatch.setattr(skewtests, "_one_row", recording)
+        taken = set()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for label, scale, row in _degenerate_corpus(n):
+                try:
+                    s = Sample(row)
+                except pk.ZeroVarianceError:  # the only one these rows can meet
+                    continue
+                taken.add(scale)
+                seen.clear()
+                results = [test(s) for test in TestSampleSharing.TESTS]
+                chunk = _chunk_statistics(row[None, :], pk.ALL_TESTS, su_params(n))
+                assert [name for name, _ in seen] == [r.test_name for r in results]
+                for name, got in seen:
+                    want = [v[0] for v in chunk[name]]
+                    assert bits(*got) == bits(*want), (label, scale, name)
+        # every scale from 1e-80 up has rows a Sample takes
+        assert taken == set(CORPUS_SCALES[2:])
 
 
 class TestScalarPathOverhead:
