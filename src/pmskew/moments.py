@@ -63,9 +63,11 @@ class Sample:
     ------
     InvalidParamsError
         If values is not a one-dimensional sequence of real numbers (a
-        generator, a dict, a string, or complex, string, bytes, datetime
-        or timedelta values, for instance), or is a masked array with a
-        masked entry.
+        generator, a dict, a string, or complex, string, bytes, bool,
+        None, datetime or timedelta values, for instance), or is a masked
+        array with a masked entry. numpy converts a list of floats with a
+        bool among them, such as [1.0, True, 2.0], to float64 before
+        Sample sees it, so that bool is read as 1.0.
     SampleTooSmallError
         If fewer than 3 observations are supplied.
     NonFiniteError
@@ -92,13 +94,15 @@ class Sample:
             )
         try:
             arr = np.asarray(self.values)
-            # astype would parse strings as numbers and dates as counts
-            if arr.dtype.kind in "cUSMm":
+            # astype would parse strings as numbers, dates as counts, bools
+            # as 0 and 1 and None as NaN
+            if arr.dtype.kind in "bcUSMm":
                 raise TypeError(f"{arr.dtype.name} values")
             if arr.dtype.kind == "O" and any(
-                isinstance(v, (str, bytes)) for v in arr.flat
+                isinstance(v, (str, bytes, bool, np.bool_, type(None)))
+                for v in arr.flat
             ):
-                raise TypeError("str or bytes values in an object array")
+                raise TypeError("str, bytes, bool or None values in an object array")
             arr = arr.astype(np.float64, copy=False)
         except (TypeError, ValueError, OverflowError) as e:
             raise InvalidParamsError(

@@ -506,11 +506,11 @@ def _rejects(test, level, critical=None):
     """
     if test is TestName.SHAPIRO_WILK:
         if critical is None:
-            crit = float(ndtri(1.0 - level))
+            crit = ndtri(1.0 - level)
             return lambda raw, z, defined: (z > crit) & defined
         crit = critical(level)
         return lambda raw, z, defined: (raw < crit) & defined
-    crit = float(ndtri(1.0 - level / 2.0)) if critical is None else critical(level)
+    crit = ndtri(1.0 - level / 2.0) if critical is None else critical(level)
     return lambda raw, z, defined: (np.abs(z) > crit) & defined
 
 

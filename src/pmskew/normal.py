@@ -10,11 +10,14 @@ round are libm's exp and log (through math.exp and math.log) and the
 correctly rounded sqrt: no step depends on numpy's SIMD target.
 
 ndtr takes a Python float and writes its polynomials as literals: each
-p-value of a scalar test costs one call. ndtri takes a float, for the
-asymptotic critical values, or a float64 array, for the Shapiro-Wilk
-scores. On an array it evaluates the polynomials with numpy's + and *,
-which round the same on every target, and takes the tail's logs with
-math.log per element, since np.log's last bit can depend on the target.
+p-value of a scalar test costs one call. ndtri runs one set of array
+steps, on a float64 array of Shapiro-Wilk scores or on a float, an
+asymptotic critical value, as an array of one: it evaluates the
+polynomials with numpy's + and *, which round the same on every target,
+and takes the tail's logs with math.log per element, since np.log's last
+bit can depend on the target. A float costs about 60 us that way, which
+does not matter: only the asymptotic critical values ask for one, once
+per test and level of a Monte Carlo run, not once per chunk.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ _Q2 = (
     1.37702099489081330271e0, 2.16236993594496635890e-1, 1.34204006088543189037e-2,
     3.28014464682127739104e-4, 2.89247864745380683936e-6, 6.79019408009981274425e-9,
 )
-# the same, as _horner's tables for an array: (coefficients, polynomials, 1)
+# the same, as _horner's tables: (coefficients, polynomials, 1)
 _CENTRAL = np.array([(0.0,) * 4 + _P0, _Q0]).T[:, :, None]
 _TAIL = np.array([_P1, _Q1, _P2, _Q2]).T[:, :, None]
 
@@ -116,12 +119,11 @@ def ndtr(a: float) -> float:
 
 
 def _horner(x, coefs):
-    """A polynomial, highest degree first, at x by Horner's rule, rounding
-    once per + and * as Cephes's polevl does (a leading 1 gives p1evl).
-    For a float, coefs is a tuple of floats. For a 1-D array, it is a
-    table of one column per polynomial, and each comes out as one row; a
-    column padded with leading zeros still rounds as polevl (each zero
-    stays +0.0 at a finite x)."""
+    """Polynomials, highest degree first, at a 1-D array x by Horner's
+    rule, rounding once per + and * as Cephes's polevl does (a leading 1
+    gives p1evl). coefs is a table of one column per polynomial, and each
+    comes out as one row; a column padded with leading zeros still rounds
+    as polevl (each zero stays +0.0 at a finite x)."""
     ans = coefs[0] * x
     ans += coefs[1]
     for c in coefs[2:]:
@@ -135,39 +137,16 @@ def _logs(v: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.log, v.tolist()), np.float64, v.size)
 
 
-def _ndtri(y0: float) -> float:
-    """Cephes's ndtri on a Python float."""
-    if y0 == 0.0:
-        return -math.inf
-    if y0 == 1.0:
-        return math.inf
-    if not 0.0 < y0 < 1.0:
-        return math.nan
-    # y, the tail nearer y0; central past exp(-2)
-    upper = y0 > 1.0 - _EXPM2
-    y = 1.0 - y0 if upper else y0
-    if y > _EXPM2:
-        v = y - 0.5
-        v2 = v * v
-        return (v + v * (v2 * _horner(v2, _P0) / _horner(v2, _Q0))) * _S2PI
-    t = math.sqrt(-2.0 * math.log(y))
-    u = 1.0 / t
-    p, q = (_P1, _Q1) if t < 8.0 else (_P2, _Q2)
-    x1 = u * _horner(u, p) / _horner(u, q)
-    x0 = t - math.log(t) / t
-    return x0 - x1 if upper else x1 - x0
-
-
 def ndtri(p, out=None):
     """Phi^-1(p), Cephes's ndtri bit for bit, for a float or a float64
     array p: -inf at 0, inf at 1 and NaN outside [0, 1] or at NaN. A float
-    gives a float; an array's result goes to out if given (out may be p
-    itself), else to a new array."""
-    if isinstance(p, float):
-        return _ndtri(p)
+    gives a float, through the array steps on an array of one (about
+    60 us); an array's result goes to out if given (out may be p itself),
+    else to a new array."""
     y0 = np.asarray(p, dtype=np.float64)
     flat = y0.ravel()
-    # the same steps as _ndtri's, on every value in each branch at once
+    # y, the tail nearer each value; central past exp(-2), else the tail's
+    # polynomials in 1/t, one for t < 8 and one above
     upper = flat > 1.0 - _EXPM2
     y = np.where(upper, 1.0 - flat, flat)
     mid = y > _EXPM2
@@ -186,6 +165,8 @@ def ndtri(p, out=None):
     x0 = t - _logs(t) / t
     x[tail] = np.where(upper[tail], x0 - x1, x1 - x0)
 
+    if isinstance(p, float):
+        return float(x[0])
     if out is None:
         return x.reshape(y0.shape)
     out[...] = x.reshape(y0.shape)

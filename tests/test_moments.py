@@ -120,10 +120,16 @@ class TestSampleArguments:
             np.arange(10).astype("timedelta64[s]"),
             np.array([1.0, 2.5, "3", 4.0], dtype=object),
             np.array([1.0, 2.5, b"3", 4.0], dtype=object),
+            # and these four to 0.0, 1.0 or NaN
+            [True, False, True, False],
+            np.array([True, False, True, False]),
+            [None, 1.0, 2.0],
+            np.array([1.0, True, 2.0, 4.0], dtype=object),
         ],
         ids=["generator", "dict", "complex", "complex_array", "strings",
              "string", "ragged", "huge_int", "numeric_strings", "bytes",
-             "datetime64", "timedelta64", "object_string", "object_bytes"],
+             "datetime64", "timedelta64", "object_string", "object_bytes",
+             "bools", "bool_array", "none", "object_bool"],
     )
     def test_non_real_values_raise_typed_error(self, values):
         with pytest.raises(InvalidParamsError, match="real float64 values"):

@@ -9,7 +9,9 @@ sets are checked, each bit for bit with the sign of a zero:
   the array path with out aliasing its input, as skewtests calls it;
 - seeded arguments: ndtr over [-40, 40], ndtri over (0, 1) with both
   tails down to the smallest subnormal;
-- every branch edge of both, with the floats on either side of it.
+- every branch edge of both, with the floats on either side of it;
+- the floats the harness asks for, 1 - level and 1 - level/2 at each
+  level the CLI reports, for the asymptotic critical values.
 
 test_cpu_dispatch.py runs this file again with numpy's SIMD dispatch
 targets off: the port uses no numpy loop whose last bit depends on them.
@@ -21,6 +23,7 @@ import numpy as np
 import pytest
 from scipy import special
 
+from pmskew.cli import REPORT_LEVELS
 from pmskew.normal import ndtr, ndtri
 
 SQRTH = math.sqrt(0.5)
@@ -122,3 +125,11 @@ def test_ndtri_forms_bit_for_bit():
     out = np.empty_like(grid)
     assert ndtri(grid, out=out) is out
     assert _same_bits(out, want[:30].reshape(5, 6)).all()
+
+
+def test_ndtri_critical_value_arguments_bit_for_bit():
+    # the floats montecarlo._rejects passes, each a float with scipy's bits
+    p = [1.0 - a for a in REPORT_LEVELS] + [1.0 - a / 2.0 for a in REPORT_LEVELS]
+    got = [ndtri(v) for v in p]
+    assert all(type(v) is float for v in got)
+    assert _same_bits(got, special.ndtri(p)).all()

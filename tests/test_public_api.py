@@ -222,9 +222,11 @@ def test_statistics_core_does_not_import_the_sampler(module):
     assert "distributions" not in _pmskew_imports(module)
 
 
-def test_errors_imports_no_pmskew_module():
-    # errors owns the argument rules every other module uses
-    assert _pmskew_imports("errors") == set()
+@pytest.mark.parametrize("module", ["errors", "normal"])
+def test_leaf_module_imports_no_pmskew_module(module):
+    # errors owns the argument rules every other module uses; normal's
+    # bits depend on nothing but math, numpy and its own arithmetic
+    assert _pmskew_imports(module) == set()
 
 
 def test_a_bad_argument_raises_one_exception_family():
